@@ -86,6 +86,16 @@ class BufferReader {
     return s;
   }
 
+  // Advances past one length-prefixed string without copying it.
+  void SkipString() {
+    const uint32_t n = ReadU32();
+    if (failed_ || pos_ + n > data_.size()) {
+      failed_ = true;
+      return;
+    }
+    pos_ += n;
+  }
+
   bool failed() const { return failed_; }
   bool AtEnd() const { return pos_ == data_.size(); }
 

@@ -68,8 +68,11 @@ class [[nodiscard]] Status {
 
  private:
   void SetMessage(const char* message) {
-    std::strncpy(message_, message, kMaxMessage);
-    message_[kMaxMessage] = '\0';
+    // Copies only up to the terminator (strncpy would zero-fill the rest of
+    // the buffer on every error built).
+    const size_t n = strnlen(message, kMaxMessage);
+    std::memcpy(message_, message, n);
+    message_[n] = '\0';
   }
 
   StatusCode code_;

@@ -65,22 +65,51 @@ Result<SuiteConfig> RepresentativeServer::CurrentPrefix(const std::string& suite
   return SuiteConfig::Parse(bytes.value());
 }
 
-VersionResp RepresentativeServer::MakeVersionResp(const std::string& suite) {
-  VersionResp resp;
-  Result<VersionedValue> value = CurrentValue(suite);
-  if (value.ok()) {
-    resp.version = value.value().version;
+RepresentativeServer::SuitePages& RepresentativeServer::PagesFor(const std::string& suite) {
+  auto it = suites_.find(suite);
+  if (it == suites_.end()) {
+    SuitePages pages;
+    pages.value_key = Participant::DataKey(SuiteValueKey(suite));
+    pages.prefix_key = Participant::DataKey(SuitePrefixKey(suite));
+    it = suites_.emplace(suite, std::move(pages)).first;
   }
-  Result<SuiteConfig> prefix = CurrentPrefix(suite);
-  if (prefix.ok()) {
-    resp.config_version = prefix.value().config_version;
-    for (const RepresentativeInfo& rep : prefix.value().representatives) {
+  return it->second;
+}
+
+VersionResp RepresentativeServer::MakeVersionResp(const std::string& suite) {
+  SuitePages& pages = PagesFor(suite);
+  VersionResp resp;
+  if (const std::string* value = store_.PeekCommitted(pages.value_key)) {
+    Result<Version> version = VersionedValue::ParseVersion(*value);
+    if (version.ok()) {
+      resp.version = version.value();
+    }
+  }
+  const std::string* prefix = store_.PeekCommitted(pages.prefix_key);
+  if (prefix == nullptr) {
+    return resp;
+  }
+  if (!pages.prefix_parsed || *prefix != pages.prefix_bytes) {
+    // The prefix changed (or was never parsed): reparse and remember the
+    // bytes the cached fields came from.
+    pages.prefix_parsed = false;
+    Result<SuiteConfig> config = SuiteConfig::Parse(*prefix);
+    if (!config.ok()) {
+      return resp;
+    }
+    pages.prefix_bytes = *prefix;
+    pages.prefix_parsed = true;
+    pages.config_version = config.value().config_version;
+    pages.votes = 0;
+    for (const RepresentativeInfo& rep : config.value().representatives) {
       if (rep.host_name == rpc_.host()->name()) {
-        resp.votes = rep.votes;
+        pages.votes = rep.votes;
         break;
       }
     }
   }
+  resp.config_version = pages.config_version;
+  resp.votes = pages.votes;
   return resp;
 }
 

@@ -14,6 +14,8 @@
 #ifndef WVOTE_SRC_CORE_REPRESENTATIVE_H_
 #define WVOTE_SRC_CORE_REPRESENTATIVE_H_
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -73,7 +75,21 @@ class RepresentativeServer {
  private:
   void RegisterHandlers();
 
-  // Reads {version, config_version, my votes} from committed pages.
+  // Page keys of one suite, built once, plus the fields a version poll
+  // needs from the suite's prefix, parsed from `prefix_bytes` and reused
+  // while the committed prefix stays byte-identical.
+  struct SuitePages {
+    std::string value_key;   // DataKey(SuiteValueKey(suite))
+    std::string prefix_key;  // DataKey(SuitePrefixKey(suite))
+    bool prefix_parsed = false;
+    std::string prefix_bytes;
+    uint64_t config_version = 0;
+    int votes = 0;
+  };
+  SuitePages& PagesFor(const std::string& suite);
+
+  // Reads {version, config_version, my votes} from committed pages in
+  // place.
   VersionResp MakeVersionResp(const std::string& suite);
 
   Network* net_;
@@ -82,6 +98,7 @@ class RepresentativeServer {
   Participant participant_;
   RepresentativeStats stats_;
   uint64_t refresh_serial_ = 1;
+  std::map<std::string, SuitePages, std::less<>> suites_;
 };
 
 }  // namespace wvote

@@ -577,7 +577,7 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
                     config_.suite_name + " " + std::to_string(out.votes) + "/" +
                         std::to_string(required_votes));
     }
-    if (tracer != nullptr) {
+    if (tracer != nullptr && gather_span.valid()) {
       tracer->EndWith(gather_span, "unavailable " + std::to_string(out.votes) + "/" +
                                        std::to_string(required_votes));
     }
@@ -585,7 +585,7 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
                                std::to_string(required_votes) + " votes for " +
                                config_.suite_name);
   }
-  if (tracer != nullptr) {
+  if (tracer != nullptr && gather_span.valid()) {
     tracer->EndWith(gather_span,
                     "votes=" + std::to_string(out.votes) + "/" +
                         std::to_string(required_votes) + " rounds=" +
@@ -644,7 +644,7 @@ Task<Result<SuiteReadResp>> SuiteClient::FetchData(
         }
         co_return InternalError("representative changed version under our lock");
       }
-      if (tracer != nullptr) {
+      if (tracer != nullptr && fetch_span.valid()) {
         tracer->EndWith(fetch_span, "from host " + std::to_string(member->host));
       }
       co_return std::move(data.value());
@@ -890,7 +890,7 @@ Task<Result<std::string>> SuiteClient::ReadOnce(int retries) {
     if (contents.ok()) {
       Status st = co_await txn.Commit();
       if (st.ok()) {
-        if (tracer != nullptr) {
+        if (tracer != nullptr && root.valid()) {
           tracer->EndWith(root, "ok attempts=" + std::to_string(i + 1));
         }
         co_return contents;
@@ -931,7 +931,7 @@ Task<Status> SuiteClient::WriteOnce(std::string contents, int retries) {
       st = co_await txn.Commit();
     }
     if (st.ok()) {
-      if (tracer != nullptr) {
+      if (tracer != nullptr && root.valid()) {
         tracer->EndWith(root, "ok attempts=" + std::to_string(i + 1));
       }
       co_return st;

@@ -22,6 +22,16 @@ Result<VersionedValue> VersionedValue::Parse(const std::string& bytes) {
   return v;
 }
 
+Result<Version> VersionedValue::ParseVersion(const std::string& bytes) {
+  BufferReader r(bytes);
+  const Version version = r.ReadU64();
+  r.SkipString();
+  if (r.failed() || !r.AtEnd()) {
+    return CorruptionError("bad versioned value");
+  }
+  return version;
+}
+
 std::string SuiteValueKey(const std::string& suite) { return "suite/" + suite; }
 
 std::string SuitePrefixKey(const std::string& suite) { return "prefix/" + suite; }

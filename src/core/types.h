@@ -25,6 +25,9 @@ struct VersionedValue {
 
   std::string Serialize() const;
   static Result<VersionedValue> Parse(const std::string& bytes);
+  // Validates `bytes` exactly as Parse does but returns only the version,
+  // without copying the contents.
+  static Result<Version> ParseVersion(const std::string& bytes);
 };
 
 // Durable page keys used by representatives (under Participant::DataKey).

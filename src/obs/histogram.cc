@@ -41,7 +41,7 @@ int64_t LatencyHistogram::BucketLowerBound(size_t bucket) {
     return 0;
   }
   if (bucket >= kNumBuckets - 1) {
-    return 100000000 * 100;  // 100s in us x overflow marker
+    return int64_t{100000000} * 100;  // 100s in us x overflow marker
   }
   const size_t d = (bucket - 1) / kBucketsPerDecade;
   const size_t offset = (bucket - 1) % kBucketsPerDecade;

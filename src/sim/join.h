@@ -88,7 +88,9 @@ Task<std::vector<T>> JoinUntil(Simulator* sim, std::vector<Task<T>> tasks,
     Spawn(internal::JoinRunOne<T>(state, std::move(t)));
   }
   co_await state->done.GetFuture();
-  co_return state->results;  // copy: stragglers may still append via state
+  // `done` is only set together with `satisfied`, after which stragglers
+  // hand their results to `leftover` and never touch `results` again.
+  co_return std::move(state->results);
 }
 
 }  // namespace wvote

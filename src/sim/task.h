@@ -11,6 +11,10 @@
 // the Task is destroyed. Spawn() runs a Task detached — used for server
 // handlers and background work; the frame then frees itself on completion.
 //
+// Frame memory: every RPC round trip creates and destroys several frames
+// (caller, handler, detached wrapper), so frames come from a per-thread
+// size-class free list instead of the general heap (FramePool below).
+//
 // ---------------------------------------------------------------------------
 // GCC 12 COMPATIBILITY RULE — read before adding coroutine functions.
 //
@@ -41,11 +45,24 @@
 #define WVOTE_SRC_SIM_TASK_H_
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <optional>
 #include <utility>
 
 #include "src/common/check.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define WVOTE_FRAME_POOL_POISON 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define WVOTE_FRAME_POOL_POISON 1
+#endif
+#endif
+#ifdef WVOTE_FRAME_POOL_POISON
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace wvote {
 
@@ -54,7 +71,73 @@ class Task;
 
 namespace internal {
 
-class TaskPromiseBase {
+// Recycles coroutine frames by size class. Frames up to kMaxPooled bytes are
+// rounded up to a kGranule multiple and, once freed, parked on that class's
+// free list for the next frame of the class; larger frames use the heap
+// directly. The lists are thread_local (the simulator is single-threaded)
+// and are never trimmed: they hold at most the peak number of frames live
+// at once per class. Under AddressSanitizer a parked block is poisoned, so
+// touching a destroyed frame still reports a use-after-free even though its
+// memory was not returned to the heap.
+class FramePool {
+ public:
+  static constexpr size_t kGranule = 64;
+  static constexpr size_t kMaxPooled = 2048;
+
+  static void* Allocate(size_t size) {
+    if (size > kMaxPooled) {
+      return ::operator new(size);
+    }
+    const size_t cls = ClassOf(size);
+    FreeBlock*& head = Heads()[cls];
+    if (head == nullptr) {
+      return ::operator new((cls + 1) * kGranule);
+    }
+    FreeBlock* block = head;
+#ifdef WVOTE_FRAME_POOL_POISON
+    ASAN_UNPOISON_MEMORY_REGION(block, (cls + 1) * kGranule);
+#endif
+    head = block->next;
+    return block;
+  }
+
+  static void Deallocate(void* p, size_t size) noexcept {
+    if (size > kMaxPooled) {
+      ::operator delete(p);
+      return;
+    }
+    const size_t cls = ClassOf(size);
+    FreeBlock*& head = Heads()[cls];
+    FreeBlock* block = static_cast<FreeBlock*>(p);
+    block->next = head;
+    head = block;
+#ifdef WVOTE_FRAME_POOL_POISON
+    ASAN_POISON_MEMORY_REGION(block, (cls + 1) * kGranule);
+#endif
+  }
+
+ private:
+  struct FreeBlock {
+    FreeBlock* next;
+  };
+  static constexpr size_t kClasses = kMaxPooled / kGranule;
+
+  static size_t ClassOf(size_t size) { return size == 0 ? 0 : (size - 1) / kGranule; }
+  static FreeBlock** Heads() {
+    static thread_local FreeBlock* heads[kClasses] = {};
+    return heads;
+  }
+};
+
+// Promise types inherit this so their coroutine frames come from FramePool.
+struct PooledFrame {
+  static void* operator new(size_t size) { return FramePool::Allocate(size); }
+  static void operator delete(void* p, size_t size) noexcept {
+    FramePool::Deallocate(p, size);
+  }
+};
+
+class TaskPromiseBase : public PooledFrame {
  public:
   std::suspend_always initial_suspend() noexcept { return {}; }
 
@@ -169,7 +252,7 @@ inline Task<void> TaskPromise<void>::get_return_object() noexcept {
 // frees itself on completion; the wrapped Task lives inside the frame so the
 // inner coroutine is destroyed exactly once, after it finishes.
 struct DetachedTask {
-  struct promise_type {
+  struct promise_type : PooledFrame {
     DetachedTask get_return_object() noexcept { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }

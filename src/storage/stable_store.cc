@@ -234,22 +234,35 @@ Task<Status> StableStore::Delete(std::string key, TraceContext ctx) {
   co_return Status::Ok();
 }
 
+const std::string* StableStore::CommittedData(const Page& page) const {
+  const int committed = CommittedSlot(page);
+  if (committed < 0) {
+    return nullptr;
+  }
+  // A torn sibling slot is normal after a crash; count it once on read so
+  // experiments can observe recovery activity.
+  const Slot& other = page.slots[committed == 0 ? 1 : 0];
+  if (!other.valid && !other.data.empty()) {
+    ++const_cast<StableStore*>(this)->stats_.recoveries_from_torn_slot;
+  }
+  return &page.slots[committed].data;
+}
+
+const std::string* StableStore::PeekCommitted(const std::string& key) const {
+  auto it = pages_.find(key);
+  return it == pages_.end() ? nullptr : CommittedData(it->second);
+}
+
 Result<std::string> StableStore::ReadCommitted(const std::string& key) const {
   auto it = pages_.find(key);
   if (it == pages_.end()) {
     return NotFoundError("no page " + key);
   }
-  const int committed = CommittedSlot(it->second);
-  if (committed < 0) {
+  const std::string* data = CommittedData(it->second);
+  if (data == nullptr) {
     return NotFoundError("page " + key + " has no committed slot");
   }
-  // A torn sibling slot is normal after a crash; count it once on read so
-  // experiments can observe recovery activity.
-  const Slot& other = it->second.slots[committed == 0 ? 1 : 0];
-  if (!other.valid && !other.data.empty()) {
-    ++const_cast<StableStore*>(this)->stats_.recoveries_from_torn_slot;
-  }
-  return it->second.slots[committed].data;
+  return *data;
 }
 
 bool StableStore::Contains(const std::string& key) const {

@@ -115,6 +115,11 @@ class StableStore {
   // Instant, latency-free read of the committed value; used during recovery
   // and by tests/invariant checks. Never observes torn state as a value.
   Result<std::string> ReadCommitted(const std::string& key) const;
+  // ReadCommitted without the copy: the committed bytes in place, or null
+  // when the page has no committed slot. The pointer is valid until the
+  // page is next written or deleted. Counts torn-slot recoveries exactly
+  // like ReadCommitted.
+  const std::string* PeekCommitted(const std::string& key) const;
 
   bool Contains(const std::string& key) const;
   std::vector<std::string> Keys() const;
@@ -156,6 +161,8 @@ class StableStore {
 
   // Index of the valid slot with the highest sequence, or -1.
   static int CommittedSlot(const Page& page);
+  // The committed slot's bytes (null if none), counting a torn sibling.
+  const std::string* CommittedData(const Page& page) const;
 
   // One sampled disk latency, stretched by the gray-disk multiplier.
   Duration SampleLatency(const LatencyModel& model);

@@ -55,6 +55,22 @@ Coordinator::Coordinator(RpcEndpoint* rpc, StableStore* store, CoordinatorOption
         if (!rec.ok() && rec.status().code() == StatusCode::kAborted) {
           co_return rec.status();  // we crashed mid-read; caller retries
         }
+        auto it = undecided_.find(req.txn);
+        if (it != undecided_.end()) {
+          if (it->second.logging_decision) {
+            // The commit record is being written: its outcome, not the
+            // absent record, is the answer.
+            Promise<bool> logged(rpc_->sim());
+            Future<bool> outcome = logged.GetFuture();
+            it->second.inquiries.push_back(std::move(logged));
+            const bool committed = co_await std::move(outcome);
+            co_return DecisionResp{committed ? TxnDecision::kCommitted
+                                             : TxnDecision::kAborted};
+          }
+          // Still in phase 1. The participant will act on the abort
+          // answered below, so it binds: the commit is never logged.
+          it->second.doomed = true;
+        }
         // No durable commit record: presumed abort.
         co_return DecisionResp{TxnDecision::kAborted};
       });
@@ -105,7 +121,9 @@ Task<Status> Coordinator::CommitTransaction(TxnId txn,
     co_return Status::Ok();
   }
 
-  // Phase 1: prepare at every writer in parallel.
+  // Phase 1: prepare at every writer in parallel. From here until the
+  // decision is durable, inquiries about `txn` consult undecided_.
+  undecided_.try_emplace(txn);
   TraceContext prepare_span;
   if (tracer != nullptr) {
     prepare_span = tracer->StartChild(ctx, rpc_->host_id(), "phase.prepare");
@@ -132,6 +150,9 @@ Task<Status> Coordinator::CommitTransaction(TxnId txn,
   if (votes.size() != writers.size() && failure.ok()) {
     failure = InternalError("missing prepare votes");
   }
+  if (failure.ok() && undecided_[txn].doomed) {
+    failure = AbortedError("an in-doubt inquiry was answered abort");
+  }
   if (tracer != nullptr) {
     tracer->EndWith(prepare_span, failure.ok() ? "all voted yes" : "no-vote");
   }
@@ -139,6 +160,7 @@ Task<Status> Coordinator::CommitTransaction(TxnId txn,
     std::vector<HostId> everyone = writers;
     everyone.insert(everyone.end(), read_only_participants.begin(),
                     read_only_participants.end());
+    undecided_.erase(txn);
     co_await AbortTransaction(txn, std::move(everyone), ctx);
     ++stats_.aborted;
     co_return AbortedError("prepare failed: " + failure.ToString());
@@ -146,8 +168,13 @@ Task<Status> Coordinator::CommitTransaction(TxnId txn,
 
   // Decision point: durably log commit before telling anyone. The ctx flows
   // straight through, so the decision log shows up as the transaction's
-  // phase.disk span.
+  // phase.disk span. Inquiries arriving meanwhile wait for this write.
+  undecided_[txn].logging_decision = true;
   Status logged = co_await store_->Write(DecisionKey(txn), "C", ctx);
+  for (Promise<bool>& inquiry : undecided_[txn].inquiries) {
+    inquiry.Set(logged.ok());
+  }
+  undecided_.erase(txn);
   if (!logged.ok()) {
     // Crash while logging: no participant will ever see a commit record, so
     // presumed abort resolves every prepared branch consistently.

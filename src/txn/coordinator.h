@@ -4,7 +4,11 @@
 // coordinator's own stable storage *before* any participant learns it;
 // recovering participants resolve in-doubt transactions by asking this host
 // (DecisionInquiryReq), and a missing decision record safely means "abort"
-// because the coordinator never reports success before logging.
+// because the coordinator never reports success before logging. An abort
+// answered while the transaction is still in phase 1 binds the coordinator:
+// the participant that asked has already dropped its prepared writes, so
+// the transaction aborts instead of logging commit. An inquiry that arrives
+// while the commit record is being written waits for that write's outcome.
 
 #ifndef WVOTE_SRC_TXN_COORDINATOR_H_
 #define WVOTE_SRC_TXN_COORDINATOR_H_
@@ -13,6 +17,7 @@
 #include <vector>
 
 #include "src/rpc/rpc.h"
+#include "src/sim/future.h"
 #include "src/storage/stable_store.h"
 #include "src/txn/messages.h"
 #include "src/txn/txn_id.h"
@@ -106,9 +111,17 @@ class Coordinator {
                                    std::vector<HostId> read_only, TraceContext ctx);
   Task<void> RetryCommitForever(TxnId txn, HostId participant, TraceContext ctx);
 
+  // A transaction between the start of phase 1 and its durable decision.
+  struct Undecided {
+    bool doomed = false;            // an inquiry was answered abort
+    bool logging_decision = false;  // the commit record is being written
+    std::vector<Promise<bool>> inquiries;  // waiting for that write
+  };
+
   RpcEndpoint* rpc_;
   StableStore* store_;
   CoordinatorOptions options_;
+  std::map<TxnId, Undecided> undecided_;
   uint64_t next_serial_ = 1;
   CoordinatorStats stats_;
 };

@@ -42,8 +42,18 @@ Result<TxnRecord> TxnRecord::Parse(const std::string& bytes) {
 }
 
 std::string IntentionsLog::KeyFor(const TxnId& txn) {
-  return "txnlog/" + std::to_string(txn.timestamp_us) + "." + std::to_string(txn.serial) +
-         "." + std::to_string(txn.coordinator);
+  std::string key;
+  WriteKey(txn, &key);
+  return key;
+}
+
+void IntentionsLog::WriteKey(const TxnId& txn, std::string* out) {
+  out->assign("txnlog/");
+  out->append(std::to_string(txn.timestamp_us));
+  out->push_back('.');
+  out->append(std::to_string(txn.serial));
+  out->push_back('.');
+  out->append(std::to_string(txn.coordinator));
 }
 
 Task<Status> IntentionsLog::Put(const TxnRecord& record, TraceContext ctx) {
@@ -67,6 +77,11 @@ std::vector<TxnRecord> IntentionsLog::RecoverAll() const {
     }
   }
   return records;
+}
+
+bool IntentionsLog::Contains(const TxnId& txn) const {
+  WriteKey(txn, &key_scratch_);
+  return store_->Contains(key_scratch_);
 }
 
 Result<TxnRecord> IntentionsLog::Lookup(const TxnId& txn) const {

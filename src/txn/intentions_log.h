@@ -48,11 +48,18 @@ class IntentionsLog {
   // Latency-free committed-state scan for crash recovery.
   std::vector<TxnRecord> RecoverAll() const;
   Result<TxnRecord> Lookup(const TxnId& txn) const;
+  // Whether `txn` has a committed record; cheaper than a failing Lookup,
+  // which builds a NotFound message.
+  bool Contains(const TxnId& txn) const;
 
   static std::string KeyFor(const TxnId& txn);
 
  private:
+  // KeyFor into `out`, reusing its capacity.
+  static void WriteKey(const TxnId& txn, std::string* out);
+
   StableStore* store_;
+  mutable std::string key_scratch_;  // Contains' key buffer
 };
 
 }  // namespace wvote

@@ -249,7 +249,10 @@ void LockManager::WakeWaiters(const std::string& key) {
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
-  std::vector<std::string> touched;
+  // Map keys stay put until WakeWaiters erases their own entry, so the
+  // released keys are kept by address; the vector's capacity is reused.
+  std::vector<const std::string*>& touched = released_keys_;
+  touched.clear();
   for (auto& [key, entry] : table_) {
     const size_t before = entry.holders.size();
     entry.holders.erase(std::remove_if(entry.holders.begin(), entry.holders.end(),
@@ -263,11 +266,11 @@ void LockManager::ReleaseAll(TxnId txn) {
       }
     }
     if (entry.holders.size() != before || waiter_removed) {
-      touched.push_back(key);
+      touched.push_back(&key);
     }
   }
-  for (const std::string& key : touched) {
-    WakeWaiters(key);
+  for (const std::string* key : touched) {
+    WakeWaiters(*key);
   }
 }
 

@@ -144,6 +144,7 @@ class LockManager {
   Tracer* tracer_ = nullptr;
   HostId host_ = kInvalidHost;
   std::map<std::string, Entry> table_;
+  std::vector<const std::string*> released_keys_;  // ReleaseAll's scratch
   Duration lease_ = Duration::Zero();
   std::function<bool(const TxnId&)> lease_exempt_;
   std::function<bool(const TxnId&)> committing_;

@@ -189,7 +189,9 @@ Task<Status> Participant::Commit(TxnId txn, TraceContext ctx) {
 }
 
 Task<Status> Participant::Abort(TxnId txn, TraceContext ctx) {
-  if (log_.Lookup(txn).ok()) {
+  // Most aborts are read-only releases with no record: probe first so they
+  // skip Lookup's NotFound status.
+  if (log_.Contains(txn) && log_.Lookup(txn).ok()) {
     Status st = co_await log_.Remove(txn, ctx);
     if (!st.ok()) {
       co_return st;

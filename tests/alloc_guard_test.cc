@@ -1,0 +1,198 @@
+// Per-op cost guard: heap allocations, messages and simulator events for one
+// ReadOnce and one WriteOnce on Gifford's Example 2. Counts do not depend on
+// the machine, so they pin the protocol stack's host cost where wall-clock
+// timings cannot: the allocation ceilings sit 10% above the measured
+// values, and messages and events per op must match exactly (the event
+// schedule is part of every determinism golden).
+//
+// This binary replaces the global operator new to count allocations; the
+// replacement lives here only, so no other test or library pays for it.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "src/analysis/gifford_examples.h"
+#include "src/core/cluster.h"
+
+namespace {
+
+bool g_counting = false;
+uint64_t g_allocs = 0;
+
+void* CountedAlloc(std::size_t size) {
+  if (g_counting) {
+    ++g_allocs;
+  }
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+
+void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
+  if (g_counting) {
+    ++g_allocs;
+  }
+  const std::size_t a = static_cast<std::size_t>(align);
+  void* p = std::aligned_alloc(a, ((size == 0 ? 1 : size) + a - 1) / a * a);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return CountedAlloc(size);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return CountedAlloc(size);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  return CountedAlignedAlloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return CountedAlignedAlloc(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+
+namespace wvote {
+namespace {
+
+constexpr int kOps = 100;
+
+// Allocation ceilings per op: the measured 29 per read and 136.03 per
+// write, plus 10% (the protocol stack before frame pooling and one-block
+// RPC envelopes paid 77 and 253.26).
+constexpr double kReadAllocCeiling = 31.9;
+constexpr double kWriteAllocCeiling = 149.6;
+// Messages and simulator events for kOps ops plus the drain; these match
+// the stack before those changes exactly.
+constexpr uint64_t kReadMessages = 400;
+constexpr uint64_t kReadEvents = 810;
+constexpr uint64_t kWriteMessages = 1200;
+constexpr uint64_t kWriteEvents = 3110;
+
+struct OpCost {
+  uint64_t allocs = 0;
+  uint64_t messages = 0;
+  uint64_t events = 0;
+};
+
+class AllocGuardTest : public ::testing::Test {
+ protected:
+  AllocGuardTest() {
+    const GiffordExample ex = MakeGiffordExamples()[1];  // Example 2
+    ClusterOptions opts;
+    opts.seed = 42;
+    opts.rep_options.disk_write_latency = LatencyModel::Fixed(Duration::Micros(500));
+    opts.rep_options.disk_read_latency = LatencyModel::Fixed(Duration::Micros(200));
+    cluster_ = std::make_unique<Cluster>(opts);
+    for (const RepresentativeInfo& rep : ex.config.representatives) {
+      cluster_->AddRepresentative(rep.host_name);
+    }
+    EXPECT_TRUE(cluster_->CreateSuite(ex.config, "initial contents").ok());
+    client_ = cluster_->AddClient("client", ex.config);
+    const HostId client_host = cluster_->net().FindHost("client")->id();
+    for (const auto& [host, rtt] : ex.client_rtt) {
+      cluster_->net().SetSymmetricLink(client_host, cluster_->net().FindHost(host)->id(),
+                                       LatencyModel::Fixed(rtt / 2));
+    }
+    // Warm-up: plan cache, version hints, frame and event pools.
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_TRUE(cluster_->RunTask(client_->WriteOnce("warm-" + std::to_string(i))).ok());
+      EXPECT_TRUE(cluster_->RunTask(client_->ReadOnce()).ok());
+    }
+    Drain();
+  }
+
+  // Lets background work (phase-2 fan-out, straggler probes) finish, so an
+  // op's cost lands inside the window that measured it.
+  void Drain() { cluster_->sim().RunFor(Duration::Seconds(5)); }
+
+  template <typename Body>
+  OpCost Measure(Body&& body) {
+    const uint64_t messages0 = cluster_->net().stats().messages_sent;
+    const uint64_t events0 = cluster_->sim().stats().events_processed;
+    const uint64_t allocs0 = g_allocs;
+    g_counting = true;
+    body();
+    Drain();
+    g_counting = false;
+    OpCost cost;
+    cost.allocs = g_allocs - allocs0;
+    cost.messages = cluster_->net().stats().messages_sent - messages0;
+    cost.events = cluster_->sim().stats().events_processed - events0;
+    return cost;
+  }
+
+  std::unique_ptr<Cluster> cluster_;
+  SuiteClient* client_ = nullptr;
+};
+
+TEST_F(AllocGuardTest, ReadOnce) {
+  bool all_ok = true;
+  const OpCost cost = Measure([&] {
+    for (int i = 0; i < kOps; ++i) {
+      all_ok &= cluster_->RunTask(client_->ReadOnce()).ok();
+    }
+  });
+  ASSERT_TRUE(all_ok);
+  const double allocs_per_op = static_cast<double>(cost.allocs) / kOps;
+  std::printf("ReadOnce: %.2f allocs/op, %llu messages, %llu events over %d ops\n",
+              allocs_per_op, static_cast<unsigned long long>(cost.messages),
+              static_cast<unsigned long long>(cost.events), kOps);
+  EXPECT_LE(allocs_per_op, kReadAllocCeiling);
+  EXPECT_EQ(cost.messages, kReadMessages);
+  EXPECT_EQ(cost.events, kReadEvents);
+}
+
+TEST_F(AllocGuardTest, WriteOnce) {
+  std::vector<std::string> payloads;
+  for (int i = 0; i < kOps; ++i) {
+    payloads.push_back("payload-" + std::to_string(i));
+  }
+  bool all_ok = true;
+  const OpCost cost = Measure([&] {
+    for (int i = 0; i < kOps; ++i) {
+      all_ok &= cluster_->RunTask(client_->WriteOnce(payloads[static_cast<size_t>(i)])).ok();
+    }
+  });
+  ASSERT_TRUE(all_ok);
+  const double allocs_per_op = static_cast<double>(cost.allocs) / kOps;
+  std::printf("WriteOnce: %.2f allocs/op, %llu messages, %llu events over %d ops\n",
+              allocs_per_op, static_cast<unsigned long long>(cost.messages),
+              static_cast<unsigned long long>(cost.events), kOps);
+  EXPECT_LE(allocs_per_op, kWriteAllocCeiling);
+  EXPECT_EQ(cost.messages, kWriteMessages);
+  EXPECT_EQ(cost.events, kWriteEvents);
+}
+
+}  // namespace
+}  // namespace wvote

@@ -86,6 +86,24 @@ class AsyncCommitTest : public ::testing::Test {
     return out;
   }
 
+  // Phase-targeted crash on kTxnPrepared that lets the yes vote out first:
+  // participant `i` crashes right after its PrepareReq reply is on the wire
+  // (the crash is queued behind the send instead of running inside the
+  // trace record) and restarts `downtime` later, so its recovery asks the
+  // coordinator about a transaction the coordinator may still be deciding.
+  void CrashAfterYesVote(int i, Duration downtime) {
+    Host* host = nodes_[static_cast<size_t>(i)]->host;
+    auto fired = std::make_shared<bool>(false);
+    trace_log_.AddObserver([this, host, downtime, fired](const TraceEvent& ev) {
+      if (*fired || ev.kind != TraceKind::kTxnPrepared || ev.host != host->id()) {
+        return;
+      }
+      *fired = true;
+      sim_.Schedule(Duration::Zero(), [host] { host->Crash(); });
+      sim_.Schedule(downtime, [host] { host->Restart(); });
+    });
+  }
+
   HostId Hid(int i) { return nodes_[static_cast<size_t>(i)]->host->id(); }
   Participant& P(int i) { return *nodes_[static_cast<size_t>(i)]->participant; }
 
@@ -281,6 +299,57 @@ TEST_F(AsyncCommitTest, AckedWritesAreNeverLostOrReorderedUnderFaults) {
     EXPECT_EQ(CommittedAt(0, "x"), last_acked) << "after write " << i;
   }
   EXPECT_EQ(CommittedAt(0, "x"), "v5");
+  EXPECT_EQ(P(0).locks().num_locked_keys(), 0u);
+}
+
+TEST_F(AsyncCommitTest, InquiryDuringPhaseOneMakesTheAbortBinding) {
+  // p0 votes yes, crashes, and is back 1ms later; its recovery inquiry
+  // reaches the coordinator (~13ms) while p1, behind a 60ms link, has not
+  // voted yet. The coordinator answers abort and p0 drops its prepared
+  // write. Committing after p1's vote (~122ms) would lose the write at p0
+  // while the client holds an ack, so the coordinator must abort instead.
+  net_.SetSymmetricLink(Hid(1), client_host_->id(), LatencyModel::Fixed(Duration::Millis(60)));
+  TxnId txn = coordinator_->Begin();
+  ASSERT_TRUE(LockAt(0, txn, "x").ok());
+  ASSERT_TRUE(LockAt(1, txn, "x").ok());
+  CrashAfterYesVote(0, Duration::Millis(1));
+
+  std::map<HostId, std::vector<WriteIntent>> writes;
+  writes[Hid(0)] = {WriteIntent("x", "v")};
+  writes[Hid(1)] = {WriteIntent("x", "v")};
+  auto out = SpawnCommit(txn, std::move(writes));
+  sim_.RunFor(Duration::Seconds(30));
+
+  ASSERT_TRUE(out->has_value());
+  EXPECT_EQ((*out)->code(), StatusCode::kAborted) << (*out)->ToString();
+  EXPECT_EQ(P(0).stats().recovered_in_doubt, 1u);
+  EXPECT_EQ(CommittedAt(0, "x"), "<NOT_FOUND>");
+  EXPECT_EQ(CommittedAt(1, "x"), "<NOT_FOUND>");
+  EXPECT_EQ(P(0).locks().num_locked_keys(), 0u);
+  EXPECT_EQ(P(1).locks().num_locked_keys(), 0u);
+}
+
+TEST_F(AsyncCommitTest, InquiryDuringDecisionWriteGetsItsOutcome) {
+  // A 20x slow coordinator disk: the commit record's write runs ~12-52ms,
+  // and p0's recovery inquiry finishes its decision-log read (~33ms) with
+  // the record still in flight. The answer must be that write's outcome,
+  // commit, not the presumed abort of an absent record.
+  StoreFaults slow_disk;
+  slow_disk.latency_multiplier = 20.0;
+  client_store_->SetFaults(slow_disk);
+  TxnId txn = coordinator_->Begin();
+  ASSERT_TRUE(LockAt(0, txn, "x").ok());
+  CrashAfterYesVote(0, Duration::Millis(1));
+
+  std::map<HostId, std::vector<WriteIntent>> writes;
+  writes[Hid(0)] = {WriteIntent("x", "v")};
+  auto out = SpawnCommit(txn, std::move(writes));
+  sim_.RunFor(Duration::Seconds(30));
+
+  ASSERT_TRUE(out->has_value());
+  EXPECT_TRUE((*out)->ok()) << (*out)->ToString();
+  EXPECT_EQ(P(0).stats().recovered_in_doubt, 1u);
+  EXPECT_EQ(CommittedAt(0, "x"), "v");
   EXPECT_EQ(P(0).locks().num_locked_keys(), 0u);
 }
 

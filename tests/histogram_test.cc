@@ -59,6 +59,15 @@ TEST(HistogramTest, ZeroAndHugeSamplesLandInEdgeBuckets) {
   EXPECT_EQ(h.Min(), Duration::Zero());
 }
 
+TEST(HistogramTest, OverflowPercentileReportsTheMarker) {
+  // Samples above 100 s share the overflow bucket, whose percentile is the
+  // 10^10 us marker (100 s x 100), computed without int overflow.
+  LatencyHistogram h;
+  h.Record(Duration::Seconds(150));
+  EXPECT_EQ(h.Percentile(50), Duration::Micros(int64_t{10000000000}));
+  EXPECT_EQ(h.Max(), Duration::Seconds(150));
+}
+
 TEST(HistogramTest, MergeCombines) {
   LatencyHistogram a;
   LatencyHistogram b;

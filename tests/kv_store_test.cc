@@ -69,7 +69,7 @@ TEST_F(KvStoreTest, PutManyIsAtomic) {
   Result<VersionedValue> vv = cluster_->RunTask(txn.ReadVersioned());
   ASSERT_TRUE(vv.ok());
   EXPECT_EQ(vv.value().version, 2u);
-  cluster_->RunTask(txn.Commit());
+  ASSERT_TRUE(cluster_->RunTask(txn.Commit()).ok());
 }
 
 TEST_F(KvStoreTest, ListKeysSorted) {

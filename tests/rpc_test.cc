@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace wvote {
 namespace {
@@ -339,6 +340,125 @@ TEST_F(RpcTest, DuplicatedHedgeRepliesResolveExactlyOnce) {
   EXPECT_EQ(server_->stats().requests_handled, 2u);
   EXPECT_EQ(backup.stats().requests_handled, 2u);
   EXPECT_GT(net_.stats().duplicated, 0u);
+}
+
+TEST_F(RpcTest, ClientCrashAbortsEveryOutstandingCallInCallIdOrder) {
+  // Four calls go out in order; the second completes (leaving a hole in the
+  // middle of the pending list) before the crash aborts the other three.
+  // Their resumptions are scheduled in call-id order.
+  auto order = std::make_shared<std::vector<int>>();
+  auto codes = std::make_shared<std::vector<StatusCode>>(4, StatusCode::kOk);
+  auto runner = [](RpcEndpoint* client, HostId to, int index, int delay_ms,
+                   std::shared_ptr<std::vector<int>> order,
+                   std::shared_ptr<std::vector<StatusCode>> codes) -> Task<void> {
+    Result<EchoResp> r =
+        co_await client->Call<SlowReq, EchoResp>(to, SlowReq(delay_ms), Duration::Seconds(10));
+    (*codes)[static_cast<size_t>(index)] = r.ok() ? StatusCode::kOk : r.status().code();
+    order->push_back(index);
+  };
+  const int delays_ms[] = {1000, 1, 1000, 1000};
+  for (int i = 0; i < 4; ++i) {
+    Spawn(runner(client_.get(), server_host_->id(), i, delays_ms[i], order, codes));
+  }
+  sim_.Schedule(Duration::Millis(50), [this] { client_host_->Crash(); });
+  sim_.Run();
+  EXPECT_EQ(*order, (std::vector<int>{1, 0, 2, 3}));
+  EXPECT_EQ((*codes)[1], StatusCode::kOk);
+  for (int i : {0, 2, 3}) {
+    EXPECT_EQ((*codes)[static_cast<size_t>(i)], StatusCode::kAborted) << "call " << i;
+  }
+  EXPECT_EQ(client_->stats().calls_aborted, 3u);
+}
+
+struct TaggedSlowReq {
+  int delay_ms = 0;
+  std::string tag;
+  TaggedSlowReq() = default;
+  TaggedSlowReq(int d, std::string t) : delay_ms(d), tag(std::move(t)) {}
+};
+
+TEST_F(RpcTest, LateReplyForAReusedSlotIsDropped) {
+  // Call A times out at 20ms; call B, issued at 25ms, takes over the pending
+  // entry A vacated. A's reply lands at ~60ms while B is still waiting: it
+  // must be dropped, and B must resolve with its own reply.
+  server_->Handle<TaggedSlowReq, EchoResp>(
+      [this](HostId, TaggedSlowReq req) -> Task<Result<EchoResp>> {
+        co_await sim_.Sleep(Duration::Millis(req.delay_ms));
+        co_return EchoResp(req.tag);
+      });
+  auto a = std::make_shared<Result<EchoResp>>(InternalError("pending"));
+  auto b = std::make_shared<Result<EchoResp>>(InternalError("pending"));
+  auto runner = [](RpcEndpoint* client, HostId to, TaggedSlowReq req, Duration timeout,
+                   std::shared_ptr<Result<EchoResp>> out) -> Task<void> {
+    *out = co_await client->Call<TaggedSlowReq, EchoResp>(to, std::move(req), timeout);
+  };
+  const HostId to = server_host_->id();
+  Spawn(runner(client_.get(), to, TaggedSlowReq(50, "A"), Duration::Millis(20), a));
+  sim_.Schedule(Duration::Millis(25), [this, runner, to, b] {
+    Spawn(runner(client_.get(), to, TaggedSlowReq(60, "B"), Duration::Seconds(1), b));
+  });
+  sim_.Run();
+  EXPECT_EQ(a->status().code(), StatusCode::kTimeout);
+  ASSERT_TRUE(b->ok()) << b->status().ToString();
+  EXPECT_EQ(b->value().text, "B");
+  EXPECT_EQ(client_->stats().calls_ok, 1u);
+  EXPECT_EQ(client_->stats().calls_timeout, 1u);
+  EXPECT_EQ(server_->stats().requests_handled, 2u);
+}
+
+TEST_F(RpcTest, HedgedRepliesLandingTogetherResolveOnce) {
+  // The backup fires at 10ms and both copies finish at 25ms, so both replies
+  // reach the client at 30ms, before the caller has resumed. The second
+  // reply finds its call id still registered but the wait already done.
+  Host* backup_host = net_.AddHost("backup");
+  RpcEndpoint backup(&net_, backup_host);
+  backup.Handle<SlowReq, EchoResp>([this](HostId, SlowReq req) -> Task<Result<EchoResp>> {
+    co_await sim_.Sleep(Duration::Millis(req.delay_ms - 10));
+    co_return EchoResp("backup done");
+  });
+  auto out = std::make_shared<HedgedReply<EchoResp>>();
+  auto resumed = std::make_shared<int>(0);
+  auto runner = [](RpcEndpoint* client, HostId primary, HostId backup_id,
+                   std::shared_ptr<HedgedReply<EchoResp>> out,
+                   std::shared_ptr<int> resumed) -> Task<void> {
+    *out = co_await client->CallHedged<SlowReq, EchoResp>(
+        primary, backup_id, SlowReq(20), Duration::Millis(10), Duration::Seconds(1));
+    ++*resumed;
+  };
+  Spawn(runner(client_.get(), server_host_->id(), backup_host->id(), out, resumed));
+  sim_.Run();
+  EXPECT_EQ(*resumed, 1);
+  ASSERT_TRUE(out->reply.ok());
+  EXPECT_EQ(out->reply.value().text, "slow done") << "the primary's reply was sent first";
+  EXPECT_EQ(out->responder, server_host_->id());
+  EXPECT_TRUE(out->hedged);
+  EXPECT_EQ(sim_.Now(), TimePoint() + Duration::Millis(30));
+  EXPECT_EQ(client_->stats().calls_ok, 1u);
+  EXPECT_EQ(client_->stats().hedges_sent, 1u);
+  EXPECT_EQ(client_->stats().hedge_wins, 0u);
+  EXPECT_EQ(backup.stats().requests_handled, 1u);
+}
+
+TEST_F(RpcTest, DuplicatedRequestReachesHandlerTwiceWithIntactBody) {
+  // Both copies of a duplicated request share one envelope; the first
+  // delivery must copy the body rather than move it out from under the
+  // second. The text is longer than any small-string buffer, so a moved-from
+  // copy would arrive empty.
+  LinkKnobs knobs;
+  knobs.dup_probability = 1.0;
+  net_.SetDefaultLink(LatencyModel::Fixed(Duration::Millis(5)), knobs);
+  const std::string text(64, 'q');
+  auto seen = std::make_shared<std::vector<std::string>>();
+  server_->Handle<TaggedSlowReq, EchoResp>(
+      [seen](HostId, TaggedSlowReq req) -> Task<Result<EchoResp>> {
+        seen->push_back(req.tag);
+        co_return EchoResp(req.tag);
+      });
+  Result<EchoResp> r =
+      Call<TaggedSlowReq, EchoResp>(TaggedSlowReq(0, text), Duration::Seconds(1));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value().text, text);
+  EXPECT_EQ(*seen, (std::vector<std::string>{text, text}));
 }
 
 TEST_F(RpcTest, StatsDistinguishOutcomes) {

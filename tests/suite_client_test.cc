@@ -58,7 +58,7 @@ TEST_F(SuiteClientTest, RepeatedReadsAreStableWithinTransaction) {
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first.value(), second.value());
-  cluster_->RunTask(txn.Commit());
+  ASSERT_TRUE(cluster_->RunTask(txn.Commit()).ok());
 }
 
 TEST_F(SuiteClientTest, WriteBumpsVersionByOne) {
@@ -69,7 +69,7 @@ TEST_F(SuiteClientTest, WriteBumpsVersionByOne) {
   ASSERT_TRUE(vv.ok());
   EXPECT_EQ(vv.value().version, 2u);
   EXPECT_EQ(vv.value().contents, "v2");
-  cluster_->RunTask(txn.Commit());
+  ASSERT_TRUE(cluster_->RunTask(txn.Commit()).ok());
 }
 
 TEST_F(SuiteClientTest, OperationsAfterFinishFail) {
@@ -183,7 +183,7 @@ TEST_F(SuiteClientTest, ConflictingWritersSerialize) {
   ASSERT_TRUE(vv.ok());
   EXPECT_EQ(vv.value().version, 3u);
   EXPECT_TRUE(vv.value().contents == "from-A" || vv.value().contents == "from-B");
-  cluster_->RunTask(txn.Commit());
+  ASSERT_TRUE(cluster_->RunTask(txn.Commit()).ok());
 }
 
 TEST_F(SuiteClientTest, WeightedVotesLetHeavyRepAloneFormReadQuorum) {

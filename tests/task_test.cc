@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <coroutine>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -70,6 +73,96 @@ TEST(TaskTest, StringPayloadsSurviveTheChain) {
   std::string out;
   Spawn(outer(&out));
   EXPECT_EQ(out, std::string(200, 'p'));
+}
+
+// Reports the awaiting coroutine's frame address without suspending.
+struct FrameAddress {
+  void* address = nullptr;
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) noexcept {
+    address = h.address();
+    return false;
+  }
+  void* await_resume() const noexcept { return address; }
+};
+
+// A coroutine whose frame keeps `N` bytes of locals alive across a real
+// suspension, so different N land in different pool size classes. Appends
+// its own frame address to `frames`.
+template <size_t N>
+Task<int> PaddedFrame(Simulator* sim, std::vector<void*>* frames) {
+  std::array<char, N> pad{};
+  pad[0] = 1;
+  frames->push_back(co_await FrameAddress{});
+  co_await sim->Sleep(Duration::Zero());
+  pad[N - 1] = pad[0];
+  co_return pad[N - 1];
+}
+
+// Nested awaits across three size classes.
+Task<void> NestedFrames(Simulator* sim, std::vector<void*>* frames, int* sum) {
+  frames->push_back(co_await FrameAddress{});
+  *sum += co_await PaddedFrame<16>(sim, frames);
+  *sum += co_await PaddedFrame<300>(sim, frames);
+  *sum += co_await PaddedFrame<1200>(sim, frames);
+}
+
+TEST(FramePoolTest, BlocksAreReusedWithinASizeClass) {
+  using internal::FramePool;
+  void* a = FramePool::Allocate(100);
+  FramePool::Deallocate(a, 100);
+  // 100 and 120 bytes round up to the same 128-byte class.
+  void* b = FramePool::Allocate(120);
+  EXPECT_EQ(a, b);
+  void* c = FramePool::Allocate(1000);
+  EXPECT_NE(c, b);
+  FramePool::Deallocate(b, 120);
+  FramePool::Deallocate(c, 1000);
+  // Frames above the largest class bypass the pool.
+  void* big = FramePool::Allocate(FramePool::kMaxPooled + 1);
+  FramePool::Deallocate(big, FramePool::kMaxPooled + 1);
+}
+
+#ifdef WVOTE_FRAME_POOL_POISON
+TEST(FramePoolTest, ParkedBlocksArePoisonedUnderAsan) {
+  using internal::FramePool;
+  void* a = FramePool::Allocate(200);
+  EXPECT_FALSE(__asan_address_is_poisoned(a));
+  FramePool::Deallocate(a, 200);
+  EXPECT_TRUE(__asan_address_is_poisoned(a));
+  void* b = FramePool::Allocate(200);
+  ASSERT_EQ(a, b);
+  EXPECT_FALSE(__asan_address_is_poisoned(b));
+  FramePool::Deallocate(b, 200);
+}
+#endif
+
+TEST(FramePoolTest, SpawnedAndNestedFramesAreRecycled) {
+  // Two identical rounds of spawned coroutines with nested awaits over
+  // several size classes. Every frame of the second round must reuse a block
+  // freed by the first: the pool hands back the most recently parked block
+  // of a class, and the second round never has more frames of a class alive
+  // at once than the first did.
+  Simulator sim(1);
+  auto round = [&sim]() {
+    std::vector<void*> frames;
+    int sum = 0;
+    for (int i = 0; i < 3; ++i) {
+      Spawn(NestedFrames(&sim, &frames, &sum));
+    }
+    sim.Run();
+    EXPECT_EQ(sum, 9);
+    return frames;
+  };
+  const std::vector<void*> first = round();
+  const std::vector<void*> second = round();
+  ASSERT_EQ(first.size(), 12u);
+  ASSERT_EQ(second.size(), first.size());
+  const std::set<void*> first_set(first.begin(), first.end());
+  EXPECT_EQ(first_set.size(), 12u) << "frames alive at once are distinct";
+  for (void* frame : second) {
+    EXPECT_EQ(first_set.count(frame), 1u) << frame;
+  }
 }
 
 TEST(SleepTest, ResumesAtTheRightTime) {

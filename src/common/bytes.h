@@ -115,12 +115,30 @@ class BufferReader {
   bool failed_ = false;
 };
 
-// FNV-1a 64-bit hash; checksums for the stable-storage slot headers.
-inline uint64_t Fnv1a64(const std::string& data) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
+// Checksum of one stable-storage slot: its sequence number, its data length
+// and every data byte. Word at a time: each 8-byte little-endian word, then
+// the zero-padded byte tail, goes through one multiply-xorshift step. A step
+// is a bijection of the running state for a fixed word, and of the word for
+// a fixed state, so two slots that differ only in `seq` or only inside one
+// word (every single-bit flip, for one) always get different checksums.
+inline uint64_t PageChecksum(uint64_t seq, const std::string& data) {
+  constexpr uint64_t kMul = 0x9e3779b97f4a7c15ULL;  // odd: invertible mod 2^64
+  auto step = [](uint64_t h, uint64_t word) {
+    h = (h ^ word) * kMul;
+    return h ^ (h >> 29);
+  };
+  uint64_t h = step(0x6a09e667f3bcc908ULL ^ data.size(), seq);
+  const char* p = data.data();
+  size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    h = step(h, word);
+  }
+  if (n > 0) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, n);
+    h = step(h, word);
   }
   return h;
 }

@@ -120,17 +120,21 @@ class Cluster {
   // complete before `limit` elapsed (e.g. blocked by a partition).
   template <typename T>
   std::optional<T> RunTaskFor(Task<T> task, Duration limit) {
-    std::optional<T> out;
-    Spawn(CaptureInto(std::move(task), &out));
+    // A task that outlives `limit` keeps running detached, so its result
+    // slot must outlive this frame: the capture coroutine shares it.
+    auto out = std::make_shared<std::optional<T>>();
+    Spawn(CaptureInto(std::move(task), out));
     const TimePoint deadline = sim_.Now() + limit;
-    while (!out.has_value() && sim_.Now() <= deadline && sim_.StepOne()) {
+    while (!out->has_value() && sim_.Now() <= deadline && sim_.StepOne()) {
     }
-    return out;
+    return std::move(*out);
   }
 
  private:
-  template <typename T>
-  static Task<void> CaptureInto(Task<T> task, std::optional<T>* out) {
+  // `out` is a raw pointer (RunTask) or a shared_ptr (RunTaskFor) to the
+  // caller's result slot.
+  template <typename T, typename Slot>
+  static Task<void> CaptureInto(Task<T> task, Slot out) {
     out->emplace(co_await std::move(task));
   }
 

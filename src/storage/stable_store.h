@@ -5,7 +5,8 @@
 // the middle of the write. We reproduce the classic two-slot ("careful
 // write") scheme:
 //
-//   * Each page has two slots. A slot holds {sequence, checksum, data}.
+//   * Each page has two slots. A slot holds {sequence, checksum, data}; the
+//     checksum covers the sequence, the data length and every data byte.
 //   * A write targets the slot holding the OLDER sequence. While the disk
 //     write is in flight the target slot is torn (checksum invalid); the
 //     other slot still holds the previous committed value.
@@ -159,7 +160,10 @@ class StableStore {
     std::vector<Promise<Status>> waiters;       // one per joiner
   };
 
-  // Index of the valid slot with the highest sequence, or -1.
+  // Whether `slot` is valid and its checksum (over seq, length and data)
+  // holds.
+  static bool Verified(const Slot& slot);
+  // Index of the verified slot with the highest sequence, or -1.
   static int CommittedSlot(const Page& page);
   // The committed slot's bytes (null if none), counting a torn sibling.
   const std::string* CommittedData(const Page& page) const;

@@ -85,11 +85,13 @@ bool IntentionsLog::Contains(const TxnId& txn) const {
 }
 
 Result<TxnRecord> IntentionsLog::Lookup(const TxnId& txn) const {
-  Result<std::string> bytes = store_->ReadCommitted(KeyFor(txn));
-  if (!bytes.ok()) {
-    return bytes.status();
+  WriteKey(txn, &key_scratch_);
+  const std::string* bytes = store_->PeekCommitted(key_scratch_);
+  if (bytes == nullptr) {
+    // ReadCommitted words the NotFound status (absent page vs no slot).
+    return store_->ReadCommitted(key_scratch_).status();
   }
-  return TxnRecord::Parse(bytes.value());
+  return TxnRecord::Parse(*bytes);
 }
 
 }  // namespace wvote

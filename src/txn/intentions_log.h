@@ -59,7 +59,7 @@ class IntentionsLog {
   static void WriteKey(const TxnId& txn, std::string* out);
 
   StableStore* store_;
-  mutable std::string key_scratch_;  // Contains' key buffer
+  mutable std::string key_scratch_;  // Contains' and Lookup's key buffer
 };
 
 }  // namespace wvote

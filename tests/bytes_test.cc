@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 namespace wvote {
 namespace {
 
@@ -91,16 +94,47 @@ TEST(BytesTest, TakeMovesBuffer) {
   EXPECT_FALSE(taken.empty());
 }
 
-TEST(Fnv1aTest, KnownValues) {
-  // FNV-1a 64-bit of the empty string is the offset basis.
-  EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ULL);
-  // Different inputs hash differently.
-  EXPECT_NE(Fnv1a64("a"), Fnv1a64("b"));
-  EXPECT_NE(Fnv1a64("ab"), Fnv1a64("ba"));
+TEST(PageChecksumTest, EverySingleBitFlipChangesTheChecksum) {
+  std::string page(1024, '\0');
+  for (size_t i = 0; i < page.size(); ++i) {
+    page[i] = static_cast<char>(i * 131 + 7);
+  }
+  const uint64_t clean = PageChecksum(42, page);
+  for (size_t byte = 0; byte < page.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      page[byte] = static_cast<char>(page[byte] ^ (1 << bit));
+      EXPECT_NE(PageChecksum(42, page), clean) << "byte " << byte << " bit " << bit;
+      page[byte] = static_cast<char>(page[byte] ^ (1 << bit));
+    }
+  }
+  EXPECT_EQ(PageChecksum(42, page), clean);
 }
 
-TEST(Fnv1aTest, Deterministic) {
-  EXPECT_EQ(Fnv1a64("stable storage"), Fnv1a64("stable storage"));
+TEST(PageChecksumTest, EveryPrefixLengthHasItsOwnChecksum) {
+  // Lengths 0..40 cover empty data, whole words, and every tail size; the
+  // zero bytes check that padding the tail does not alias a longer page.
+  std::string data = "stable storage, careful write";
+  data.append(12, '\0');
+  std::set<uint64_t> seen;
+  for (size_t len = 0; len <= 40; ++len) {
+    EXPECT_TRUE(seen.insert(PageChecksum(7, data.substr(0, len))).second) << "len " << len;
+  }
+}
+
+TEST(PageChecksumTest, SequenceNumberIsCovered) {
+  const std::string page(1036, 'x');
+  EXPECT_NE(PageChecksum(1, page), PageChecksum(2, page));
+  EXPECT_NE(PageChecksum(0, ""), PageChecksum(1, ""));
+  EXPECT_NE(PageChecksum(1ULL << 63, page), PageChecksum(0, page));
+}
+
+// Pins the checksum's values, so that any change to the kernel is a
+// deliberate one.
+TEST(PageChecksumTest, PinnedValues) {
+  EXPECT_EQ(PageChecksum(0, ""), 0x298b6baac87700f4ULL);
+  EXPECT_EQ(PageChecksum(1, "a"), 0xfcb0627ec99e2bf0ULL);
+  EXPECT_EQ(PageChecksum(7, "stable storage"), 0xd768f3fa7d632396ULL);
+  EXPECT_EQ(PageChecksum(3, std::string(1036, 'x')), 0x891caf6173d60ed8ULL);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,28 @@ class SmokeTest : public ::testing::Test {
   SuiteConfig config_;
   SuiteClient* client_ = nullptr;
 };
+
+Task<int> SleepThenReturn(Simulator* sim, Duration d, int value) {
+  co_await sim->Sleep(d);
+  co_return value;
+}
+
+// A task that outlives its RunTaskFor limit keeps running detached; when it
+// finishes it must not write into the (gone) frame of that call, and must
+// not end a later RunTaskFor early with its own result.
+TEST_F(SmokeTest, RunTaskForSurvivesATaskThatOutlivesItsLimit) {
+  Simulator& sim = cluster_->sim();
+  sim.Schedule(Duration::Seconds(2), [] {});  // moves the clock past the limit
+  EXPECT_FALSE(cluster_->RunTaskFor(SleepThenReturn(&sim, Duration::Seconds(10), 1),
+                                    Duration::Seconds(1))
+                   .has_value());
+  const TimePoint start = sim.Now();
+  std::optional<int> second = cluster_->RunTaskFor(
+      SleepThenReturn(&sim, Duration::Seconds(20), 2), Duration::Seconds(30));
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(*second, 2);
+  EXPECT_EQ(sim.Now().ToMicros(), (start + Duration::Seconds(20)).ToMicros());
+}
 
 TEST_F(SmokeTest, ReadInitialContents) {
   Result<std::string> contents = cluster_->RunTask(client_->ReadOnce());

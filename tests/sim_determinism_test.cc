@@ -138,37 +138,100 @@ TEST(SimDeterminismPin, MultiClusterTraceLogMatchesGolden) {
   EXPECT_EQ(want, got) << "trace schedule diverged from pre-rebuild golden";
 }
 
-// A fixed-seed chaos run — schedule expansion, fault application, client
-// histories with sim timestamps — replayed bit-for-bit. This is the pin the
-// chaos harness's replayable artifacts depend on: if it breaks, every
-// artifact recorded before the core change stops reproducing.
-TEST(SimDeterminismPin, ChaosHistoryMatchesGolden) {
+// Sum of every counter in a metrics JSON snapshot whose metric name (the
+// part before any '{' label block) is `name`.
+uint64_t SumCountersInJson(const std::string& json, const std::string& name) {
+  const size_t counters_end = json.find("},\"gauges\"");
+  uint64_t total = 0;
+  for (size_t at = json.find('"' + name); at < counters_end;
+       at = json.find('"' + name, at + 1)) {
+    const char next = json[at + 1 + name.size()];
+    if (next != '{' && next != '"') {
+      continue;  // a longer metric name sharing this prefix
+    }
+    const size_t colon = json.find("\":", at + 1);
+    total += std::strtoull(json.c_str() + colon + 2, nullptr, 10);
+  }
+  return total;
+}
+
+// Fixed-seed chaos runs — schedule expansion, fault application, client
+// histories with sim timestamps — replayed bit-for-bit. These are the pins
+// the chaos harness's replayable artifacts depend on: if one breaks, every
+// artifact recorded before the change stops reproducing.
+struct ChaosPin {
+  const char* golden;
   ChaosRunSpec spec;
-  spec.seed = 7;
-  spec.schedule_template = "crash_churn";
-  spec.suite = DefaultSuiteSpecs().front();
-  spec.clients = 3;
-  spec.ops_per_client = 18;
-  ChaosRunOutcome outcome = RunChaos(spec);
-  EXPECT_TRUE(outcome.check.ok()) << outcome.check.Report(outcome.schedule);
+  // Also pin (and require nonzero) the gray-failure response counters, so
+  // the pin provably drives hedged probes, demotion and breakers.
+  bool gray_counters = false;
+};
 
-  std::ostringstream pin;
-  pin << "schedule:\n" << outcome.schedule.Serialize();
-  pin << "final_read_ok: " << (outcome.final_read_ok ? 1 : 0) << "\n";
-  pin << "history:\n";
-  for (const ChaosOp& op : outcome.history) {
-    pin << op.ToString() << "\n";
+std::vector<ChaosPin> ChaosPins() {
+  std::vector<ChaosPin> pins;
+
+  ChaosPin churn;
+  churn.golden = "chaos_pin.golden";
+  churn.spec.seed = 7;
+  churn.spec.schedule_template = "crash_churn";
+  churn.spec.suite = DefaultSuiteSpecs().front();
+  churn.spec.clients = 3;
+  churn.spec.ops_per_client = 18;
+  pins.push_back(churn);
+
+  // One gray host under rotating strategies with the whole gray-failure
+  // stack armed: hedged probes, sampled probe orders, and demotion.
+  ChaosPin gray;
+  gray.golden = "chaos_gray_pin.golden";
+  gray.spec.seed = 8;
+  gray.spec.schedule_template = "gray_host";
+  gray.spec.suite = DefaultSuiteSpecs().front();
+  gray.spec.clients = 3;
+  gray.spec.ops_per_client = 18;
+  gray.spec.rotate_strategies = true;
+  gray.spec.gray_tolerance = true;
+  gray.gray_counters = true;
+  pins.push_back(gray);
+
+  return pins;
+}
+
+TEST(SimDeterminismPin, ChaosHistoryMatchesGolden) {
+  for (const ChaosPin& pin_spec : ChaosPins()) {
+    SCOPED_TRACE(pin_spec.golden);
+    ChaosRunOutcome outcome = RunChaos(pin_spec.spec);
+    EXPECT_TRUE(outcome.check.ok()) << outcome.check.Report(outcome.schedule);
+
+    std::ostringstream pin;
+    pin << "schedule:\n" << outcome.schedule.Serialize();
+    pin << "final_read_ok: " << (outcome.final_read_ok ? 1 : 0) << "\n";
+    if (pin_spec.gray_counters) {
+      for (const char* counter :
+           {"rpc.endpoint.hedges_sent", "rpc.endpoint.hedge_wins",
+            "core.suite_client.breaker_demotions", "core.health.breaker_opens"}) {
+        const uint64_t value = SumCountersInJson(outcome.metrics_json, counter);
+        EXPECT_GT(value, 0u) << counter;
+        pin << counter << ": " << value << "\n";
+      }
+    }
+    pin << "history:\n";
+    for (const ChaosOp& op : outcome.history) {
+      pin << op.ToString() << "\n";
+    }
+    const std::string got = pin.str();
+
+    const std::string path = DataPath(pin_spec.golden);
+    if (RegenRequested()) {
+      WriteFileOrDie(path, got);
+      continue;
+    }
+    const std::string want = ReadFileOrDie(path);
+    ASSERT_EQ(want.size(), got.size()) << "chaos run diverged from golden";
+    EXPECT_EQ(want, got) << "chaos run diverged from golden";
   }
-  const std::string got = pin.str();
-
-  const std::string path = DataPath("chaos_pin.golden");
   if (RegenRequested()) {
-    WriteFileOrDie(path, got);
-    GTEST_SKIP() << "regenerated " << path;
+    GTEST_SKIP() << "regenerated chaos pins";
   }
-  const std::string want = ReadFileOrDie(path);
-  ASSERT_EQ(want.size(), got.size()) << "chaos run diverged from pre-rebuild golden";
-  EXPECT_EQ(want, got) << "chaos run diverged from pre-rebuild golden";
 }
 
 // A pre-rebuild chaos failure artifact (the negative-control counterexample,

@@ -84,7 +84,7 @@ SuiteConfig MakePlannerConfig(int n) {
 void BM_PlanLowestLatency(benchmark::State& state) {
   const SuiteConfig config = MakePlannerConfig(static_cast<int>(state.range(0)));
   QuorumPlanner planner(config, [](const std::string& name) {
-    return Duration::Micros(1000 + static_cast<int64_t>(name.size()) * 37);
+    return HostLink{kInvalidHost, Duration::Micros(1000 + static_cast<int64_t>(name.size()) * 37)};
   });
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -96,7 +96,7 @@ BENCHMARK(BM_PlanLowestLatency)->Arg(3)->Arg(7)->Arg(15)->Arg(31);
 void BM_PlanFewestMessages(benchmark::State& state) {
   const SuiteConfig config = MakePlannerConfig(static_cast<int>(state.range(0)));
   QuorumPlanner planner(config, [](const std::string& name) {
-    return Duration::Micros(1000 + static_cast<int64_t>(name.size()) * 37);
+    return HostLink{kInvalidHost, Duration::Micros(1000 + static_cast<int64_t>(name.size()) * 37)};
   });
   for (auto _ : state) {
     benchmark::DoNotOptimize(

@@ -112,27 +112,6 @@ struct PrefixReadResp {
   size_t ApproxBytes() const { return 64 + config_bytes.size(); }
 };
 
-// Administrative: install a suite (prefix + initial contents) at this
-// representative. Idempotent: a representative that already holds the suite
-// at this or a newer config_version acknowledges without change. Used by
-// SuiteCatalog to create suites at runtime.
-struct BootstrapSuiteReq {
-  std::string config_bytes;   // serialized SuiteConfig
-  std::string initial_bytes;  // serialized VersionedValue
-
-  BootstrapSuiteReq() = default;
-  BootstrapSuiteReq(std::string cfg, std::string init)
-      : config_bytes(std::move(cfg)), initial_bytes(std::move(init)) {}
-  static constexpr const char* kRpcName = "BootstrapSuiteReq";
-  size_t ApproxBytes() const { return 64 + config_bytes.size() + initial_bytes.size(); }
-};
-struct BootstrapSuiteResp {
-  bool installed = false;  // false: already present at >= config_version
-
-  BootstrapSuiteResp() = default;
-  explicit BootstrapSuiteResp(bool i) : installed(i) {}
-};
-
 // Lock-free read of the committed copy at one representative. No currency
 // guarantee — the value may be stale. Used by weaker-consistency baselines
 // (primary-copy backup reads) and monitoring.

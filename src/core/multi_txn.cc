@@ -84,7 +84,7 @@ Task<Status> MultiSuiteTransaction::Commit() {
     const SharedPayload bytes(
         VersionedValue{next, *entry.state->pending_write}.Serialize());
     for (const auto& reply : gather.value().replies) {
-      writes[reply.host].push_back(
+      writes[reply.candidate.host].push_back(
           WriteIntent(SuiteValueKey(client->config().suite_name), bytes));
     }
   }
@@ -96,12 +96,7 @@ Task<Status> MultiSuiteTransaction::Commit() {
     release.insert(per_suite.begin(), per_suite.end());
     entry.state->finished = true;
   }
-  std::vector<HostId> read_only;
-  for (HostId host : release) {
-    if (writes.find(host) == writes.end()) {
-      read_only.push_back(host);
-    }
-  }
+  std::vector<HostId> read_only = ReadOnlyHosts(release, writes);
 
   finished_ = true;
   Status st = co_await coordinator_->CommitTransaction(txn_, std::move(writes),

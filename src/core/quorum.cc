@@ -39,14 +39,14 @@ HostId HostLinkCache::Resolve(const std::string& name) {
   return entry.id;
 }
 
-Duration HostLinkCache::LatencyTo(const std::string& name) {
+HostLink HostLinkCache::Link(const std::string& name) {
   const HostId there = Resolve(name);
   Entry& entry = entries_[name];
   if (!entry.have_latency) {
     entry.latency = net_->ExpectedLatency(self_, there) + net_->ExpectedLatency(there, self_);
     entry.have_latency = true;
   }
-  return entry.latency;
+  return HostLink{there, entry.latency};
 }
 
 void HostLinkCache::InvalidateLatencies() {
@@ -59,14 +59,14 @@ void HostLinkCache::InvalidateLatencies() {
 // QuorumPlanner
 // ---------------------------------------------------------------------------
 
-QuorumPlanner::QuorumPlanner(const SuiteConfig& config,
-                             std::function<Duration(const std::string&)> latency_of) {
+QuorumPlanner::QuorumPlanner(const SuiteConfig& config, const HostLinkFn& link_of) {
   for (size_t i = 0; i < config.representatives.size(); ++i) {
     const RepresentativeInfo& rep = config.representatives[i];
     if (rep.weak()) {
       continue;
     }
-    voting_.push_back(QuorumCandidate{i, rep.host_name, rep.votes, latency_of(rep.host_name)});
+    const HostLink link = link_of(rep.host_name);
+    voting_.push_back(QuorumCandidate(i, rep.host_name, link.host, rep.votes, link.latency));
   }
 }
 
@@ -162,6 +162,30 @@ std::vector<uint16_t> ProbingStrategy::SampleOrder(int required_votes, Rng* rng)
   return out;
 }
 
+std::vector<uint16_t> ProbeOrder(size_t plan_size, std::vector<uint16_t> sampled,
+                                 const std::vector<ProbeHealth>& health) {
+  std::vector<uint16_t> order = std::move(sampled);
+  const bool deterministic = order.empty();
+  if (deterministic) {
+    order.resize(plan_size);
+    for (size_t i = 0; i < plan_size; ++i) {
+      order[i] = static_cast<uint16_t>(i);
+    }
+  }
+  if (health.empty()) {
+    return order;
+  }
+  WVOTE_CHECK(health.size() == plan_size);
+  if (deterministic) {
+    std::stable_sort(order.begin(), order.end(), [&health](uint16_t a, uint16_t b) {
+      return health[a].effective_latency < health[b].effective_latency;
+    });
+  }
+  std::stable_partition(order.begin(), order.end(),
+                        [&health](uint16_t idx) { return !health[idx].demoted; });
+  return order;
+}
+
 // ---------------------------------------------------------------------------
 // PlanCache
 // ---------------------------------------------------------------------------
@@ -214,9 +238,8 @@ QuorumDistribution BuildDistribution(const std::vector<QuorumCandidate>& order,
 
 }  // namespace
 
-PlanCache::PlanCache(std::function<Duration(const std::string&)> latency_of,
-                     uint64_t* build_counter)
-    : latency_of_(std::move(latency_of)), build_counter_(build_counter) {}
+PlanCache::PlanCache(HostLinkFn link_of, uint64_t* build_counter)
+    : link_of_(std::move(link_of)), build_counter_(build_counter) {}
 
 std::shared_ptr<const ProbingStrategy> PlanCache::Get(const SuiteConfig& config,
                                                       const QuorumStrategySpec& spec) {
@@ -231,9 +254,10 @@ std::shared_ptr<const ProbingStrategy> PlanCache::Get(const SuiteConfig& config,
   WVOTE_CHECK(slot < kNumStrategies);
   if (strategies_[slot] == nullptr) {
     // The preference order is independent of the vote target (see Plan);
-    // the planner itself is rebuilt per config version so latencies are
-    // re-sampled whenever the membership can have changed.
-    QuorumPlanner planner(config, latency_of_);
+    // the planner itself is rebuilt per config version, since membership
+    // can have changed. Whether latencies are re-read is `link_of_`'s call
+    // (SuiteClient's HostLinkCache keeps them until InvalidatePlanCache).
+    QuorumPlanner planner(config, link_of_);
     auto strategy = std::make_shared<ProbingStrategy>();
     strategy->order = planner.Plan(/*required_votes=*/0, spec.policy);
     if (spec.policy == QuorumStrategy::kUniformSpread ||

@@ -90,25 +90,41 @@ struct QuorumStrategySpec {
 struct QuorumCandidate {
   size_t rep_index = 0;  // index into SuiteConfig::representatives
   std::string host_name;
+  HostId host = kInvalidHost;  // resolved once, when the plan is built
   int votes = 0;
   Duration expected_latency;
 
   QuorumCandidate() = default;
-  QuorumCandidate(size_t index, std::string host, int v, Duration latency)
-      : rep_index(index), host_name(std::move(host)), votes(v), expected_latency(latency) {}
+  QuorumCandidate(size_t index, std::string name, HostId id, int v, Duration latency)
+      : rep_index(index),
+        host_name(std::move(name)),
+        host(id),
+        votes(v),
+        expected_latency(latency) {}
 };
 
-// Shared host-name -> (HostId, round-trip latency) lookup. Host names never
-// remap in the simulated network, so ids memoize forever; latencies memoize
-// until InvalidateLatencies() (plan-cache invalidation re-samples them).
-// One instance per client serves probe resolution, plan building, and
-// strategy solving, instead of each keeping its own map.
+// A representative host as one client sees it: its dense host id and the
+// expected round-trip cost of probing it.
+struct HostLink {
+  HostId host = kInvalidHost;
+  Duration latency;
+};
+
+// Maps a representative's host name to its HostLink; what plans are built
+// from.
+using HostLinkFn = std::function<HostLink(const std::string&)>;
+
+// Shared host-name -> HostLink lookup. Host names never remap in the
+// simulated network, so ids memoize forever; latencies memoize until
+// InvalidateLatencies() (plan-cache invalidation re-samples them). One
+// instance per client serves plan building, strategy solving, and the few
+// lookups outside a plan, instead of each keeping its own map.
 class HostLinkCache {
  public:
   HostLinkCache(Network* net, HostId self) : net_(net), self_(self) {}
 
   HostId Resolve(const std::string& name);
-  Duration LatencyTo(const std::string& name);  // round trip: there and back
+  HostLink Link(const std::string& name);  // latency is the round trip
   void InvalidateLatencies();
 
  private:
@@ -125,10 +141,9 @@ class HostLinkCache {
 
 class QuorumPlanner {
  public:
-  // `latency_of` maps a representative's host name to the client's expected
-  // round-trip cost of probing it.
-  QuorumPlanner(const SuiteConfig& config,
-                std::function<Duration(const std::string&)> latency_of);
+  // `link_of` supplies each representative's host id and the client's
+  // expected round-trip cost of probing it.
+  QuorumPlanner(const SuiteConfig& config, const HostLinkFn& link_of);
 
   // Full preference order of voting representatives for a gather needing
   // `required_votes`. Weak representatives are never included. The order
@@ -187,6 +202,29 @@ struct ProbingStrategy {
   std::vector<uint16_t> SampleOrder(int required_votes, Rng* rng) const;
 };
 
+// What the client's health tracker says about one plan candidate.
+struct ProbeHealth {
+  Duration effective_latency;  // HealthTracker::EffectiveLatency
+  bool demoted = false;        // breaker open, or observed latency inflated
+};
+
+// The one home of probe-order policy: a gather's probe order as indices into
+// its plan. The base order is `sampled` (a ProbingStrategy::SampleOrder
+// draw), or the plan order itself when `sampled` is empty. `health` is
+// either empty (no health view) or holds one entry per plan index; with it,
+//  - a deterministic (unsampled) order is re-ranked by effective latency,
+//    ties keeping plan order, so a host whose observed latency has blown
+//    past its provisioned cost loses its preferred slot. Sampled orders are
+//    never re-ranked: their load-spreading distribution is the point.
+//  - demoted candidates move to the back, never out, keeping their relative
+//    order: a demoted host is still probed when its votes are required. For
+//    a sampled order this renormalizes load over the live hosts: healthy
+//    members keep the policy's order and widening fallbacks step into the
+//    demoted member's quorum slot.
+// The result is always a permutation of 0..plan_size-1.
+std::vector<uint16_t> ProbeOrder(size_t plan_size, std::vector<uint16_t> sampled,
+                                 const std::vector<ProbeHealth>& health);
+
 // Memoizes ProbingStrategy per (config_version, tuning, policy) so a client
 // builds its preference order — and, for probabilistic policies, solves its
 // quorum distribution — once per configuration instead of once per
@@ -197,10 +235,9 @@ struct ProbingStrategy {
 // version bump).
 class PlanCache {
  public:
-  // `latency_of` as in QuorumPlanner. If `build_counter` is non-null it is
+  // `link_of` as in QuorumPlanner. If `build_counter` is non-null it is
   // incremented once per strategy actually built (cache misses only).
-  PlanCache(std::function<Duration(const std::string&)> latency_of,
-            uint64_t* build_counter = nullptr);
+  PlanCache(HostLinkFn link_of, uint64_t* build_counter = nullptr);
 
   // Cached strategy for `config` under `spec`; built on first use and
   // whenever config.config_version or the spec's tuning changes.
@@ -217,7 +254,7 @@ class PlanCache {
  private:
   static constexpr size_t kNumStrategies = 5;
 
-  std::function<Duration(const std::string&)> latency_of_;
+  HostLinkFn link_of_;
   uint64_t* build_counter_;
   bool have_config_version_ = false;
   uint64_t config_version_ = 0;

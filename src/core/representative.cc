@@ -177,29 +177,6 @@ void RepresentativeServer::RegisterHandlers() {
         co_return SuiteReadResp{value.value().version, std::move(value.value().contents)};
       });
 
-  rpc_.Handle<BootstrapSuiteReq, BootstrapSuiteResp>(
-      [this](HostId from, BootstrapSuiteReq req) -> Task<Result<BootstrapSuiteResp>> {
-        Result<SuiteConfig> config = SuiteConfig::Parse(req.config_bytes);
-        if (!config.ok()) {
-          co_return config.status();
-        }
-        Result<VersionedValue> initial = VersionedValue::Parse(req.initial_bytes);
-        if (!initial.ok()) {
-          co_return initial.status();
-        }
-        Result<SuiteConfig> existing = CurrentPrefix(config.value().suite_name);
-        if (existing.ok() &&
-            existing.value().config_version >= config.value().config_version) {
-          co_return BootstrapSuiteResp{false};  // idempotent re-create
-        }
-        Status st = co_await BootstrapSuite(std::move(config.value()),
-                                            std::move(initial.value()));
-        if (!st.ok()) {
-          co_return st;
-        }
-        co_return BootstrapSuiteResp{true};
-      });
-
   rpc_.HandleTraced<StaleReadReq, SuiteReadResp>(
       [this](HostId from, StaleReadReq req, TraceContext ctx) -> Task<Result<SuiteReadResp>> {
         ++stats_.data_reads;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <set>
 #include <utility>
 
 #include "src/common/backoff.h"
@@ -17,65 +19,46 @@ namespace {
 // travels by value through coroutine plumbing (Task payloads, std::function
 // callbacks).
 struct ProbeOutcome {
+  // The candidate whose votes the reply carries: the primary, or the hedge
+  // backup when the backup answered first (and the primary on timeout).
   QuorumCandidate candidate;
-  HostId host = kInvalidHost;
   Result<VersionResp> result;
-  // Set when a hedged probe's backup answered first: `candidate`/`host`
-  // describe the backup, and `backup_position` is its probe-order position
-  // (to be marked consumed so widening rounds never re-count its votes).
+  // Set when the backup won: its probe-order position, to be marked consumed
+  // so widening rounds never re-count its votes.
   bool backup_won = false;
   size_t backup_position = 0;
 
   ProbeOutcome() : result(TimeoutError("unprobed")) {}
-  ProbeOutcome(QuorumCandidate c, HostId h, Result<VersionResp> r)
-      : candidate(std::move(c)), host(h), result(std::move(r)) {}
+  ProbeOutcome(QuorumCandidate c, Result<VersionResp> r)
+      : candidate(std::move(c)), result(std::move(r)) {}
 };
 
-Task<ProbeOutcome> SendProbe(RpcEndpoint* rpc, HostId host, QuorumCandidate candidate,
-                             TxnId txn, std::string suite, bool exclusive, bool want_data,
+// One version probe. It goes to `primary` at once; when `backup.host` is a
+// real host, an identical backup follows after `hedge_delay`, the first
+// reply wins, and the loser is dropped idempotently at the RPC layer. With
+// no backup (kInvalidHost) it is a plain call with no hedge timer.
+Task<ProbeOutcome> SendProbe(RpcEndpoint* rpc, QuorumCandidate primary, QuorumCandidate backup,
+                             size_t backup_position, TxnId txn, std::string suite,
+                             bool exclusive, bool want_data, Duration hedge_delay,
                              Duration timeout, TraceContext ctx) {
   // if/else, NOT `exclusive ? co_await ... : co_await ...`: GCC 12
   // miscompiles the conditional operator with co_await in its arms — the
   // selected arm's result is copied bitwise, so a string payload ends up
   // aliasing this coroutine's frame. See rule 4 in src/sim/task.h.
-  Result<VersionResp> result = TimeoutError("unprobed");
-  if (exclusive) {
-    result = co_await rpc->Call<LockVersionReq, VersionResp>(
-        host, LockVersionReq{txn, std::move(suite)}, timeout, ctx);
-  } else {
-    result = co_await rpc->Call<TxnVersionReq, VersionResp>(
-        host, TxnVersionReq{txn, std::move(suite), want_data}, timeout, ctx);
-  }
-  ProbeOutcome outcome(std::move(candidate), host, std::move(result));
-  co_return std::move(outcome);
-}
-
-// Hedged variant: the RPC layer sends to `primary_host` and, after
-// `hedge_delay`, a backup copy to `backup_host`; the first reply wins and the
-// loser is dropped idempotently. The outcome is attributed to whichever host
-// actually answered (so the vote accounting credits the responder), and to
-// the primary on timeout.
-Task<ProbeOutcome> SendHedgedProbe(RpcEndpoint* rpc, HostId primary_host,
-                                   QuorumCandidate primary, HostId backup_host,
-                                   QuorumCandidate backup, size_t backup_position,
-                                   TxnId txn, std::string suite, bool exclusive,
-                                   bool want_data, Duration hedge_delay, Duration timeout,
-                                   TraceContext ctx) {
-  // if/else, NOT the conditional operator, per rule 4 in src/sim/task.h.
   HedgedReply<VersionResp> reply;
   if (exclusive) {
     reply = co_await rpc->CallHedged<LockVersionReq, VersionResp>(
-        primary_host, backup_host, LockVersionReq{txn, std::move(suite)}, hedge_delay,
-        timeout, ctx);
+        primary.host, backup.host, LockVersionReq{txn, std::move(suite)}, hedge_delay, timeout,
+        ctx);
   } else {
     reply = co_await rpc->CallHedged<TxnVersionReq, VersionResp>(
-        primary_host, backup_host, TxnVersionReq{txn, std::move(suite), want_data},
-        hedge_delay, timeout, ctx);
+        primary.host, backup.host, TxnVersionReq{txn, std::move(suite), want_data}, hedge_delay,
+        timeout, ctx);
   }
   const bool backup_won =
-      reply.reply.ok() && reply.responder == backup_host && backup_host != primary_host;
+      reply.reply.ok() && reply.responder == backup.host && backup.host != primary.host;
   ProbeOutcome outcome(backup_won ? std::move(backup) : std::move(primary),
-                       backup_won ? backup_host : primary_host, std::move(reply.reply));
+                       std::move(reply.reply));
   if (backup_won) {
     outcome.backup_won = true;
     outcome.backup_position = backup_position;
@@ -96,6 +79,24 @@ Task<void> SendRefresh(RpcEndpoint* rpc, HostId host, std::string suite, Version
   req.version = version;
   req.contents = std::move(contents);
   (void)co_await rpc->Call<RefreshReq, RefreshResp>(host, std::move(req), timeout);
+}
+
+// Conflicts, aborts and timeouts are worth a fresh attempt; anything else
+// would fail the same way again.
+bool Retryable(const Status& status) {
+  return status.code() == StatusCode::kConflict || status.code() == StatusCode::kAborted ||
+         status.code() == StatusCode::kTimeout;
+}
+
+// The slot for `host` in a HostId-indexed vector, grown on first use (host
+// ids are dense indices into the network's host table).
+template <typename T>
+T& SlotFor(std::vector<T>& by_host, HostId host) {
+  const auto index = static_cast<size_t>(host);
+  if (index >= by_host.size()) {
+    by_host.resize(index + 1);
+  }
+  return by_host[index];
 }
 
 }  // namespace
@@ -157,7 +158,7 @@ SuiteClient::SuiteClient(Network* net, RpcEndpoint* rpc, Coordinator* coordinato
       coordinator_(coordinator),
       config_(std::move(config)),
       options_(std::move(options)),
-      plan_cache_([this](const std::string& name) { return LatencyTo(name); },
+      plan_cache_([this](const std::string& name) { return links_.Link(name); },
                   &stats_.plan_builds),
       links_(net, rpc->host_id()) {
   WVOTE_CHECK_MSG(config_.Validate().ok(), "invalid suite config");
@@ -217,24 +218,24 @@ void SuiteClient::RegisterMetrics(MetricsRegistry* registry) {
   registry->AddResetHook([this]() { probe_counts_.clear(); });
 }
 
+uint64_t SuiteClient::ProbeCountOf(const std::string& host) const {
+  const auto index = static_cast<size_t>(links_.Resolve(host));
+  return index < probe_counts_.size() ? probe_counts_[index] : 0;
+}
+
 double SuiteClient::ProbeShareOf(const std::string& host) const {
   uint64_t total = 0;
-  for (const auto& [name, count] : probe_counts_) {
+  for (uint64_t count : probe_counts_) {
     total += count;
   }
-  if (total == 0) {
-    return 0.0;
-  }
-  const auto it = probe_counts_.find(host);
-  return it == probe_counts_.end()
-             ? 0.0
-             : static_cast<double>(it->second) / static_cast<double>(total);
+  return total == 0 ? 0.0
+                    : static_cast<double>(ProbeCountOf(host)) / static_cast<double>(total);
 }
 
 double SuiteClient::MaxProbeShare() const {
   uint64_t total = 0;
   uint64_t max = 0;
-  for (const auto& [name, count] : probe_counts_) {
+  for (uint64_t count : probe_counts_) {
     total += count;
     max = std::max(max, count);
   }
@@ -251,8 +252,7 @@ double SuiteClient::ProbeShareGini() const {
     if (rep.weak()) {
       continue;
     }
-    const auto it = probe_counts_.find(rep.host_name);
-    counts.push_back(it == probe_counts_.end() ? 0.0 : static_cast<double>(it->second));
+    counts.push_back(static_cast<double>(ProbeCountOf(rep.host_name)));
   }
   double total = 0;
   for (double c : counts) {
@@ -299,22 +299,14 @@ SuiteTransaction SuiteClient::Begin(TraceContext parent) {
   return SuiteTransaction(std::move(state));
 }
 
-HostId SuiteClient::ResolveHost(const std::string& name) const {
-  return links_.Resolve(name);
-}
-
-Duration SuiteClient::LatencyTo(const std::string& name) const {
-  return links_.LatencyTo(name);
-}
-
 std::shared_ptr<const ProbingStrategy> SuiteClient::PlanFor(QuorumStrategy policy) {
   QuorumStrategySpec spec = options_.strategy;
   spec.policy = policy;
   return plan_cache_.Get(config_, spec);
 }
 
-void SuiteClient::NoteVersion(const std::string& host_name, Version version) {
-  Version& hint = rep_version_hints_[host_name];
+void SuiteClient::NoteVersion(HostId host, Version version) {
+  Version& hint = SlotFor(rep_version_hints_, host);
   hint = std::max(hint, version);
   hint_version_ = std::max(hint_version_, version);
 }
@@ -334,8 +326,8 @@ size_t SuiteClient::PickFastPathTarget(const std::vector<QuorumCandidate>& targe
   // candidate. With no usable hint, bet on the most-preferred target.
   if (hint_version_ > 0) {
     for (size_t i = 0; i < targets.size(); ++i) {
-      auto it = rep_version_hints_.find(targets[i].host_name);
-      if (it != rep_version_hints_.end() && it->second >= hint_version_) {
+      const auto host = static_cast<size_t>(targets[i].host);
+      if (host < rep_version_hints_.size() && rep_version_hints_[host] >= hint_version_) {
         return i;
       }
     }
@@ -349,66 +341,33 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
   const std::shared_ptr<const ProbingStrategy> strategy_ref =
       PlanFor(options_.strategy.policy);
   const std::vector<QuorumCandidate>& plan = strategy_ref->order;
-  // Probabilistic policies draw this operation's quorum from the cached
-  // distribution; `sampled` then maps probe position -> index into `plan`
-  // (quorum members first, the rest as widening fallbacks). Deterministic
-  // policies get an empty sample and consume no randomness, so replays of
-  // pre-strategy schedules stay bit-exact.
-  const std::vector<uint16_t> sampled =
-      strategy_ref->SampleOrder(required_votes, &net_->sim()->rng());
-
-  // Probe-position -> plan-index map: the sampled order for probabilistic
-  // policies, the plan order itself for deterministic ones. Health-aware
-  // reordering operates on this map so the plan (and its RNG consumption)
-  // stays untouched.
-  std::vector<uint16_t> order;
-  if (sampled.empty()) {
-    order.resize(plan.size());
-    for (size_t i = 0; i < plan.size(); ++i) {
-      order[i] = static_cast<uint16_t>(i);
-    }
-  } else {
-    order = sampled;
-  }
 
   const bool use_health = health_ != nullptr;
   const bool hedging = use_health && options_.hedged_probes;
   const bool adaptive = use_health && options_.adaptive_timeouts;
+  // With breakers armed, the tracker's view of every plan candidate steers
+  // the probe order (see ProbeOrder). A gray host with generous timeouts
+  // never FAILS, so nothing trips its breaker; its inflated latency demotes
+  // it all the same.
+  std::vector<ProbeHealth> health;
   if (use_health && options_.circuit_breakers) {
-    if (sampled.empty()) {
-      // Deterministic plans re-rank by observed latency: a host whose SRTT
-      // has blown past its provisioned link cost loses its preferred slot
-      // even before its breaker trips. Stale observations are forgiven, so
-      // a healed (or merely unprobed) host wins its rank back and gets
-      // re-measured. Sampled orders are left alone — their load-spreading
-      // distribution is the point — and rely on demotion below.
-      std::stable_sort(order.begin(), order.end(), [this, &plan](uint16_t a, uint16_t b) {
-        return health_->EffectiveLatency(ResolveHost(plan[a].host_name),
-                                         plan[a].expected_latency) <
-               health_->EffectiveLatency(ResolveHost(plan[b].host_name),
-                                         plan[b].expected_latency);
-      });
-    }
-    // Breaker-open and latency-inflated hosts sort to the BACK, never out: a
-    // demoted host is still probed when its votes are required for quorum.
-    // The latency test matters because a gray host with generous timeouts
-    // never FAILS — nothing trips its breaker — yet it must not keep a
-    // preferred slot. For sampled orders this is what renormalizes load over
-    // the live hosts: the relative order of healthy members (the policy's
-    // distribution) is preserved and the widening fallbacks step into the
-    // demoted member's quorum slot.
-    std::vector<char> demote(plan.size(), 0);
-    for (uint16_t idx : order) {
-      const HostId idx_host = ResolveHost(plan[idx].host_name);
-      if (health_->ShouldDemote(idx_host) ||
-          health_->LatencyDemoted(idx_host, plan[idx].expected_latency)) {
-        demote[idx] = 1;
+    health.reserve(plan.size());
+    for (const QuorumCandidate& c : plan) {
+      const bool demoted = health_->ShouldDemote(c.host) ||
+                           health_->LatencyDemoted(c.host, c.expected_latency);
+      if (demoted) {
         ++stats_.breaker_demotions;
       }
+      health.push_back(
+          ProbeHealth{health_->EffectiveLatency(c.host, c.expected_latency), demoted});
     }
-    std::stable_partition(order.begin(), order.end(),
-                          [&demote](uint16_t idx) { return demote[idx] == 0; });
   }
+  // Probe position -> plan index. Probabilistic policies draw this
+  // operation's quorum from the cached distribution; deterministic policies
+  // get an empty sample and consume no randomness, so replays of
+  // pre-strategy schedules stay bit-exact.
+  const std::vector<uint16_t> order = ProbeOrder(
+      plan.size(), strategy_ref->SampleOrder(required_votes, &net_->sim()->rng()), health);
 
   Tracer* tracer = net_->tracer();
   TraceContext gather_span;
@@ -464,11 +423,11 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
     probes.reserve(targets.size());
     for (size_t i = 0; i < targets.size(); ++i) {
       QuorumCandidate& candidate = targets[i];
-      const HostId host = ResolveHost(candidate.host_name);
       ++stats_.probes_sent;
-      ++probe_counts_[candidate.host_name];
-      state->probed.insert(host);
+      ++SlotFor(probe_counts_, candidate.host);
+      state->probed.insert(candidate.host);
 
+      QuorumCandidate backup;  // host kInvalidHost: no hedge
       size_t backup_pos = order.size();
       if (hedging) {
         while (hedge_scan < order.size() && consumed.count(hedge_scan) != 0) {
@@ -478,32 +437,26 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
           backup_pos = hedge_scan++;
         }
       }
+      Duration hedge_delay;
+      Duration timeout = options_.probe_timeout;
       if (backup_pos < order.size()) {
-        QuorumCandidate backup = plan[order[backup_pos]];
-        const HostId backup_host = ResolveHost(backup.host_name);
+        backup = plan[order[backup_pos]];
         // The backup may be granted a lock server-side even when its reply
         // loses the race (or the hedge never fires — aborting an unknown
         // transaction is a no-op), so the release safety net must cover it.
-        state->probed.insert(backup_host);
+        state->probed.insert(backup.host);
         ++stats_.hedged_probes;
-        const Duration hedge_delay = health_->HedgeDelay(host, options_.probe_timeout);
         // The hedge is the latency-control mechanism here; the timeout is
         // only a backstop and must leave the backup room to answer, so the
         // hedged call keeps the configured fallback rather than the
         // primary's (possibly fail-fast) adaptive estimate.
-        probes.push_back(SendHedgedProbe(rpc_, host, std::move(candidate), backup_host,
-                                         std::move(backup), backup_pos, state->txn,
-                                         config_.suite_name, exclusive, i == fastpath_target,
-                                         hedge_delay, options_.probe_timeout, gather_span));
-      } else {
-        Duration timeout = options_.probe_timeout;
-        if (adaptive) {
-          timeout = health_->TimeoutFor(host, options_.probe_timeout);
-        }
-        probes.push_back(SendProbe(rpc_, host, std::move(candidate), state->txn,
-                                   config_.suite_name, exclusive, i == fastpath_target,
-                                   timeout, gather_span));
+        hedge_delay = health_->HedgeDelay(candidate.host, options_.probe_timeout);
+      } else if (adaptive) {
+        timeout = health_->TimeoutFor(candidate.host, options_.probe_timeout);
       }
+      probes.push_back(SendProbe(rpc_, std::move(candidate), std::move(backup), backup_pos,
+                                 state->txn, config_.suite_name, exclusive,
+                                 i == fastpath_target, hedge_delay, timeout, gather_span));
     }
 
     const int base_votes = out.votes;
@@ -527,9 +480,9 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
             return;
           }
           if (state->finished) {
-            Spawn(ReleaseLateLocks(rpc, o.host, state->txn, timeout));
+            Spawn(ReleaseLateLocks(rpc, o.candidate.host, state->txn, timeout));
           } else {
-            state->participants.insert(o.host);
+            state->participants.insert(o.candidate.host);
           }
         };
 
@@ -541,14 +494,13 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
         if (o.backup_won) {
           consumed.insert(o.backup_position);
         }
-        state->participants.insert(o.host);
+        state->participants.insert(o.candidate.host);
         out.votes += o.candidate.votes;
         out.current = std::max(out.current, o.result.value().version);
         out.max_config_version =
             std::max(out.max_config_version, o.result.value().config_version);
-        NoteVersion(o.candidate.host_name, o.result.value().version);
-        out.replies.push_back(ProbeReply{std::move(o.candidate), o.host,
-                                         std::move(o.result.value())});
+        NoteVersion(o.candidate.host, o.result.value().version);
+        out.replies.push_back(ProbeReply(std::move(o.candidate), std::move(o.result.value())));
       } else if (o.result.status().code() == StatusCode::kConflict) {
         // Wait-die said die: the whole transaction must abort and retry.
         ++stats_.conflicts;
@@ -623,8 +575,8 @@ Task<Result<SuiteReadResp>> SuiteClient::FetchData(
     auto best = std::min_element(
         members.begin(), members.end(), [this, steer](const ProbeReply* a, const ProbeReply* b) {
           if (steer) {
-            return health_->EffectiveLatency(a->host, a->candidate.expected_latency) <
-                   health_->EffectiveLatency(b->host, b->candidate.expected_latency);
+            return health_->EffectiveLatency(a->candidate.host, a->candidate.expected_latency) <
+                   health_->EffectiveLatency(b->candidate.host, b->candidate.expected_latency);
           }
           return a->candidate.expected_latency < b->candidate.expected_latency;
         });
@@ -632,10 +584,10 @@ Task<Result<SuiteReadResp>> SuiteClient::FetchData(
     members.erase(best);
     Duration timeout = options_.data_timeout;
     if (health_ != nullptr && options_.adaptive_timeouts) {
-      timeout = health_->TimeoutFor(member->host, options_.data_timeout);
+      timeout = health_->TimeoutFor(member->candidate.host, options_.data_timeout);
     }
     Result<SuiteReadResp> data = co_await rpc_->Call<TxnReadSuiteReq, SuiteReadResp>(
-        member->host, TxnReadSuiteReq{state->txn, config_.suite_name}, timeout,
+        member->candidate.host, TxnReadSuiteReq{state->txn, config_.suite_name}, timeout,
         fetch_span);
     if (data.ok()) {
       if (data.value().version != gather.current) {
@@ -645,7 +597,7 @@ Task<Result<SuiteReadResp>> SuiteClient::FetchData(
         co_return InternalError("representative changed version under our lock");
       }
       if (tracer != nullptr && fetch_span.valid()) {
-        tracer->EndWith(fetch_span, "from host " + std::to_string(member->host));
+        tracer->EndWith(fetch_span, "from host " + std::to_string(member->candidate.host));
       }
       co_return std::move(data.value());
     }
@@ -669,10 +621,10 @@ void SuiteClient::SpawnRefreshes(const GatherResult& gather, Version current,
   std::set<HostId> confirmed_current;
   for (const ProbeReply& r : gather.replies) {
     if (r.resp.version >= current) {
-      confirmed_current.insert(r.host);
+      confirmed_current.insert(r.candidate.host);
     } else {
       ++stats_.refreshes_spawned;
-      Spawn(SendRefresh(rpc_, r.host, config_.suite_name, current, contents,
+      Spawn(SendRefresh(rpc_, r.candidate.host, config_.suite_name, current, contents,
                         options_.data_timeout));
     }
   }
@@ -681,10 +633,10 @@ void SuiteClient::SpawnRefreshes(const GatherResult& gather, Version current,
       if (rep.weak()) {
         continue;
       }
-      const HostId host = ResolveHost(rep.host_name);
+      const HostId host = links_.Resolve(rep.host_name);
       bool probed_stale = false;
       for (const ProbeReply& r : gather.replies) {
-        if (r.host == host) {
+        if (r.candidate.host == host) {
           probed_stale = r.resp.version < current;
           break;
         }
@@ -791,8 +743,7 @@ Task<Status> SuiteClient::DoCommit(std::shared_ptr<SuiteTransaction::State> stat
     // probes that timed out client-side but were granted server-side).
     state->finished = true;
     ++stats_.commits;
-    std::set<HostId> release = state->participants;
-    release.insert(state->probed.begin(), state->probed.end());
+    const std::set<HostId> release = state->ReleaseSet();
     std::vector<HostId> read_only(release.begin(), release.end());
     Status st = co_await coordinator_->CommitTransaction(state->txn, {},
                                                          std::move(read_only), state->trace);
@@ -822,16 +773,9 @@ Task<Status> SuiteClient::DoCommit(std::shared_ptr<SuiteTransaction::State> stat
 
     std::map<HostId, std::vector<WriteIntent>> writes;
     for (const ProbeReply& r : gather.value().replies) {
-      writes[r.host] = {WriteIntent{SuiteValueKey(config_.suite_name), payload}};
+      writes[r.candidate.host] = {WriteIntent{SuiteValueKey(config_.suite_name), payload}};
     }
-    std::set<HostId> release = state->participants;
-    release.insert(state->probed.begin(), state->probed.end());
-    std::vector<HostId> read_only;
-    for (HostId h : release) {
-      if (writes.find(h) == writes.end()) {
-        read_only.push_back(h);
-      }
-    }
+    std::vector<HostId> read_only = ReadOnlyHosts(state->ReleaseSet(), writes);
 
     state->finished = true;
     Status st = co_await coordinator_->CommitTransaction(state->txn, std::move(writes),
@@ -842,7 +786,7 @@ Task<Status> SuiteClient::DoCommit(std::shared_ptr<SuiteTransaction::State> stat
       // The write quorum now holds `next`; remember that for future
       // fast-path targeting.
       for (const ProbeReply& r : gather.value().replies) {
-        NoteVersion(r.candidate.host_name, next);
+        NoteVersion(r.candidate.host, next);
       }
       if (cache_ != nullptr) {
         cache_->Update(config_.suite_name, next, *state->pending_write);
@@ -866,8 +810,7 @@ Task<void> SuiteClient::DoAbort(std::shared_ptr<SuiteTransaction::State> state) 
   }
   state->finished = true;
   ++stats_.aborts;
-  std::set<HostId> release = state->participants;
-  release.insert(state->probed.begin(), state->probed.end());
+  const std::set<HostId> release = state->ReleaseSet();
   std::vector<HostId> targets(release.begin(), release.end());
   co_await coordinator_->AbortTransaction(state->txn, std::move(targets), state->trace);
   if (Tracer* tracer = net_->tracer()) {
@@ -876,74 +819,54 @@ Task<void> SuiteClient::DoAbort(std::shared_ptr<SuiteTransaction::State> state) 
 }
 
 Task<Result<std::string>> SuiteClient::ReadOnce(int retries) {
+  return RunOnce("client.read", std::nullopt, retries);
+}
+
+Task<Status> SuiteClient::WriteOnce(std::string contents, int retries) {
+  Result<std::string> done = co_await RunOnce("client.write", std::move(contents), retries);
+  co_return done.status();
+}
+
+Task<Result<std::string>> SuiteClient::RunOnce(const char* span_name,
+                                               std::optional<std::string> write, int retries) {
   // Root span for the whole operation: retried attempts become sibling
-  // "client.txn" children, so one trace tells the full story of the read.
+  // "client.txn" children, so one trace tells the full story of the op.
   Tracer* tracer = net_->tracer();
   TraceContext root;
   if (tracer != nullptr) {
-    root = tracer->StartRoot(rpc_->host_id(), "client.read");
+    root = tracer->StartRoot(rpc_->host_id(), span_name);
   }
   Status last = InternalError("no attempts");
   for (int i = 0; i < retries; ++i) {
     SuiteTransaction txn = Begin(root);
-    Result<std::string> contents = co_await txn.Read();
-    if (contents.ok()) {
-      Status st = co_await txn.Commit();
-      if (st.ok()) {
-        if (tracer != nullptr && root.valid()) {
-          tracer->EndWith(root, "ok attempts=" + std::to_string(i + 1));
-        }
-        co_return contents;
+    Result<std::string> contents = std::string();
+    if (write) {
+      last = txn.Write(*write);
+      if (last.ok()) {
+        last = co_await txn.Commit();
       }
-      last = st;
     } else {
-      last = contents.status();
-      co_await txn.Abort();
+      contents = co_await txn.Read();
+      if (contents.ok()) {
+        last = co_await txn.Commit();
+      } else {
+        last = contents.status();
+        co_await txn.Abort();
+      }
     }
-    if (last.code() != StatusCode::kConflict && last.code() != StatusCode::kAborted &&
-        last.code() != StatusCode::kTimeout) {
+    if (last.ok()) {
+      if (tracer != nullptr && root.valid()) {
+        tracer->EndWith(root, "ok attempts=" + std::to_string(i + 1));
+      }
+      co_return contents;
+    }
+    if (!Retryable(last)) {
       if (tracer != nullptr) {
         tracer->EndWith(root, last.ToString());
       }
       co_return last;
     }
     // Jittered exponential backoff before retrying a conflicted transaction.
-    ++stats_.retries;
-    co_await net_->sim()->Sleep(JitteredBackoff(net_->sim()->rng(), i));
-  }
-  if (tracer != nullptr) {
-    tracer->EndWith(root, last.ToString());
-  }
-  co_return last;
-}
-
-Task<Status> SuiteClient::WriteOnce(std::string contents, int retries) {
-  Tracer* tracer = net_->tracer();
-  TraceContext root;
-  if (tracer != nullptr) {
-    root = tracer->StartRoot(rpc_->host_id(), "client.write");
-  }
-  Status last = InternalError("no attempts");
-  for (int i = 0; i < retries; ++i) {
-    SuiteTransaction txn = Begin(root);
-    Status st = txn.Write(contents);
-    if (st.ok()) {
-      st = co_await txn.Commit();
-    }
-    if (st.ok()) {
-      if (tracer != nullptr && root.valid()) {
-        tracer->EndWith(root, "ok attempts=" + std::to_string(i + 1));
-      }
-      co_return st;
-    }
-    last = st;
-    if (last.code() != StatusCode::kConflict && last.code() != StatusCode::kAborted &&
-        last.code() != StatusCode::kTimeout) {
-      if (tracer != nullptr) {
-        tracer->EndWith(root, last.ToString());
-      }
-      co_return last;
-    }
     ++stats_.retries;
     co_await net_->sim()->Sleep(JitteredBackoff(net_->sim()->rng(), i));
   }
@@ -963,12 +886,11 @@ Task<Status> SuiteClient::RefreshConfigFromPrefix() {
   uint64_t best_version = config_.config_version;
   HostId best_host = kInvalidHost;
   for (const QuorumCandidate& candidate : strategy->order) {
-    const HostId host = ResolveHost(candidate.host_name);
     Result<VersionResp> resp = co_await rpc_->Call<VersionInquiryReq, VersionResp>(
-        host, VersionInquiryReq{config_.suite_name}, options_.probe_timeout);
+        candidate.host, VersionInquiryReq{config_.suite_name}, options_.probe_timeout);
     if (resp.ok() && resp.value().config_version > best_version) {
       best_version = resp.value().config_version;
-      best_host = host;
+      best_host = candidate.host;
     }
   }
   if (best_host == kInvalidHost) {
@@ -1005,9 +927,7 @@ Task<Status> SuiteClient::Reconfigure(SuiteConfig new_config, int retries) {
     // ever ages, so it eventually beats the stream of younger transactions.
     last = co_await TryReconfigure(std::move(candidate),
                                    coordinator_->BeginAt(original_timestamp));
-    if (last.ok() || (last.code() != StatusCode::kConflict &&
-                      last.code() != StatusCode::kAborted &&
-                      last.code() != StatusCode::kTimeout)) {
+    if (last.ok() || !Retryable(last)) {
       co_return last;
     }
     ++stats_.retries;
@@ -1052,13 +972,13 @@ Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
   // Exclusive locks at every new-config member that we do not already hold.
   std::set<HostId> targets;
   for (const ProbeReply& r : gather.value().replies) {
-    targets.insert(r.host);
+    targets.insert(r.candidate.host);
   }
   for (const RepresentativeInfo& rep : new_config.representatives) {
     if (rep.weak()) {
       continue;  // weak representatives are client-side caches, not servers
     }
-    const HostId host = ResolveHost(rep.host_name);
+    const HostId host = links_.Resolve(rep.host_name);
     if (targets.count(host) != 0) {
       continue;
     }
@@ -1097,14 +1017,7 @@ Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
     writes[host] = {WriteIntent{SuitePrefixKey(config_.suite_name), prefix_bytes},
                     WriteIntent{SuiteValueKey(config_.suite_name), value_bytes}};
   }
-  std::set<HostId> release = state->participants;
-  release.insert(state->probed.begin(), state->probed.end());
-  std::vector<HostId> read_only;
-  for (HostId h : release) {
-    if (writes.find(h) == writes.end()) {
-      read_only.push_back(h);
-    }
-  }
+  std::vector<HostId> read_only = ReadOnlyHosts(state->ReleaseSet(), writes);
 
   state->finished = true;
   Status st = co_await coordinator_->CommitTransaction(state->txn, std::move(writes),

@@ -27,10 +27,8 @@
 #ifndef WVOTE_SRC_CORE_SUITE_CLIENT_H_
 #define WVOTE_SRC_CORE_SUITE_CLIENT_H_
 
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -239,13 +237,11 @@ class SuiteClient {
   // Both carry user-declared constructors per the GCC 12 rule in
   // src/sim/task.h (they travel by value through coroutine machinery).
   struct ProbeReply {
-    QuorumCandidate candidate;
-    HostId host = kInvalidHost;
+    QuorumCandidate candidate;  // the representative that answered
     VersionResp resp;
 
     ProbeReply() = default;
-    ProbeReply(QuorumCandidate c, HostId h, VersionResp r)
-        : candidate(std::move(c)), host(h), resp(std::move(r)) {}
+    ProbeReply(QuorumCandidate c, VersionResp r) : candidate(std::move(c)), resp(std::move(r)) {}
   };
   struct GatherResult {
     std::vector<ProbeReply> replies;
@@ -256,8 +252,8 @@ class SuiteClient {
     GatherResult() = default;
   };
 
-  HostId ResolveHost(const std::string& name) const;
-  Duration LatencyTo(const std::string& name) const;
+  // This client's probes to `host` since the last stats reset.
+  uint64_t ProbeCountOf(const std::string& host) const;
 
   // Cached probing strategy for this client's config under `policy` with
   // the options' tuning (built once per config version; see PlanCache).
@@ -267,7 +263,7 @@ class SuiteClient {
 
   // Records a version observed at a representative (probe reply, data
   // fetch, or this client's own commit) in the version-hint cache.
-  void NoteVersion(const std::string& host_name, Version version);
+  void NoteVersion(HostId host, Version version);
 
   // The probe target (index into `targets`) most likely to be both cheapest
   // and current, judged from the version-hint cache; targets.size() when a
@@ -294,6 +290,12 @@ class SuiteClient {
   Task<void> DoAbort(std::shared_ptr<SuiteTransaction::State> state);
   Task<Status> TryReconfigure(SuiteConfig new_config, TxnId txn);
 
+  // ReadOnce's and WriteOnce's shared retry loop under one `span_name` root
+  // span: each attempt is a fresh transaction that commits `write`, or with
+  // no `write` reads and commits. Retryable failures back off and retry.
+  Task<Result<std::string>> RunOnce(const char* span_name, std::optional<std::string> write,
+                                    int retries);
+
   Network* net_;
   RpcEndpoint* rpc_;
   Coordinator* coordinator_;
@@ -305,18 +307,18 @@ class SuiteClient {
   // Quorum strategies memoized per (config_version, tuning, policy);
   // counts builds into stats_.plan_builds.
   PlanCache plan_cache_;
-  // Shared host-id / link-latency lookup for probe resolution, plan
-  // building, and strategy solving (one memo instead of three).
+  // Shared host-id / link-latency lookup for plan building, strategy
+  // solving, and the few lookups outside a plan (one memo instead of three).
   mutable HostLinkCache links_;
-  // Probes sent per representative host since the last stats reset; feeds
-  // the core.planner.* load gauges.
-  std::map<std::string, uint64_t> probe_counts_;
+  // Probes sent per representative host since the last stats reset, indexed
+  // by HostId; feeds the core.planner.* load gauges.
+  std::vector<uint64_t> probe_counts_;
   // Version-hint cache: the newest committed version this client has
-  // evidence of, and the last version observed at each representative.
-  // Purely advisory — used to aim the piggyback request, never to decide
-  // currency (that always takes a quorum).
+  // evidence of, and the last version observed at each representative
+  // (indexed by HostId). Purely advisory — used to aim the piggyback
+  // request, never to decide currency (that always takes a quorum).
   Version hint_version_ = 0;
-  std::map<std::string, Version> rep_version_hints_;
+  std::vector<Version> rep_version_hints_;
 };
 
 }  // namespace wvote

@@ -7,9 +7,11 @@
 #ifndef WVOTE_SRC_CORE_TXN_STATE_H_
 #define WVOTE_SRC_CORE_TXN_STATE_H_
 
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/core/suite_client.h"
 
@@ -46,6 +48,19 @@ struct SuiteTransaction::State {
     return release;
   }
 };
+
+// The read-only participants of a commit: the hosts of `release` that
+// `writes` installs nothing at. They only need their locks released.
+inline std::vector<HostId> ReadOnlyHosts(
+    const std::set<HostId>& release, const std::map<HostId, std::vector<WriteIntent>>& writes) {
+  std::vector<HostId> read_only;
+  for (HostId host : release) {
+    if (writes.find(host) == writes.end()) {
+      read_only.push_back(host);
+    }
+  }
+  return read_only;
+}
 
 }  // namespace wvote
 

@@ -359,13 +359,14 @@ class RpcEndpoint {
   // the same idempotent path that already swallows duplicated datagrams.
   // `timeout` bounds the whole race. The reply reports which host answered
   // — quorum accounting must credit the responder's votes, not the
-  // primary's.
+  // primary's. A `backup` of kInvalidHost makes this exactly Call: no hedge
+  // timer is scheduled.
   template <typename Req, typename Resp>
   Task<HedgedReply<Resp>> CallHedged(HostId primary, HostId backup, Req req,
                                      Duration hedge_delay, Duration timeout,
                                      TraceContext ctx = TraceContext()) {
-    return Exchange<Req, Resp>(primary, backup, /*hedge=*/true, std::move(req), hedge_delay,
-                               timeout, ctx);
+    return Exchange<Req, Resp>(primary, backup, /*hedge=*/backup != kInvalidHost,
+                               std::move(req), hedge_delay, timeout, ctx);
   }
 
   // Retransmits an idempotent request up to `attempts` times on retryable

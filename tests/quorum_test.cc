@@ -25,9 +25,15 @@ SuiteConfig MakeConfig(std::vector<std::pair<std::string, int>> reps, int r, int
   return cfg;
 }
 
-std::function<Duration(const std::string&)> LatencyMap(
-    std::map<std::string, Duration> latencies) {
-  return [latencies](const std::string& name) { return latencies.at(name); };
+// Link lookup over a fixed latency table; host ids follow the table's
+// (sorted) name order.
+HostLinkFn LatencyMap(std::map<std::string, Duration> latencies) {
+  std::map<std::string, HostLink> links;
+  HostId next = 0;
+  for (const auto& [name, latency] : latencies) {
+    links[name] = HostLink{next++, latency};
+  }
+  return [links](const std::string& name) { return links.at(name); };
 }
 
 TEST(QuorumPlannerTest, LowestLatencyOrdersByLatency) {
@@ -40,6 +46,10 @@ TEST(QuorumPlannerTest, LowestLatencyOrdersByLatency) {
   EXPECT_EQ(plan[0].host_name, "fast");
   EXPECT_EQ(plan[1].host_name, "mid");
   EXPECT_EQ(plan[2].host_name, "slow");
+  // Host ids are resolved when the plan is built.
+  EXPECT_EQ(plan[0].host, 0);
+  EXPECT_EQ(plan[1].host, 1);
+  EXPECT_EQ(plan[2].host, 2);
 }
 
 TEST(QuorumPlannerTest, FewestMessagesOrdersByVotes) {
@@ -329,6 +339,97 @@ TEST(ProbingStrategyTest, SamplingIsSeedDeterministic) {
   (void)rng_e.NextUint64();
   EXPECT_EQ(rng_d.NextUint64(), rng_e.NextUint64());
   (void)before;
+}
+
+// ProbeOrder is pure: plan size, sampled order and health view in, probe
+// positions out.
+
+std::vector<ProbeHealth> Health(std::vector<std::pair<int, bool>> latency_ms_demoted) {
+  std::vector<ProbeHealth> out;
+  for (const auto& [ms, demoted] : latency_ms_demoted) {
+    out.push_back(ProbeHealth{Duration::Millis(ms), demoted});
+  }
+  return out;
+}
+
+bool IsPermutation(const std::vector<uint16_t>& order, size_t n) {
+  std::vector<uint16_t> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    if (sorted[i] != i) {
+      return false;
+    }
+  }
+  return sorted.size() == n;
+}
+
+TEST(ProbeOrderTest, IdentityWithoutSampleOrHealth) {
+  EXPECT_EQ(ProbeOrder(4, {}, {}), (std::vector<uint16_t>{0, 1, 2, 3}));
+  EXPECT_TRUE(ProbeOrder(0, {}, {}).empty());
+}
+
+TEST(ProbeOrderTest, SampledOrderPassesThroughWithoutHealth) {
+  EXPECT_EQ(ProbeOrder(4, {2, 0, 3, 1}, {}), (std::vector<uint16_t>{2, 0, 3, 1}));
+}
+
+TEST(ProbeOrderTest, DeterministicOrderReranksByEffectiveLatencyStably) {
+  // Plan indices 1 and 3 tie at 5 ms and keep their plan order; so do 0
+  // and 2 at 20 ms.
+  const auto health = Health({{20, false}, {5, false}, {20, false}, {5, false}});
+  EXPECT_EQ(ProbeOrder(4, {}, health), (std::vector<uint16_t>{1, 3, 0, 2}));
+}
+
+TEST(ProbeOrderTest, SampledOrderIsNotRerankedButDemotedMembersMoveBack) {
+  // Latencies would reverse the order if it were re-ranked; only the
+  // demoted member (plan index 0) moves, to the back.
+  const auto health = Health({{40, true}, {30, false}, {20, false}, {10, false}});
+  EXPECT_EQ(ProbeOrder(4, {0, 1, 2, 3}, health), (std::vector<uint16_t>{1, 2, 3, 0}));
+  EXPECT_EQ(ProbeOrder(4, {2, 0, 1, 3}, health), (std::vector<uint16_t>{2, 1, 3, 0}));
+}
+
+TEST(ProbeOrderTest, DemotionAppliesAfterReranking) {
+  // Fastest host demoted: it leaves the front but stays probed last.
+  const auto health = Health({{10, false}, {1, true}, {5, false}});
+  EXPECT_EQ(ProbeOrder(3, {}, health), (std::vector<uint16_t>{2, 0, 1}));
+}
+
+TEST(ProbeOrderTest, AllDemotedKeepsEveryHostInOrder) {
+  const auto health = Health({{30, true}, {10, true}, {20, true}});
+  EXPECT_EQ(ProbeOrder(3, {}, health), (std::vector<uint16_t>{1, 2, 0}));
+  EXPECT_EQ(ProbeOrder(3, {2, 0, 1}, health), (std::vector<uint16_t>{2, 0, 1}));
+}
+
+TEST(ProbeOrderTest, AlwaysAPermutation) {
+  Rng rng(77);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = 1 + rng.NextUint64() % 9;
+    std::vector<uint16_t> sampled;
+    if (rng.NextUint64() % 2 == 0) {
+      for (size_t i = 0; i < n; ++i) {
+        sampled.push_back(static_cast<uint16_t>(i));
+      }
+      for (size_t i = n; i > 1; --i) {
+        std::swap(sampled[i - 1], sampled[rng.NextUint64() % i]);
+      }
+    }
+    std::vector<ProbeHealth> health;
+    if (rng.NextUint64() % 3 != 0) {
+      for (size_t i = 0; i < n; ++i) {
+        health.push_back(ProbeHealth{Duration::Millis(static_cast<int64_t>(rng.NextUint64() % 4)),
+                                     rng.NextUint64() % 3 == 0});
+      }
+    }
+    const std::vector<uint16_t> order = ProbeOrder(n, sampled, health);
+    EXPECT_TRUE(IsPermutation(order, n)) << "trial " << trial;
+    if (!health.empty()) {
+      // Every healthy host precedes every demoted one.
+      bool seen_demoted = false;
+      for (uint16_t idx : order) {
+        seen_demoted = seen_demoted || health[idx].demoted;
+        EXPECT_TRUE(!seen_demoted || health[idx].demoted) << "trial " << trial;
+      }
+    }
+  }
 }
 
 }  // namespace

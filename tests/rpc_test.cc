@@ -283,6 +283,58 @@ TEST_F(RpcTest, HedgedCallBackupWinsAndLateReplyIsDropped) {
   EXPECT_EQ(server_->stats().requests_handled, 1u);
 }
 
+TEST_F(RpcTest, HedgedCallWithoutBackupIsAPlainCall) {
+  // The same request, first through Call and then through CallHedged with no
+  // backup host, must schedule the same events: no hedge timer, not even a
+  // no-op one. The 1 ms hedge delay is shorter than the 10 ms round trip, so
+  // a stray timer would also fire.
+  struct Delta {
+    uint64_t scheduled;
+    uint64_t processed;
+    uint64_t cancelled;
+    Duration elapsed;
+  };
+  auto measure = [this](auto run) {
+    const SimStats before = sim_.stats();
+    const TimePoint start = sim_.Now();
+    run();
+    sim_.Run();
+    const SimStats& after = sim_.stats();
+    return Delta{after.events_scheduled - before.events_scheduled,
+                 after.events_processed - before.events_processed,
+                 after.events_cancelled - before.events_cancelled, sim_.Now() - start};
+  };
+
+  auto plain = std::make_shared<Result<EchoResp>>(InternalError("pending"));
+  const Delta call = measure([&]() {
+    auto runner = [](RpcEndpoint* client, HostId to,
+                     std::shared_ptr<Result<EchoResp>> out) -> Task<void> {
+      *out = co_await client->Call<EchoReq, EchoResp>(to, EchoReq("hi"), Duration::Seconds(1));
+    };
+    Spawn(runner(client_.get(), server_host_->id(), plain));
+  });
+  auto hedged = std::make_shared<HedgedReply<EchoResp>>();
+  const Delta unhedged = measure([&]() {
+    auto runner = [](RpcEndpoint* client, HostId to,
+                     std::shared_ptr<HedgedReply<EchoResp>> out) -> Task<void> {
+      *out = co_await client->CallHedged<EchoReq, EchoResp>(
+          to, kInvalidHost, EchoReq("hi"), Duration::Millis(1), Duration::Seconds(1));
+    };
+    Spawn(runner(client_.get(), server_host_->id(), hedged));
+  });
+
+  ASSERT_TRUE(plain->ok());
+  ASSERT_TRUE(hedged->reply.ok());
+  EXPECT_EQ(hedged->reply.value().text, "hi!");
+  EXPECT_EQ(hedged->responder, server_host_->id());
+  EXPECT_FALSE(hedged->hedged);
+  EXPECT_EQ(unhedged.scheduled, call.scheduled);
+  EXPECT_EQ(unhedged.processed, call.processed);
+  EXPECT_EQ(unhedged.cancelled, call.cancelled);
+  EXPECT_EQ(unhedged.elapsed, call.elapsed);
+  EXPECT_EQ(client_->stats().hedges_sent, 0u);
+}
+
 TEST_F(RpcTest, HedgedCallFastPrimaryNeverFiresBackup) {
   Host* backup_host = net_.AddHost("backup");
   RpcEndpoint backup(&net_, backup_host);

@@ -115,9 +115,7 @@ GrayResult RunScenario(double multiplier, bool tolerant, QuorumStrategy policy,
   copts.strategy = policy;
   copts.probe_timeout = Duration::Millis(300);
   copts.data_timeout = Duration::Millis(1000);
-  copts.adaptive_timeouts = tolerant;
-  copts.hedged_probes = tolerant;
-  copts.circuit_breakers = tolerant;
+  copts.gray_tolerance = tolerant;
   ExampleDeployment dep = DeployExample(MakeSuite(), copts, /*seed=*/42);
   Cluster& cluster = *dep.cluster;
   HealthTracker* health = cluster.health_of("client");
@@ -173,7 +171,7 @@ GrayResult RunScenario(double multiplier, bool tolerant, QuorumStrategy policy,
   // provisioned rank, the next probe re-seeds the estimator at the healthy
   // latency (TCP-style restart after idle), and it keeps the slot.
   SetGray(cluster, 1.0);
-  cluster.sim().RunFor(health->options().sample_staleness + Duration::Seconds(1));
+  cluster.sim().RunFor(HealthTracker::kSampleStaleness + Duration::Seconds(1));
   const uint64_t victim_polls_at_heal = cluster.representative(kVictim)->stats().version_polls;
   for (int i = 0; i < g_recovery; ++i) {
     const TimePoint t0 = cluster.sim().Now();

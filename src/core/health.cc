@@ -5,6 +5,44 @@
 
 namespace wvote {
 
+namespace {
+
+// Jacobson/Karels smoothing gains.
+constexpr double kSrttGain = 0.125;
+constexpr double kRttvarGain = 0.25;
+
+// Adaptive timeout = clamp((srtt + max(4·rttvar, kRtoMargin)) · 2^k,
+// kTimeoutFloor, fallback) where k counts consecutive failures (capped): the
+// estimate fails fast on the first miss and degrades gracefully to the
+// caller's fallback when the peer keeps missing. The margin plays the role
+// of clock granularity in Jacobson's RTO — on a steady link rttvar decays
+// toward zero, and a timeout of exactly srtt would fire on any server-side
+// lock wait.
+constexpr double kRttvarTimeoutMult = 4.0;
+constexpr Duration kRtoMargin = Duration::Millis(5);
+constexpr Duration kTimeoutFloor = Duration::Millis(5);
+constexpr int kTimeoutBackoffCap = 6;  // max doublings
+
+// Hedge delay ≈ p95: srtt + max(3·rttvar, kHedgeMargin), clamped to
+// [kHedgeFloor, fallback/2]. The margin keeps the delay strictly above a
+// converged SRTT — without it, rttvar decays toward zero on a steady link
+// and every on-time reply would race its own hedge timer.
+constexpr double kHedgeRttvarMult = 3.0;
+constexpr Duration kHedgeMargin = Duration::Millis(2);
+constexpr Duration kHedgeFloor = Duration::Millis(1);
+
+// The breaker opens after this many consecutive failures.
+constexpr int kBreakerOpenAfter = 3;
+
+// A peer whose fresh SRTT exceeds this multiple of its provisioned link
+// cost is latency-demoted: it keeps answering (so the breaker stays closed —
+// nothing ever FAILS against a 10×-slow host with generous timeouts) but it
+// has no business keeping a preferred plan slot. This is what lets sampled
+// (load-optimal) orders renormalize over the live hosts.
+constexpr double kDemoteInflation = 4.0;
+
+}  // namespace
+
 const char* BreakerStateName(BreakerState state) {
   switch (state) {
     case BreakerState::kClosed:
@@ -17,8 +55,8 @@ const char* BreakerStateName(BreakerState state) {
   return "?";
 }
 
-HealthTracker::HealthTracker(Simulator* sim, std::string owner, HealthTrackerOptions options)
-    : sim_(sim), owner_(std::move(owner)), options_(options) {}
+HealthTracker::HealthTracker(Simulator* sim, std::string owner)
+    : sim_(sim), owner_(std::move(owner)) {}
 
 const HealthTracker::PeerState* HealthTracker::Find(HostId peer) const {
   auto it = peers_.find(peer);
@@ -29,13 +67,13 @@ double HealthTracker::RtoUs(const PeerState& peer) const {
   if (!peer.has_sample) {
     return 0.0;
   }
-  return peer.srtt_us + std::max(options_.rttvar_timeout_mult * peer.rttvar_us,
-                                 static_cast<double>(options_.rto_margin.ToMicros()));
+  return peer.srtt_us + std::max(kRttvarTimeoutMult * peer.rttvar_us,
+                                 static_cast<double>(kRtoMargin.ToMicros()));
 }
 
 void HealthTracker::Tick(PeerState& peer) {
   if (peer.state == BreakerState::kOpen &&
-      sim_->Now() >= peer.opened_at + options_.breaker_cooldown) {
+      sim_->Now() >= peer.opened_at + kBreakerCooldown) {
     peer.state = BreakerState::kHalfOpen;
     ++breaker_trials_;
   }
@@ -46,7 +84,7 @@ void HealthTracker::OnRpcOutcome(HostId peer, Duration elapsed, bool ok) {
   Tick(state);
   ++outcomes_recorded_;
   const bool stale_gap =
-      state.has_sample && sim_->Now() - state.last_update > options_.sample_staleness;
+      state.has_sample && sim_->Now() - state.last_update > kSampleStaleness;
   state.last_update = sim_->Now();
 
   if (ok) {
@@ -60,8 +98,8 @@ void HealthTracker::OnRpcOutcome(HostId peer, Duration elapsed, bool ok) {
       state.has_sample = true;
     } else {
       const double err = sample_us - state.srtt_us;
-      state.rttvar_us += options_.rttvar_gain * ((err < 0 ? -err : err) - state.rttvar_us);
-      state.srtt_us += options_.srtt_gain * err;
+      state.rttvar_us += kRttvarGain * ((err < 0 ? -err : err) - state.rttvar_us);
+      state.srtt_us += kSrttGain * err;
     }
     state.consecutive_failures = 0;
     state.last_ok = sim_->Now();
@@ -83,7 +121,7 @@ void HealthTracker::OnRpcOutcome(HostId peer, Duration elapsed, bool ok) {
     state.opened_at = sim_->Now();
     ++breaker_opens_;
   } else if (state.state == BreakerState::kClosed &&
-             state.consecutive_failures >= options_.breaker_open_after) {
+             state.consecutive_failures >= kBreakerOpenAfter) {
     state.state = BreakerState::kOpen;
     state.opened_at = sim_->Now();
     ++breaker_opens_;
@@ -101,11 +139,11 @@ Duration HealthTracker::TimeoutFor(HostId peer, Duration fallback) {
   // fast once, then relaxes toward the configured fallback so a peer whose
   // votes are REQUIRED for quorum can still be waited on. This is what
   // keeps adaptive timeouts availability-safe.
-  const int doublings = std::min(state.consecutive_failures, options_.timeout_backoff_cap);
+  const int doublings = std::min(state.consecutive_failures, kTimeoutBackoffCap);
   for (int i = 0; i < doublings; ++i) {
     timeout_us *= 2.0;
   }
-  const double floor_us = static_cast<double>(options_.timeout_floor.ToMicros());
+  const double floor_us = static_cast<double>(kTimeoutFloor.ToMicros());
   const double cap_us = static_cast<double>(fallback.ToMicros());
   timeout_us = std::max(floor_us, std::min(timeout_us, cap_us));
   return Duration::Micros(static_cast<int64_t>(timeout_us));
@@ -117,10 +155,10 @@ Duration HealthTracker::HedgeDelay(HostId peer, Duration fallback_timeout) {
   if (!state.has_sample) {
     return half_timeout;
   }
-  const double margin_us = std::max(options_.hedge_rttvar_mult * state.rttvar_us,
-                                    static_cast<double>(options_.hedge_margin.ToMicros()));
+  const double margin_us = std::max(kHedgeRttvarMult * state.rttvar_us,
+                                    static_cast<double>(kHedgeMargin.ToMicros()));
   const double delay_us = state.srtt_us + margin_us;
-  const double floor_us = static_cast<double>(options_.hedge_floor.ToMicros());
+  const double floor_us = static_cast<double>(kHedgeFloor.ToMicros());
   const double cap_us = static_cast<double>(half_timeout.ToMicros());
   return Duration::Micros(
       static_cast<int64_t>(std::max(floor_us, std::min(delay_us, cap_us))));
@@ -141,13 +179,13 @@ bool HealthTracker::LatencyDemoted(HostId peer, Duration provisioned) {
   if (state == nullptr || !state->has_sample) {
     return false;
   }
-  if (sim_->Now() - state->last_update > options_.sample_staleness) {
+  if (sim_->Now() - state->last_update > kSampleStaleness) {
     return false;  // forgiven, same as EffectiveLatency
   }
   // The 1ms floor keeps a colocated (zero provisioned cost) peer from being
   // demoted over sub-millisecond scheduling noise.
   const double threshold_us =
-      std::max(options_.demote_inflation * static_cast<double>(provisioned.ToMicros()),
+      std::max(kDemoteInflation * static_cast<double>(provisioned.ToMicros()),
                static_cast<double>(Duration::Millis(1).ToMicros()));
   return state->srtt_us > threshold_us;
 }
@@ -157,7 +195,7 @@ Duration HealthTracker::EffectiveLatency(HostId peer, Duration provisioned) {
   if (state == nullptr || !state->has_sample) {
     return provisioned;
   }
-  if (sim_->Now() - state->last_update > options_.sample_staleness) {
+  if (sim_->Now() - state->last_update > kSampleStaleness) {
     return provisioned;  // forgiven: stale observations stop steering plans
   }
   const Duration observed = Duration::Micros(static_cast<int64_t>(state->srtt_us));

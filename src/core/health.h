@@ -23,7 +23,7 @@
 //
 // Everything here is pure bookkeeping on the simulated clock: no events are
 // scheduled, no randomness is drawn. A run that records health but never
-// acts on it (the default — all response knobs are opt-in) is
+// acts on it (the default — SuiteClientOptions::gray_tolerance is opt-in) is
 // schedule-identical to one without the tracker, which is what keeps the
 // bit-exact determinism goldens valid.
 
@@ -40,57 +40,22 @@
 
 namespace wvote {
 
-struct HealthTrackerOptions {
-  // Jacobson/Karels smoothing gains.
-  double srtt_gain = 0.125;
-  double rttvar_gain = 0.25;
-
-  // Adaptive timeout = clamp((srtt + max(rttvar_timeout_mult·rttvar,
-  // rto_margin)) · 2^k, floor, fallback) where k counts consecutive failures
-  // (capped): the estimate fails fast on the first miss and degrades
-  // gracefully to the configured fallback when the peer keeps missing. The
-  // margin plays the role of clock granularity in Jacobson's RTO — on a
-  // steady link rttvar decays toward zero, and a timeout of exactly srtt
-  // would fire on any server-side lock wait.
-  double rttvar_timeout_mult = 4.0;
-  Duration rto_margin = Duration::Millis(5);
-  Duration timeout_floor = Duration::Millis(5);
-  int timeout_backoff_cap = 6;  // max doublings
-
-  // Hedge delay ≈ p95: srtt + max(hedge_rttvar_mult·rttvar, hedge_margin),
-  // clamped to [hedge_floor, fallback/2]. The margin keeps the delay
-  // strictly above a converged SRTT — without it, rttvar decays toward zero
-  // on a steady link and every on-time reply would race its own hedge timer.
-  double hedge_rttvar_mult = 3.0;
-  Duration hedge_margin = Duration::Millis(2);
-  Duration hedge_floor = Duration::Millis(1);
-
-  // Breaker: open after this many consecutive failures; stay open (demoted)
-  // for the cooldown, then half-open admits trial traffic.
-  int breaker_open_after = 3;
-  Duration breaker_cooldown = Duration::Millis(500);
-
-  // A peer whose fresh SRTT exceeds demote_inflation × its provisioned link
-  // cost is latency-demoted: it keeps answering (so the breaker stays
-  // closed — nothing ever FAILS against a 10×-slow host with generous
-  // timeouts) but it has no business keeping a preferred plan slot. This is
-  // what lets sampled (load-optimal) orders renormalize over the live hosts.
-  double demote_inflation = 4.0;
-
-  // An SRTT sample older than this no longer overrides the provisioned
-  // latency in EffectiveLatency: an unprobed host is eventually forgiven,
-  // which is what lets a healed host win its rank back (and be discovered
-  // still-gray if it hasn't).
-  Duration sample_staleness = Duration::Seconds(2);
-};
-
 enum class BreakerState { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
 
 const char* BreakerStateName(BreakerState state);
 
 class HealthTracker : public PeerHealth {
  public:
-  HealthTracker(Simulator* sim, std::string owner, HealthTrackerOptions options = {});
+  // A peer whose breaker opened stays demoted for this long; then the
+  // breaker goes half-open and admits trial traffic.
+  static constexpr Duration kBreakerCooldown = Duration::Millis(500);
+  // An SRTT sample older than this no longer overrides the provisioned
+  // latency in EffectiveLatency: an unprobed host is eventually forgiven,
+  // which is what lets a healed host win its rank back (and be discovered
+  // still-gray if it hasn't).
+  static constexpr Duration kSampleStaleness = Duration::Seconds(2);
+
+  HealthTracker(Simulator* sim, std::string owner);
 
   // PeerHealth: fed by RpcEndpoint on every call completion.
   void OnRpcOutcome(HostId peer, Duration elapsed, bool ok) override;
@@ -109,14 +74,14 @@ class HealthTracker : public PeerHealth {
   bool ShouldDemote(HostId peer);
 
   // True when a fresh observed SRTT has blown past `provisioned` by the
-  // demote_inflation factor — the gray signature: alive, voting, and far too
+  // demotion factor (4×) — the gray signature: alive, voting, and far too
   // slow. Like the breaker this only reorders, never excludes; stale
   // observations are forgiven the same way EffectiveLatency forgives them.
   bool LatencyDemoted(HostId peer, Duration provisioned);
 
   // The latency a probe to `peer` should be assumed to cost: the provisioned
   // link expectation, overridden by a fresher, larger observed SRTT. Stale
-  // samples are forgiven (see HealthTrackerOptions::sample_staleness).
+  // samples are forgiven (see kSampleStaleness).
   Duration EffectiveLatency(HostId peer, Duration provisioned);
 
   // Phi-accrual-style suspicion; 0.0 for a peer with no outstanding run of
@@ -138,8 +103,6 @@ class HealthTracker : public PeerHealth {
   void RegisterPeerMetrics(MetricsRegistry* registry, HostId peer,
                            const std::string& peer_name);
 
-  const HealthTrackerOptions& options() const { return options_; }
-
  private:
   struct PeerState {
     double srtt_us = 0.0;
@@ -157,12 +120,11 @@ class HealthTracker : public PeerHealth {
   const PeerState* Find(HostId peer) const;
   // Applies the lazy open → half-open transition.
   void Tick(PeerState& peer);
-  // srtt + rttvar_timeout_mult·rttvar in microseconds; 0 without a sample.
+  // srtt + max(4·rttvar, 5 ms) in microseconds; 0 without a sample.
   double RtoUs(const PeerState& peer) const;
 
   Simulator* sim_;
   std::string owner_;
-  HealthTrackerOptions options_;
   std::map<HostId, PeerState> peers_;
   std::set<HostId> peers_with_metrics_;
 

@@ -9,48 +9,18 @@ namespace wvote {
 
 namespace {
 
-// Fraction of total probability reserved (split evenly) for the support
-// floor under an f-resilience constraint. Small enough not to disturb the
-// optimum measurably, large enough that every quorum stays live.
-constexpr double kResilienceFloorMass = 0.02;
-
-std::vector<double> NormalizedCapacities(size_t num_hosts,
-                                         const std::vector<double>& capacities) {
-  std::vector<double> caps(num_hosts, 1.0);
-  if (!capacities.empty()) {
-    WVOTE_CHECK_MSG(capacities.size() == num_hosts,
-                    "capacity vector size must match host count");
-    for (size_t h = 0; h < num_hosts; ++h) {
-      WVOTE_CHECK_MSG(capacities[h] > 0, "capacities must be positive");
-      caps[h] = capacities[h];
-    }
-  }
-  // Scale to mean 1 so loads read as "fraction of ops, capacity-adjusted"
-  // whatever units the caller used.
-  double sum = 0;
-  for (double c : caps) {
-    sum += c;
-  }
-  const double mean = sum / static_cast<double>(num_hosts);
-  for (double& c : caps) {
-    c /= mean;
-  }
-  return caps;
-}
-
 // Loads, shares, and bounds for a fixed distribution.
 StrategySolution Evaluate(const std::vector<StrategyQuorum>& quorums, size_t num_hosts,
-                          const std::vector<double>& caps, std::vector<double> probability) {
+                          std::vector<double> probability) {
   StrategySolution out;
   out.probability = std::move(probability);
   out.load.assign(num_hosts, 0.0);
   out.shares.assign(num_hosts, 0.0);
 
-  std::vector<double> touch(num_hosts, 0.0);  // P[op touches h]
   double probes_per_op = 0;
   for (size_t q = 0; q < quorums.size(); ++q) {
     for (uint16_t h : quorums[q].members) {
-      touch[h] += out.probability[q];
+      out.load[h] += out.probability[q];  // P[op touches h]
     }
     probes_per_op +=
         out.probability[q] * static_cast<double>(quorums[q].members.size());
@@ -58,8 +28,7 @@ StrategySolution Evaluate(const std::vector<StrategyQuorum>& quorums, size_t num
   out.max_load = 0;
   out.max_share = 0;
   for (size_t h = 0; h < num_hosts; ++h) {
-    out.load[h] = touch[h] / caps[h];
-    out.shares[h] = probes_per_op > 0 ? touch[h] / probes_per_op : 0.0;
+    out.shares[h] = probes_per_op > 0 ? out.load[h] / probes_per_op : 0.0;
     out.max_load = std::max(out.max_load, out.load[h]);
     out.max_share = std::max(out.max_share, out.shares[h]);
   }
@@ -124,60 +93,26 @@ std::vector<StrategyQuorum> EnumerateMinimalQuorums(const std::vector<int>& vote
   return out;
 }
 
-bool QuorumsResilient(const std::vector<StrategyQuorum>& quorums, size_t num_hosts, int f) {
-  if (f <= 0) {
-    return !quorums.empty();
-  }
-  if (quorums.empty() || static_cast<size_t>(f) >= num_hosts) {
-    return false;
-  }
-  // Every f-subset of hosts must leave some quorum untouched.
-  const uint32_t limit = uint32_t{1} << num_hosts;
-  for (uint32_t removed = 1; removed < limit; ++removed) {
-    if (__builtin_popcount(removed) != f) {
-      continue;
-    }
-    bool survives = false;
-    for (const StrategyQuorum& q : quorums) {
-      if ((q.mask & removed) == 0) {
-        survives = true;
-        break;
-      }
-    }
-    if (!survives) {
-      return false;
-    }
-  }
-  return true;
-}
-
-StrategySolution SolveUniform(const std::vector<StrategyQuorum>& quorums, size_t num_hosts,
-                              const std::vector<double>& capacities) {
+StrategySolution SolveUniform(const std::vector<StrategyQuorum>& quorums, size_t num_hosts) {
   WVOTE_CHECK_MSG(!quorums.empty(), "no quorums to distribute over");
-  const std::vector<double> caps = NormalizedCapacities(num_hosts, capacities);
   std::vector<double> probability(quorums.size(),
                                   1.0 / static_cast<double>(quorums.size()));
-  return Evaluate(quorums, num_hosts, caps, std::move(probability));
+  return Evaluate(quorums, num_hosts, std::move(probability));
 }
 
 StrategySolution SolveLoadOptimal(const std::vector<StrategyQuorum>& quorums,
-                                  size_t num_hosts, const std::vector<double>& capacities,
-                                  int f_resilience, int iterations) {
+                                  size_t num_hosts, int iterations) {
   WVOTE_CHECK_MSG(!quorums.empty(), "no quorums to distribute over");
-  const std::vector<double> caps = NormalizedCapacities(num_hosts, capacities);
   const size_t nq = quorums.size();
-  const double floor =
-      f_resilience > 0 ? kResilienceFloorMass / static_cast<double>(nq) : 0.0;
 
   // Minimax load as a zero-sum game: the strategy picks a quorum, an
-  // adversary picks a host, and the payoff is the picked host's
-  // capacity-scaled usage by the picked quorum. Two-sided multiplicative
-  // weights (adversary exponentiates toward loaded hosts, strategy away
-  // from adversary-weighted quorums) converges to the game's value — the
-  // minimax load — in the average iterate. A one-sided update billing each
-  // quorum its busiest member's load is NOT enough: when every quorum
-  // touches some max-loaded host the costs tie and the update freezes at a
-  // non-optimal point (e.g. majority-of-3 with one high-capacity host).
+  // adversary picks a host, and the payoff is the picked host's usage by
+  // the picked quorum. Two-sided multiplicative weights (adversary
+  // exponentiates toward loaded hosts, strategy away from adversary-weighted
+  // quorums) converges to the game's value — the minimax load — in the
+  // average iterate. A one-sided update billing each quorum its busiest
+  // member's load is NOT enough: when every quorum touches some max-loaded
+  // host the costs tie and the update freezes at a non-optimal point.
   std::vector<double> pi(nq, 1.0 / static_cast<double>(nq));
   std::vector<double> w(num_hosts, 1.0 / static_cast<double>(num_hosts));
   std::vector<double> load(num_hosts, 0.0);
@@ -189,7 +124,7 @@ StrategySolution SolveLoadOptimal(const std::vector<StrategyQuorum>& quorums,
     std::fill(load.begin(), load.end(), 0.0);
     for (size_t q = 0; q < nq; ++q) {
       for (uint16_t h : quorums[q].members) {
-        load[h] += p[q] / caps[h];
+        load[h] += p[q];
       }
     }
     double max_load = 0;
@@ -224,7 +159,7 @@ StrategySolution SolveLoadOptimal(const std::vector<StrategyQuorum>& quorums,
     for (size_t q = 0; q < nq; ++q) {
       cost[q] = 0;
       for (uint16_t h : quorums[q].members) {
-        cost[q] += w[h] / caps[h];
+        cost[q] += w[h];
       }
       max_cost = std::max(max_cost, cost[q]);
     }
@@ -261,26 +196,7 @@ StrategySolution SolveLoadOptimal(const std::vector<StrategyQuorum>& quorums,
     }
   }
 
-  if (floor > 0) {
-    // Clamp to the support floor, paying for it proportionally out of the
-    // above-floor mass (one pass is enough: the floor mass is tiny).
-    double deficit = 0;
-    double above = 0;
-    for (double p : best) {
-      if (p < floor) {
-        deficit += floor - p;
-      } else {
-        above += p - floor;
-      }
-    }
-    if (deficit > 0 && above > 0) {
-      const double scale = (above - deficit) / above;
-      for (double& p : best) {
-        p = p < floor ? floor : floor + (p - floor) * scale;
-      }
-    }
-  }
-  return Evaluate(quorums, num_hosts, caps, std::move(best));
+  return Evaluate(quorums, num_hosts, std::move(best));
 }
 
 }  // namespace wvote

@@ -15,6 +15,10 @@ namespace wvote {
 
 namespace {
 
+// Prefix-refresh retries per operation: how many newer configurations one
+// read or write follows before giving up.
+constexpr int kMaxConfigRetries = 3;
+
 // User-declared constructor per the GCC 12 rule in src/sim/task.h: this type
 // travels by value through coroutine plumbing (Task payloads, std::function
 // callbacks).
@@ -272,7 +276,7 @@ double SuiteClient::ProbeShareGini() const {
 
 double SuiteClient::ExpectedMaxShare() const {
   const std::shared_ptr<const ProbingStrategy> strategy =
-      plan_cache_.Peek(options_.strategy.policy);
+      plan_cache_.Peek(options_.strategy);
   if (strategy == nullptr) {
     return 0.0;
   }
@@ -300,9 +304,7 @@ SuiteTransaction SuiteClient::Begin(TraceContext parent) {
 }
 
 std::shared_ptr<const ProbingStrategy> SuiteClient::PlanFor(QuorumStrategy policy) {
-  QuorumStrategySpec spec = options_.strategy;
-  spec.policy = policy;
-  return plan_cache_.Get(config_, spec);
+  return plan_cache_.Get(config_, policy);
 }
 
 void SuiteClient::NoteVersion(HostId host, Version version) {
@@ -339,18 +341,16 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
     std::shared_ptr<SuiteTransaction::State> state, int required_votes, bool exclusive,
     bool want_data) {
   const std::shared_ptr<const ProbingStrategy> strategy_ref =
-      PlanFor(options_.strategy.policy);
+      PlanFor(options_.strategy);
   const std::vector<QuorumCandidate>& plan = strategy_ref->order;
 
-  const bool use_health = health_ != nullptr;
-  const bool hedging = use_health && options_.hedged_probes;
-  const bool adaptive = use_health && options_.adaptive_timeouts;
-  // With breakers armed, the tracker's view of every plan candidate steers
+  const bool tolerant = health_ != nullptr && options_.gray_tolerance;
+  // With gray tolerance armed, the tracker's view of every plan candidate steers
   // the probe order (see ProbeOrder). A gray host with generous timeouts
   // never FAILS, so nothing trips its breaker; its inflated latency demotes
   // it all the same.
   std::vector<ProbeHealth> health;
-  if (use_health && options_.circuit_breakers) {
+  if (tolerant) {
     health.reserve(plan.size());
     for (const QuorumCandidate& c : plan) {
       const bool demoted = health_->ShouldDemote(c.host) ||
@@ -391,7 +391,7 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
     std::vector<QuorumCandidate> targets;
     int planned_votes = out.votes;
     while (next_candidate < order.size() &&
-           (options_.strategy.policy == QuorumStrategy::kBroadcast ||
+           (options_.strategy == QuorumStrategy::kBroadcast ||
             planned_votes < required_votes)) {
       if (consumed.count(next_candidate) != 0) {
         ++next_candidate;
@@ -429,7 +429,7 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
 
       QuorumCandidate backup;  // host kInvalidHost: no hedge
       size_t backup_pos = order.size();
-      if (hedging) {
+      if (tolerant) {
         while (hedge_scan < order.size() && consumed.count(hedge_scan) != 0) {
           ++hedge_scan;
         }
@@ -451,7 +451,7 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
         // hedged call keeps the configured fallback rather than the
         // primary's (possibly fail-fast) adaptive estimate.
         hedge_delay = health_->HedgeDelay(candidate.host, options_.probe_timeout);
-      } else if (adaptive) {
+      } else if (tolerant) {
         timeout = health_->TimeoutFor(candidate.host, options_.probe_timeout);
       }
       probes.push_back(SendProbe(rpc_, std::move(candidate), std::move(backup), backup_pos,
@@ -567,14 +567,14 @@ Task<Result<SuiteReadResp>> SuiteClient::FetchData(
     fetch_span = tracer->StartChild(state->trace, rpc_->host_id(), "phase.fetch");
   }
 
-  // With the breaker knob armed, "cheapest" means observed cost, not the
+  // With gray tolerance armed, "cheapest" means observed cost, not the
   // provisioned link expectation: a gray member whose probe just took 10×
   // its link cost must not keep winning the data fetch on paper numbers.
-  const bool steer = health_ != nullptr && options_.circuit_breakers;
+  const bool tolerant = health_ != nullptr && options_.gray_tolerance;
   while (!members.empty()) {
     auto best = std::min_element(
-        members.begin(), members.end(), [this, steer](const ProbeReply* a, const ProbeReply* b) {
-          if (steer) {
+        members.begin(), members.end(), [this, tolerant](const ProbeReply* a, const ProbeReply* b) {
+          if (tolerant) {
             return health_->EffectiveLatency(a->candidate.host, a->candidate.expected_latency) <
                    health_->EffectiveLatency(b->candidate.host, b->candidate.expected_latency);
           }
@@ -583,7 +583,7 @@ Task<Result<SuiteReadResp>> SuiteClient::FetchData(
     const ProbeReply* member = *best;
     members.erase(best);
     Duration timeout = options_.data_timeout;
-    if (health_ != nullptr && options_.adaptive_timeouts) {
+    if (tolerant) {
       timeout = health_->TimeoutFor(member->candidate.host, options_.data_timeout);
     }
     Result<SuiteReadResp> data = co_await rpc_->Call<TxnReadSuiteReq, SuiteReadResp>(
@@ -628,7 +628,7 @@ void SuiteClient::SpawnRefreshes(const GatherResult& gather, Version current,
                         options_.data_timeout));
     }
   }
-  if (options_.strategy.policy == QuorumStrategy::kBroadcast) {
+  if (options_.strategy == QuorumStrategy::kBroadcast) {
     for (const RepresentativeInfo& rep : config_.representatives) {
       if (rep.weak()) {
         continue;
@@ -661,7 +661,7 @@ Task<Result<std::string>> SuiteClient::DoRead(std::shared_ptr<SuiteTransaction::
     co_return state->read_result->contents;  // repeated read
   }
 
-  for (int attempt = 0; attempt <= options_.max_config_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxConfigRetries; ++attempt) {
     Result<GatherResult> gather = co_await Gather(state, config_.read_quorum, false,
                                                  /*want_data=*/options_.fastpath_reads);
     if (!gather.ok()) {
@@ -753,7 +753,7 @@ Task<Status> SuiteClient::DoCommit(std::shared_ptr<SuiteTransaction::State> stat
     co_return st;
   }
 
-  for (int attempt = 0; attempt <= options_.max_config_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxConfigRetries; ++attempt) {
     Result<GatherResult> gather = co_await Gather(state, config_.write_quorum, true);
     if (!gather.ok()) {
       if (gather.status().code() == StatusCode::kFailedPrecondition) {

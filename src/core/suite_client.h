@@ -45,10 +45,9 @@ namespace wvote {
 struct SuiteClientOptions {
   Duration probe_timeout = Duration::Seconds(2);
   Duration data_timeout = Duration::Seconds(5);
-  // Probing policy plus tuning (capacities, f-resilience); assignable from
-  // a bare QuorumStrategy. Probabilistic policies sample each operation's
-  // quorum from the suite's seeded RNG, so replays stay bit-exact.
-  QuorumStrategySpec strategy = QuorumStrategy::kLowestLatency;
+  // Probing policy. Probabilistic policies sample each operation's quorum
+  // from the suite's seeded RNG, so replays stay bit-exact.
+  QuorumStrategy strategy = QuorumStrategy::kLowestLatency;
   bool background_refresh = true;
   // Fast-path reads: ask the probe target most likely to be both cheapest
   // and current to piggyback its contents on the version reply, making the
@@ -57,28 +56,26 @@ struct SuiteClientOptions {
   // an explicit data fetch. Never weakens strict-quorum semantics.
   bool fastpath_reads = true;
   int max_gather_rounds = 4;    // probe-widening rounds per gather
-  int max_config_retries = 3;   // prefix-refresh retries per operation
 
-  // Gray-failure response knobs. All three default OFF and are inert until
-  // SetHealth() attaches a tracker, so default runs stay schedule-identical
-  // to pre-health builds (the determinism goldens depend on that).
-  //
-  // Per-target probe/data timeouts from the tracker's RTT estimate instead
-  // of the fixed constants above: timeout ≈ srtt + 4·rttvar, backed off
-  // exponentially toward the configured fallback on consecutive failures so
-  // a required-but-slow representative can still be waited on.
-  bool adaptive_timeouts = false;
-  // Version probes hedge to the next-ranked unconsumed candidate after a
-  // p95-ish delay; the first reply wins and the loser is dropped
-  // idempotently at the RPC layer. Vote accounting stays exact: a winning
-  // backup's plan position is marked consumed so widening rounds never
-  // count the same representative twice.
-  bool hedged_probes = false;
-  // Circuit breakers gate probe ORDERING only: a breaker-open host sorts to
-  // the back of the candidate order (and deterministic plans re-rank by
-  // observed latency), but is still probed when its votes are required —
-  // availability never hinges on the advisory signal.
-  bool circuit_breakers = false;
+  // Gray-failure tolerance. Off by default and inert until SetHealth()
+  // attaches a tracker, so default runs stay schedule-identical to
+  // pre-health builds (the determinism goldens depend on that). On, it arms
+  // three responses together:
+  //  - adaptive timeouts: per-target probe/data timeouts from the tracker's
+  //    RTT estimate instead of the fixed constants above (timeout ≈ srtt +
+  //    4·rttvar, backed off exponentially toward the configured fallback on
+  //    consecutive failures so a required-but-slow representative can still
+  //    be waited on). Cluster::AddClient arms the host coordinator's too.
+  //  - hedged probes: version probes hedge to the next-ranked unconsumed
+  //    candidate after a p95-ish delay; the first reply wins and the loser
+  //    is dropped idempotently at the RPC layer. Vote accounting stays
+  //    exact: a winning backup's plan position is marked consumed so
+  //    widening rounds never count the same representative twice.
+  //  - breaker and latency demotion: a breaker-open or latency-inflated host
+  //    sorts to the back of the candidate order (and deterministic plans
+  //    re-rank by observed latency), but is still probed when its votes are
+  //    required — availability never hinges on the advisory signal.
+  bool gray_tolerance = false;
 };
 
 struct SuiteClientStats {
@@ -164,9 +161,8 @@ class SuiteClient {
   // Attaches a weak representative (cache) on this client's host.
   void AttachCache(WeakRepresentative* cache) { cache_ = cache; }
 
-  // Attaches the per-host health tracker consulted by the gray-failure
-  // response knobs (adaptive_timeouts / hedged_probes / circuit_breakers).
-  // Without a tracker the knobs are inert.
+  // Attaches the per-host health tracker consulted by gray_tolerance.
+  // Without a tracker it is inert.
   void SetHealth(HealthTracker* health) { health_ = health; }
   HealthTracker* health() { return health_; }
 
@@ -200,11 +196,8 @@ class SuiteClient {
   RpcEndpoint* rpc() { return rpc_; }
 
   // Swaps the probing policy at runtime (e.g. chaos sweeps rotating
-  // strategies mid-run). Tuning changes (capacities, f_resilience)
-  // invalidate cached strategies automatically even when config_version
-  // does not move; a bare policy change just selects another cached slot.
-  void SetStrategySpec(QuorumStrategySpec spec) { options_.strategy = std::move(spec); }
-  const QuorumStrategySpec& strategy_spec() const { return options_.strategy; }
+  // strategies mid-run); each policy has its own cached strategy slot.
+  void SetStrategy(QuorumStrategy strategy) { options_.strategy = strategy; }
 
   // Observed probe distribution since the last stats reset: this client's
   // probes to `host` divided by all its probes (0 when idle), the max such
@@ -255,8 +248,8 @@ class SuiteClient {
   // This client's probes to `host` since the last stats reset.
   uint64_t ProbeCountOf(const std::string& host) const;
 
-  // Cached probing strategy for this client's config under `policy` with
-  // the options' tuning (built once per config version; see PlanCache).
+  // Cached probing strategy for this client's config under `policy` (built
+  // once per config version; see PlanCache).
   // Shared ownership keeps a strategy alive for gathers suspended across a
   // cache invalidation.
   std::shared_ptr<const ProbingStrategy> PlanFor(QuorumStrategy policy);
@@ -304,7 +297,7 @@ class SuiteClient {
   WeakRepresentative* cache_ = nullptr;
   HealthTracker* health_ = nullptr;
   SuiteClientStats stats_;
-  // Quorum strategies memoized per (config_version, tuning, policy);
+  // Quorum strategies memoized per (config_version, policy);
   // counts builds into stats_.plan_builds.
   PlanCache plan_cache_;
   // Shared host-id / link-latency lookup for plan building, strategy

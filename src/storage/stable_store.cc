@@ -17,8 +17,6 @@ void StableStoreStats::RegisterWith(MetricsRegistry* registry, const MetricLabel
                             &writes_completed);
   registry->RegisterCounter("storage.stable_store.writes_torn", labels, &writes_torn);
   registry->RegisterCounter("storage.stable_store.reads", labels, &reads);
-  registry->RegisterCounter("storage.stable_store.recoveries_from_torn_slot", labels,
-                            &recoveries_from_torn_slot);
   registry->RegisterCounter("storage.group_commit_batches", labels, &group_commit_batches);
   registry->RegisterCounter("storage.group_commit_writes_coalesced", labels,
                             &group_commit_coalesced);
@@ -239,18 +237,9 @@ Task<Status> StableStore::Delete(std::string key, TraceContext ctx) {
   co_return Status::Ok();
 }
 
-const std::string* StableStore::CommittedData(const Page& page) const {
+const std::string* StableStore::CommittedData(const Page& page) {
   const int committed = CommittedSlot(page);
-  if (committed < 0) {
-    return nullptr;
-  }
-  // A torn sibling slot is normal after a crash; count it once on read so
-  // experiments can observe recovery activity.
-  const Slot& other = page.slots[committed == 0 ? 1 : 0];
-  if (!other.valid && !other.data.empty()) {
-    ++const_cast<StableStore*>(this)->stats_.recoveries_from_torn_slot;
-  }
-  return &page.slots[committed].data;
+  return committed < 0 ? nullptr : &page.slots[committed].data;
 }
 
 const std::string* StableStore::PeekCommitted(const std::string& key) const {

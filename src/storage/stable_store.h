@@ -54,7 +54,6 @@ struct StableStoreStats {
   uint64_t writes_completed = 0;  // pages installed by a successful flush
   uint64_t writes_torn = 0;  // in-flight writes lost to a crash
   uint64_t reads = 0;
-  uint64_t recoveries_from_torn_slot = 0;
   uint64_t group_commit_batches = 0;    // flushes (one latency charge each)
   uint64_t group_commit_coalesced = 0;  // writes that joined an open flush
                                         // (latency charges saved)
@@ -165,8 +164,8 @@ class StableStore {
   static bool Verified(const Slot& slot);
   // Index of the verified slot with the highest sequence, or -1.
   static int CommittedSlot(const Page& page);
-  // The committed slot's bytes (null if none), counting a torn sibling.
-  const std::string* CommittedData(const Page& page) const;
+  // The committed slot's bytes (null if none).
+  static const std::string* CommittedData(const Page& page);
 
   // One sampled disk latency, stretched by the gray-disk multiplier.
   Duration SampleLatency(const LatencyModel& model);

@@ -5,6 +5,13 @@
 #include "src/common/check.h"
 
 namespace wvote {
+namespace {
+
+// How long a lock request queues behind a conflicting holder before the
+// caller gives up.
+constexpr Duration kLockWaitTimeout = Duration::Seconds(10);
+
+}  // namespace
 
 void ParticipantStats::RegisterWith(MetricsRegistry* registry, const MetricLabels& labels) {
   registry->RegisterCounter("txn.participant.prepares_ok", labels, &prepares_ok);
@@ -103,13 +110,13 @@ Result<std::string> Participant::PeekCommitted(const std::string& key) const {
 }
 
 Task<Status> Participant::Lock(TxnId txn, std::string key, LockMode mode, TraceContext ctx) {
-  return locks_.Acquire(txn, DataKey(key), mode, options_.lock_wait_timeout, ctx);
+  return locks_.Acquire(txn, DataKey(key), mode, kLockWaitTimeout, ctx);
 }
 
 Task<Result<std::string>> Participant::TxnRead(TxnId txn, std::string key, TraceContext ctx) {
   const std::string data_key = DataKey(key);
   Status st = co_await locks_.Acquire(txn, data_key, LockMode::kShared,
-                                      options_.lock_wait_timeout, ctx);
+                                      kLockWaitTimeout, ctx);
   if (!st.ok()) {
     co_return st;
   }
@@ -242,7 +249,7 @@ Task<void> Participant::Recover() {
       // The table is empty right after a crash, so these grants are
       // immediate; timeouts only matter if two in-doubt records overlap.
       (void)co_await locks_.Acquire(record.txn, DataKey(w.key), LockMode::kExclusive,
-                                    options_.lock_wait_timeout);
+                                    kLockWaitTimeout);
     }
     Spawn(ResolveInDoubt(std::move(record)));
   }

@@ -42,9 +42,6 @@ struct ParticipantStats {
 };
 
 struct ParticipantOptions {
-  // How long a lock request queues behind a conflicting holder before the
-  // caller gives up.
-  Duration lock_wait_timeout = Duration::Seconds(10);
   // Retransmission interval for in-doubt decision inquiries.
   Duration inquiry_interval = Duration::Seconds(1);
   // Orphan-lock lease: locks whose transaction shows no progress for this

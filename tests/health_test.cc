@@ -98,7 +98,7 @@ TEST_F(HealthTest, BreakerLifecycle) {
 
   // Cooldown expiry admits trial traffic; half-open peers are NOT demoted —
   // reaching them is exactly how the trial happens.
-  sim_.RunFor(health_.options().breaker_cooldown + Duration::Millis(1));
+  sim_.RunFor(HealthTracker::kBreakerCooldown + Duration::Millis(1));
   EXPECT_EQ(health_.breaker(kPeer), BreakerState::kHalfOpen);
   EXPECT_FALSE(health_.ShouldDemote(kPeer));
 
@@ -107,7 +107,7 @@ TEST_F(HealthTest, BreakerLifecycle) {
   EXPECT_EQ(health_.breaker(kPeer), BreakerState::kOpen);
   EXPECT_EQ(health_.breaker_opens(), 2u);
 
-  sim_.RunFor(health_.options().breaker_cooldown + Duration::Millis(1));
+  sim_.RunFor(HealthTracker::kBreakerCooldown + Duration::Millis(1));
   EXPECT_EQ(health_.breaker(kPeer), BreakerState::kHalfOpen);
   Ok(Duration::Millis(10));
   EXPECT_EQ(health_.breaker(kPeer), BreakerState::kClosed);
@@ -120,7 +120,7 @@ TEST_F(HealthTest, EstimatorReseedsAfterIdleGap) {
   // crawling down by EWMA over dozens.
   Ok(Duration::Millis(40));
   EXPECT_EQ(health_.Srtt(kPeer), Duration::Millis(40));
-  sim_.RunFor(health_.options().sample_staleness + Duration::Seconds(1));
+  sim_.RunFor(HealthTracker::kSampleStaleness + Duration::Seconds(1));
   Ok(Duration::Millis(5));
   EXPECT_EQ(health_.Srtt(kPeer), Duration::Millis(5));
 }
@@ -152,7 +152,7 @@ TEST_F(HealthTest, StaleObservationsAreForgiven) {
   Ok(Duration::Millis(40));
   EXPECT_EQ(health_.EffectiveLatency(kPeer, Duration::Millis(4)), Duration::Millis(40));
   EXPECT_TRUE(health_.LatencyDemoted(kPeer, Duration::Millis(4)));
-  sim_.RunFor(health_.options().sample_staleness + Duration::Seconds(1));
+  sim_.RunFor(HealthTracker::kSampleStaleness + Duration::Seconds(1));
   // Unprobed long enough: the provisioned cost wins again, so the planner
   // will try the host and discover whether it healed.
   EXPECT_EQ(health_.EffectiveLatency(kPeer, Duration::Millis(4)), Duration::Millis(4));

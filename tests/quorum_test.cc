@@ -234,35 +234,6 @@ TEST(PlanCacheTest, ExplicitInvalidateForcesRebuild) {
   EXPECT_EQ(builds, 2u);
 }
 
-TEST(PlanCacheTest, CapacityChangeInvalidatesWithoutVersionBump) {
-  SuiteConfig cfg = MakeConfig({{"a", 1}, {"b", 1}, {"c", 1}}, 2, 2);
-  cfg.config_version = 7;
-  uint64_t builds = 0;
-  PlanCache cache(LatencyMap({{"a", Duration::Millis(1)},
-                              {"b", Duration::Millis(2)},
-                              {"c", Duration::Millis(3)}}),
-                  &builds);
-  QuorumStrategySpec spec(QuorumStrategy::kLoadOptimal);
-  auto p1 = cache.Get(cfg, spec);
-  EXPECT_EQ(builds, 1u);
-
-  // Same config version, new capacity vector: the cached distribution is
-  // tuned for the old capacities and must be rebuilt.
-  spec.capacities = {{"a", 2.0}};
-  auto p2 = cache.Get(cfg, spec);
-  EXPECT_EQ(builds, 2u);
-  EXPECT_NE(p1.get(), p2.get());
-
-  // Same tuning again: cached.
-  cache.Get(cfg, spec);
-  EXPECT_EQ(builds, 2u);
-
-  // f_resilience is tuning too.
-  spec.f_resilience = 1;
-  cache.Get(cfg, spec);
-  EXPECT_EQ(builds, 3u);
-}
-
 TEST(PlanCacheTest, ProbabilisticPoliciesCarryDistributions) {
   SuiteConfig cfg = MakeConfig({{"a", 2}, {"b", 1}, {"c", 1}, {"d", 1}}, 2, 4);
   cfg.config_version = 1;

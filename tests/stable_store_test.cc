@@ -84,17 +84,12 @@ TEST_F(StableStoreTest, CrashDuringWritePreservesOldValue) {
 
   host_->Restart();
   EXPECT_EQ(store_.ReadCommitted("k").value(), "stable");
-  // A tear clears the slot's bytes, and recoveries_from_torn_slot counts
-  // only a torn sibling that still holds bytes: reads past a tear leave it
-  // at zero.
-  EXPECT_EQ(store_.stats().recoveries_from_torn_slot, 0u);
   // The rewrite reuses the torn slot and the next write goes back to the
   // first one; each read returns the newest complete value.
   ASSERT_TRUE(RunWrite("k", "second").ok());
   EXPECT_EQ(RunRead("k").value(), "second");
   ASSERT_TRUE(RunWrite("k", "third").ok());
   EXPECT_EQ(RunRead("k").value(), "third");
-  EXPECT_EQ(store_.stats().recoveries_from_torn_slot, 0u);
 }
 
 TEST_F(StableStoreTest, CrashDuringFirstEverWriteLeavesNothing) {
@@ -324,7 +319,6 @@ TEST_F(StableStoreTest, InjectedTornFlushSurfacesOldValueNeverTornMix) {
   // Two-slot careful write: the torn flush never reached the committed
   // slot, so recovery sees the complete old value — not a torn mix.
   EXPECT_EQ(store_.ReadCommitted("k").value(), "old");
-  EXPECT_EQ(store_.stats().recoveries_from_torn_slot, 0u);
   EXPECT_FALSE(store_.faults().tear_next_flush);  // one-shot, consumed
   // The next flush is healthy again and installs the complete new value.
   ASSERT_TRUE(RunWrite("k", "new").ok());

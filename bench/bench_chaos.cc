@@ -143,8 +143,8 @@ int RunSweep(int seeds_per_cell, MetricsMode metrics_mode) {
     }
   }
   // Strategy-rotation sweep: the same checker, but every workload client is
-  // cycled through the probing policies (cheapest -> uniform -> load-optimal
-  // -> fewest-messages) mid-run while the nemesis is active. Rotation only
+  // cycled through the probing policies (cheapest -> load-optimal ->
+  // fewest-messages) mid-run while the nemesis is active. Rotation only
   // changes which current representatives a quorum is gathered from — the
   // consistency spec (R-VALUE, RW-ORDER, convergence) must hold across every
   // switch, including switches racing crashes and partitions.

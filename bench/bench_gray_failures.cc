@@ -234,26 +234,6 @@ void AppendScenarioJson(std::string* json, const char* name, const GrayResult& r
   *json += buf;
 }
 
-// Same string-search-not-a-JSON-library pattern as the other bench guards.
-double ParseCommittedDouble(const std::string& json, const char* key) {
-  const size_t at = json.find(key);
-  WVOTE_CHECK_MSG(at != std::string::npos, "baseline file is missing a guard key");
-  return std::strtod(json.c_str() + at + std::strlen(key), nullptr);
-}
-
-std::string ReadWholeFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  WVOTE_CHECK_MSG(f != nullptr, "cannot open --baseline file");
-  std::string out;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.append(buf, n);
-  }
-  std::fclose(f);
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -325,7 +305,7 @@ int main(int argc, char** argv) {
   if (!baseline_path.empty()) {
     const std::string committed = ReadWholeFile(baseline_path);
     const double committed_improvement =
-        ParseCommittedDouble(committed, "\"guard_improvement_x\":");
+        CommittedValue(committed, "\"guard_improvement_x\":");
     const double floor = committed_improvement * 0.7;
     std::printf(
         "regression guard: measured improvement %.2fx vs committed %.2fx (floor %.2fx), "

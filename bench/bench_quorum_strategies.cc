@@ -220,29 +220,6 @@ void PrintRow(const char* scenario, const char* policy, const PolicyResult& r) {
               r.reads.Percentile(99).ToMillis());
 }
 
-// ---------------------------------------------------------------------------
-// Regression guard (same string-search-not-a-JSON-library pattern as
-// bench_sim_core): the committed steady/load-optimal max probe share.
-double ParseCommittedMaxShare(const std::string& json) {
-  const char* key = "\"guard_max_share\":";
-  const size_t at = json.find(key);
-  WVOTE_CHECK_MSG(at != std::string::npos, "baseline file has no \"guard_max_share\" key");
-  return std::strtod(json.c_str() + at + std::strlen(key), nullptr);
-}
-
-std::string ReadWholeFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  WVOTE_CHECK_MSG(f != nullptr, "cannot open --baseline file");
-  std::string out;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.append(buf, n);
-  }
-  std::fclose(f);
-  return out;
-}
-
 void AppendPolicyJson(std::string* json, const char* policy, const PolicyResult& r) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
@@ -338,7 +315,7 @@ int main(int argc, char** argv) {
   WriteTimeseries();
 
   if (!baseline_path.empty()) {
-    const double committed = ParseCommittedMaxShare(ReadWholeFile(baseline_path));
+    const double committed = CommittedValue(ReadWholeFile(baseline_path), "\"guard_max_share\":");
     const double limit = committed * 1.25;
     std::printf("regression guard: measured max share %.3f vs committed %.3f (limit %.3f)\n",
                 opt.max_share, committed, limit);

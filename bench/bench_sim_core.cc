@@ -218,29 +218,6 @@ double RunQuorumReadRounds(int reads) {
   return reads / secs;
 }
 
-// ---------------------------------------------------------------------------
-// Regression guard: parse "speedup": <x> out of the committed JSON (first
-// occurrence inside the pure_event object) without a JSON library.
-double ParseCommittedSpeedup(const std::string& json) {
-  const char* key = "\"speedup\":";
-  const size_t at = json.find(key);
-  WVOTE_CHECK_MSG(at != std::string::npos, "baseline file has no \"speedup\" key");
-  return std::strtod(json.c_str() + at + std::strlen(key), nullptr);
-}
-
-std::string ReadWholeFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  WVOTE_CHECK_MSG(f != nullptr, "cannot open --baseline file");
-  std::string out;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.append(buf, n);
-  }
-  std::fclose(f);
-  return out;
-}
-
 double Median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v[v.size() / 2];
@@ -334,7 +311,7 @@ int main(int argc, char** argv) {
       cancel_eps, echo.calls_per_sec, echo.sim_events_per_call, quorum_rps);
 
   if (!baseline_path.empty()) {
-    const double committed = ParseCommittedSpeedup(ReadWholeFile(baseline_path));
+    const double committed = CommittedValue(ReadWholeFile(baseline_path), "\"speedup\":");
     const double floor = committed * 0.7;
     std::printf("regression guard: measured speedup %.2fx vs committed %.2fx (floor %.2fx)\n",
                 speedup, committed, floor);

@@ -9,6 +9,7 @@
 #define WVOTE_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -300,6 +301,29 @@ inline LatencyHistogram TimeWrites(Cluster& cluster, SuiteClient* client, int n,
     hist.Record(cluster.sim().Now() - t0);
   }
   return hist;
+}
+
+// Regression guards: a bench run with --baseline=FILE compares what it
+// measured against a committed BENCH_*.json.
+inline std::string ReadWholeFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  WVOTE_CHECK_MSG(f != nullptr, "cannot open --baseline file");
+  std::string out;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    out.append(buf, n);
+  }
+  std::fclose(f);
+  return out;
+}
+
+// The number after the first occurrence of `key` (quotes and colon
+// included) in a committed baseline; a string search, not a JSON parser.
+inline double CommittedValue(const std::string& json, const char* key) {
+  const size_t at = json.find(key);
+  WVOTE_CHECK_MSG(at != std::string::npos, "baseline file is missing a guard key");
+  return std::strtod(json.c_str() + at + std::strlen(key), nullptr);
 }
 
 inline void PrintRule(int width = 110) {

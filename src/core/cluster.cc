@@ -15,9 +15,6 @@ Cluster::Cluster(ClusterOptions options)
   // network at construction time.
   net_.SetTracer(&tracer_);
   tracer_.RegisterMetrics(&metrics_);
-  if (options_.slow_op_threshold > Duration::Zero()) {
-    tracer_.SetSlowOpLog(&trace_, options_.slow_op_threshold);
-  }
   tracer_.SetHostNamer([this](HostId id) {
     Host* host = net_.host(id);
     return host != nullptr ? host->name() : std::to_string(id);

@@ -36,9 +36,6 @@ struct ClusterOptions {
   // Applied to every client host's 2PC coordinator (e.g. sync_phase2 for
   // runs that must execute the literal 3-RTT commit).
   CoordinatorOptions coordinator_options;
-  // Root spans outliving this dump their whole span tree into the TraceLog
-  // (TraceKind::kSlowOp). Zero disables the slow-op log.
-  Duration slow_op_threshold = Duration::Zero();
   // Sim-time metrics scraping (the time-series layer). Zero disables; a
   // positive resolution attaches a Scraper to the simulator metronome at
   // construction (EnableScraping does the same after construction).

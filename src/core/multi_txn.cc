@@ -8,56 +8,53 @@
 namespace wvote {
 
 MultiSuiteTransaction::MultiSuiteTransaction(Coordinator* coordinator)
-    : coordinator_(coordinator), txn_(coordinator->Begin()) {}
+    : txn_(coordinator->Begin()) {}
 
 MultiSuiteTransaction::~MultiSuiteTransaction() {
-  if (!finished_) {
-    // Best-effort cleanup for abandoned transactions, mirroring
-    // SuiteTransaction's destructor.
-    finished_ = true;
-    for (auto& [client, entry] : entries_) {
-      if (entry.state && !entry.state->finished) {
-        Spawn(entry.client->DoAbort(entry.state));
-      }
-    }
+  // Best-effort cleanup for abandoned transactions, mirroring
+  // SuiteTransaction's destructor.
+  if (!finished_ && !states_.empty()) {
+    Spawn(SuiteClient::DoAbort(states_));
   }
 }
 
-MultiSuiteTransaction::SuiteEntry& MultiSuiteTransaction::EntryFor(SuiteClient* suite) {
-  SuiteEntry& entry = entries_[suite];
-  if (!entry.state) {
-    if (!trace_opened_) {
-      trace_opened_ = true;
-      tracer_ = suite->net_->tracer();
-      if (tracer_ != nullptr) {
-        trace_ = tracer_->StartRoot(suite->rpc_->host_id(), "client.multi");
-        if (trace_.valid()) {
-          tracer_->Annotate(trace_, "txn=" + txn_.ToString());
-        }
+const std::shared_ptr<SuiteTransaction::State>& MultiSuiteTransaction::StateFor(
+    SuiteClient* suite) {
+  for (const std::shared_ptr<SuiteTransaction::State>& state : states_) {
+    if (state->client == suite) {
+      return state;
+    }
+  }
+  WVOTE_CHECK_MSG(suite->rpc_->host_id() == txn_.coordinator,
+                  "every suite of a transaction must use its coordinator's host");
+  if (states_.empty()) {
+    if (Tracer* tracer = suite->net_->tracer()) {
+      trace_ = tracer->StartRoot(suite->rpc_->host_id(), "client.multi");
+      if (trace_.valid()) {
+        tracer->Annotate(trace_, "txn=" + txn_.ToString());
       }
     }
-    entry.client = suite;
-    entry.state = std::make_shared<SuiteTransaction::State>();
-    entry.state->client = suite;
-    entry.state->txn = txn_;  // the SAME transaction everywhere
-    entry.state->trace = trace_;  // ... and the same span tree
   }
-  return entry;
+  auto state = std::make_shared<SuiteTransaction::State>();
+  state->client = suite;
+  state->txn = txn_;      // the SAME transaction everywhere
+  state->trace = trace_;  // ... and the same span tree
+  states_.push_back(std::move(state));
+  return states_.back();
 }
 
 Task<Result<std::string>> MultiSuiteTransaction::Read(SuiteClient* suite) {
   if (finished_) {
     co_return FailedPreconditionError("transaction already finished");
   }
-  SuiteEntry& entry = EntryFor(suite);
-  co_return co_await suite->DoRead(entry.state);
+  co_return co_await suite->DoRead(StateFor(suite));
 }
 
 Status MultiSuiteTransaction::Write(SuiteClient* suite, std::string contents) {
   if (finished_) {
     return FailedPreconditionError("transaction already finished");
   }
-  EntryFor(suite).state->pending_write = std::move(contents);
+  StateFor(suite)->pending_write = std::move(contents);
   return Status::Ok();
 }
 
@@ -65,46 +62,11 @@ Task<Status> MultiSuiteTransaction::Commit() {
   if (finished_) {
     co_return FailedPreconditionError("transaction already finished");
   }
-
-  // Phase 0: gather an exclusive write quorum for every written suite. All
-  // gathers share txn_, so wait-die resolves cross-suite lock conflicts.
-  std::map<HostId, std::vector<WriteIntent>> writes;
-  for (auto& [client, entry] : entries_) {
-    if (!entry.state->pending_write) {
-      continue;
-    }
-    Result<SuiteClient::GatherResult> gather =
-        co_await client->Gather(entry.state, client->config().write_quorum,
-                                /*exclusive=*/true);
-    if (!gather.ok()) {
-      co_await Abort();
-      co_return gather.status();
-    }
-    const Version next = gather.value().current + 1;
-    const SharedPayload bytes(
-        VersionedValue{next, *entry.state->pending_write}.Serialize());
-    for (const auto& reply : gather.value().replies) {
-      writes[reply.candidate.host].push_back(
-          WriteIntent(SuiteValueKey(client->config().suite_name), bytes));
-    }
-  }
-
-  // Everything we locked anywhere but are not writing gets released.
-  std::set<HostId> release;
-  for (auto& [client, entry] : entries_) {
-    const std::set<HostId> per_suite = entry.state->ReleaseSet();
-    release.insert(per_suite.begin(), per_suite.end());
-    entry.state->finished = true;
-  }
-  std::vector<HostId> read_only = ReadOnlyHosts(release, writes);
-
   finished_ = true;
-  Status st = co_await coordinator_->CommitTransaction(txn_, std::move(writes),
-                                                       std::move(read_only), trace_);
-  if (tracer_ != nullptr) {
-    tracer_->EndWith(trace_, st.ok() ? "committed" : st.ToString());
+  if (states_.empty()) {
+    co_return Status::Ok();  // touched nothing: nothing to end
   }
-  co_return st;
+  co_return co_await SuiteClient::DoCommit(states_);
 }
 
 Task<void> MultiSuiteTransaction::Abort() {
@@ -112,16 +74,8 @@ Task<void> MultiSuiteTransaction::Abort() {
     co_return;
   }
   finished_ = true;
-  std::set<HostId> release;
-  for (auto& [client, entry] : entries_) {
-    const std::set<HostId> per_suite = entry.state->ReleaseSet();
-    release.insert(per_suite.begin(), per_suite.end());
-    entry.state->finished = true;
-  }
-  std::vector<HostId> targets(release.begin(), release.end());
-  co_await coordinator_->AbortTransaction(txn_, std::move(targets), trace_);
-  if (tracer_ != nullptr) {
-    tracer_->EndWith(trace_, "aborted");
+  if (!states_.empty()) {
+    co_await SuiteClient::DoAbort(states_);
   }
 }
 

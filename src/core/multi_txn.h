@@ -14,9 +14,9 @@
 #ifndef WVOTE_SRC_CORE_MULTI_TXN_H_
 #define WVOTE_SRC_CORE_MULTI_TXN_H_
 
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/suite_client.h"
 
@@ -24,8 +24,6 @@ namespace wvote {
 
 class MultiSuiteTransaction {
  public:
-  // `suites` name the participating clients; keys are only labels for the
-  // caller's convenience (commonly the suite names).
   explicit MultiSuiteTransaction(Coordinator* coordinator);
   ~MultiSuiteTransaction();
 
@@ -49,22 +47,16 @@ class MultiSuiteTransaction {
   bool finished() const { return finished_; }
 
  private:
-  struct SuiteEntry {
-    SuiteClient* client = nullptr;
-    std::shared_ptr<SuiteTransaction::State> state;
-  };
+  // `suite`'s part of the transaction, made at its first touch.
+  const std::shared_ptr<SuiteTransaction::State>& StateFor(SuiteClient* suite);
 
-  SuiteEntry& EntryFor(SuiteClient* suite);
-
-  Coordinator* coordinator_;
   TxnId txn_;
   bool finished_ = false;
-  std::map<SuiteClient*, SuiteEntry> entries_;
+  // One state per touched suite, in first-touch order.
+  std::vector<std::shared_ptr<SuiteTransaction::State>> states_;
   // Root span for the whole cross-suite transaction; every suite's phase
-  // spans parent here. Opened lazily at the first suite touch (the
-  // constructor has no Network to ask for the tracer).
-  bool trace_opened_ = false;
-  Tracer* tracer_ = nullptr;
+  // spans parent here. Opened at the first suite touch (the constructor has
+  // no Network to ask for the tracer).
   TraceContext trace_;
 };
 

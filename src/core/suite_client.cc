@@ -111,7 +111,7 @@ T& SlotFor(std::vector<T>& by_host, HostId host) {
 
 SuiteTransaction::~SuiteTransaction() {
   if (state_ && !state_->finished) {
-    Spawn(state_->client->DoAbort(state_));
+    Spawn(SuiteClient::DoAbort({&state_, 1}));
   }
 }
 
@@ -141,9 +141,9 @@ Status SuiteTransaction::Write(std::string contents) {
   return Status::Ok();
 }
 
-Task<Status> SuiteTransaction::Commit() { return state_->client->DoCommit(state_); }
+Task<Status> SuiteTransaction::Commit() { return SuiteClient::DoCommit({&state_, 1}); }
 
-Task<void> SuiteTransaction::Abort() { return state_->client->DoAbort(state_); }
+Task<void> SuiteTransaction::Abort() { return SuiteClient::DoAbort({&state_, 1}); }
 
 bool SuiteTransaction::finished() const { return !state_ || state_->finished; }
 
@@ -338,8 +338,8 @@ size_t SuiteClient::PickFastPathTarget(const std::vector<QuorumCandidate>& targe
 }
 
 Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
-    std::shared_ptr<SuiteTransaction::State> state, int required_votes, bool exclusive,
-    bool want_data) {
+    std::shared_ptr<SuiteTransaction::State> state, bool exclusive, bool want_data) {
+  const int required_votes = exclusive ? config_.write_quorum : config_.read_quorum;
   const std::shared_ptr<const ProbingStrategy> strategy_ref =
       PlanFor(options_.strategy);
   const std::vector<QuorumCandidate>& plan = strategy_ref->order;
@@ -472,17 +472,13 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
           }
           return votes >= required_votes;
         };
-    // Stragglers acquired locks after we stopped waiting: track them while
-    // the transaction lives, release them if it is already over.
+    // Stragglers acquired locks after we stopped waiting. They are already
+    // in `probed`, so the transaction's end releases them; one that answers
+    // after the end is released here.
     std::function<void(ProbeOutcome)> leftover =
         [state, rpc = rpc_, timeout = options_.probe_timeout](ProbeOutcome o) {
-          if (!o.result.ok()) {
-            return;
-          }
-          if (state->finished) {
+          if (o.result.ok() && state->finished) {
             Spawn(ReleaseLateLocks(rpc, o.candidate.host, state->txn, timeout));
-          } else {
-            state->participants.insert(o.candidate.host);
           }
         };
 
@@ -494,7 +490,6 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
         if (o.backup_won) {
           consumed.insert(o.backup_position);
         }
-        state->participants.insert(o.candidate.host);
         out.votes += o.candidate.votes;
         out.current = std::max(out.current, o.result.value().version);
         out.max_config_version =
@@ -650,6 +645,19 @@ void SuiteClient::SpawnRefreshes(const GatherResult& gather, Version current,
   }
 }
 
+Task<Result<SuiteClient::GatherResult>> SuiteClient::GatherFollowingConfig(
+    std::shared_ptr<SuiteTransaction::State> state, bool exclusive, bool want_data) {
+  for (int attempt = 0; attempt <= kMaxConfigRetries; ++attempt) {
+    Result<GatherResult> gather = co_await Gather(state, exclusive, want_data);
+    if (gather.ok() || gather.status().code() != StatusCode::kFailedPrecondition) {
+      co_return gather;
+    }
+    WVOTE_CO_RETURN_IF_ERROR(co_await RefreshConfigFromPrefix());
+  }
+  co_return FailedPreconditionError(exclusive ? "configuration kept changing during commit"
+                                              : "configuration kept changing during read");
+}
+
 Task<Result<std::string>> SuiteClient::DoRead(std::shared_ptr<SuiteTransaction::State> state) {
   if (state->finished) {
     co_return FailedPreconditionError("transaction already finished");
@@ -661,160 +669,177 @@ Task<Result<std::string>> SuiteClient::DoRead(std::shared_ptr<SuiteTransaction::
     co_return state->read_result->contents;  // repeated read
   }
 
-  for (int attempt = 0; attempt <= kMaxConfigRetries; ++attempt) {
-    Result<GatherResult> gather = co_await Gather(state, config_.read_quorum, false,
-                                                 /*want_data=*/options_.fastpath_reads);
-    if (!gather.ok()) {
-      if (gather.status().code() == StatusCode::kFailedPrecondition) {
-        WVOTE_CO_RETURN_IF_ERROR(co_await RefreshConfigFromPrefix());
-        continue;
-      }
-      co_return gather.status();
-    }
-    ++stats_.reads;
-    const Version current = gather.value().current;
-
-    if (current == 0) {
-      // Never written: reads as empty.
-      state->read_result = VersionedValue{0, ""};
-      co_return std::string();
-    }
-
-    if (cache_ != nullptr) {
-      const std::string* cached = cache_->Lookup(config_.suite_name, current);
-      if (cached != nullptr) {
-        ++stats_.cache_hits;
-        state->read_result = VersionedValue{current, *cached};
-        SpawnRefreshes(gather.value(), current, *cached);
-        co_return *cached;
-      }
-    }
-
-    if (options_.fastpath_reads) {
-      // Fast path: a probe piggybacked its contents and the gathered quorum
-      // proves that copy current — the read is done in one round trip. This
-      // is exactly Gifford's read rule with the data transfer overlapped
-      // into the version poll; the currency decision is unchanged.
-      for (ProbeReply& r : gather.value().replies) {
-        if (r.resp.has_data && r.resp.version == current) {
-          ++stats_.fastpath_hits;
-          if (Tracer* tracer = net_->tracer()) {
-            tracer->Annotate(state->trace, "fastpath-hit");
-          }
-          // The avoided fetch reply would have cost SuiteReadResp wire bytes.
-          stats_.fastpath_bytes_saved += 64 + r.resp.contents.size();
-          if (cache_ != nullptr) {
-            cache_->Update(config_.suite_name, current, r.resp.contents);
-          }
-          SpawnRefreshes(gather.value(), current, r.resp.contents);
-          state->read_result = VersionedValue{current, std::move(r.resp.contents)};
-          co_return state->read_result->contents;
-        }
-      }
-      // Piggybacked copy stale, lost, or never requested: pay the explicit
-      // fetch from a proven-current member.
-      ++stats_.fastpath_misses;
-      if (Tracer* tracer = net_->tracer()) {
-        tracer->Annotate(state->trace, "fastpath-miss");
-      }
-    }
-
-    Result<SuiteReadResp> data = co_await FetchData(state, gather.value());
-    if (!data.ok()) {
-      co_return data.status();
-    }
-    if (cache_ != nullptr) {
-      cache_->Update(config_.suite_name, current, data.value().contents);
-    }
-    SpawnRefreshes(gather.value(), current, data.value().contents);
-    state->read_result = VersionedValue{current, data.value().contents};
-    co_return std::move(data.value().contents);
+  Result<GatherResult> gather =
+      co_await GatherFollowingConfig(state, /*exclusive=*/false, options_.fastpath_reads);
+  if (!gather.ok()) {
+    co_return gather.status();
   }
-  co_return FailedPreconditionError("configuration kept changing during read");
+  ++stats_.reads;
+  const Version current = gather.value().current;
+
+  if (current == 0) {
+    // Never written: reads as empty.
+    state->read_result = VersionedValue{0, ""};
+    co_return std::string();
+  }
+
+  if (cache_ != nullptr) {
+    const std::string* cached = cache_->Lookup(config_.suite_name, current);
+    if (cached != nullptr) {
+      ++stats_.cache_hits;
+      state->read_result = VersionedValue{current, *cached};
+      SpawnRefreshes(gather.value(), current, *cached);
+      co_return *cached;
+    }
+  }
+
+  if (options_.fastpath_reads) {
+    // Fast path: a probe piggybacked its contents and the gathered quorum
+    // proves that copy current — the read is done in one round trip. This
+    // is exactly Gifford's read rule with the data transfer overlapped
+    // into the version poll; the currency decision is unchanged.
+    for (ProbeReply& r : gather.value().replies) {
+      if (r.resp.has_data && r.resp.version == current) {
+        ++stats_.fastpath_hits;
+        if (Tracer* tracer = net_->tracer()) {
+          tracer->Annotate(state->trace, "fastpath-hit");
+        }
+        // The avoided fetch reply would have cost SuiteReadResp wire bytes.
+        stats_.fastpath_bytes_saved += 64 + r.resp.contents.size();
+        if (cache_ != nullptr) {
+          cache_->Update(config_.suite_name, current, r.resp.contents);
+        }
+        SpawnRefreshes(gather.value(), current, r.resp.contents);
+        state->read_result = VersionedValue{current, std::move(r.resp.contents)};
+        co_return state->read_result->contents;
+      }
+    }
+    // Piggybacked copy stale, lost, or never requested: pay the explicit
+    // fetch from a proven-current member.
+    ++stats_.fastpath_misses;
+    if (Tracer* tracer = net_->tracer()) {
+      tracer->Annotate(state->trace, "fastpath-miss");
+    }
+  }
+
+  Result<SuiteReadResp> data = co_await FetchData(state, gather.value());
+  if (!data.ok()) {
+    co_return data.status();
+  }
+  if (cache_ != nullptr) {
+    cache_->Update(config_.suite_name, current, data.value().contents);
+  }
+  SpawnRefreshes(gather.value(), current, data.value().contents);
+  state->read_result = VersionedValue{current, data.value().contents};
+  co_return std::move(data.value().contents);
 }
 
-Task<Status> SuiteClient::DoCommit(std::shared_ptr<SuiteTransaction::State> state) {
-  if (state->finished) {
+Task<Status> SuiteClient::DoCommit(States states,
+                                   std::map<HostId, std::vector<WriteIntent>> writes) {
+  const SuiteTransaction::State& first = *states.front();
+  if (first.finished) {
     co_return FailedPreconditionError("transaction already finished");
   }
 
-  if (!state->pending_write) {
-    // Read-only: release locks at every host we may have locked (including
-    // probes that timed out client-side but were granted server-side).
-    state->finished = true;
-    ++stats_.commits;
-    const std::set<HostId> release = state->ReleaseSet();
-    std::vector<HostId> read_only(release.begin(), release.end());
-    Status st = co_await coordinator_->CommitTransaction(state->txn, {},
-                                                         std::move(read_only), state->trace);
-    if (Tracer* tracer = net_->tracer()) {
-      tracer->EndWith(state->trace, "committed read-only");
+  // A write quorum for every written suite. The gathers share one TxnId, so
+  // wait-die also resolves lock conflicts across suites.
+  for (const std::shared_ptr<SuiteTransaction::State>& state : states) {
+    if (!state->pending_write) {
+      continue;
     }
-    co_return st;
-  }
-
-  for (int attempt = 0; attempt <= kMaxConfigRetries; ++attempt) {
-    Result<GatherResult> gather = co_await Gather(state, config_.write_quorum, true);
+    SuiteClient* client = state->client;
+    Result<GatherResult> gather =
+        co_await client->GatherFollowingConfig(state, /*exclusive=*/true);
     if (!gather.ok()) {
-      if (gather.status().code() == StatusCode::kFailedPrecondition) {
-        WVOTE_CO_RETURN_IF_ERROR(co_await RefreshConfigFromPrefix());
-        continue;
-      }
-      co_await DoAbort(state);
+      co_await DoAbort(states);
       co_return gather.status();
     }
-    ++stats_.writes;
-
-    const Version next = gather.value().current + 1;
+    ++client->stats_.writes;
+    state->write_quorum = std::move(gather.value());
     // Serialize the versioned value exactly once per commit; every quorum
     // member's intent (and every message hop) shares the one buffer.
-    SharedPayload payload(VersionedValue{next, *state->pending_write}.Serialize());
-    stats_.commit_bytes_serialized += payload.size();
-
-    std::map<HostId, std::vector<WriteIntent>> writes;
-    for (const ProbeReply& r : gather.value().replies) {
-      writes[r.candidate.host] = {WriteIntent{SuiteValueKey(config_.suite_name), payload}};
+    const SharedPayload payload(
+        VersionedValue{state->write_quorum.current + 1, *state->pending_write}.Serialize());
+    client->stats_.commit_bytes_serialized += payload.size();
+    for (const ProbeReply& r : state->write_quorum.replies) {
+      writes[r.candidate.host].push_back(
+          WriteIntent(SuiteValueKey(client->config_.suite_name), payload));
     }
-    std::vector<HostId> read_only = ReadOnlyHosts(state->ReleaseSet(), writes);
-
-    state->finished = true;
-    Status st = co_await coordinator_->CommitTransaction(state->txn, std::move(writes),
-                                                         std::move(read_only), state->trace);
-    if (st.ok()) {
-      ++stats_.commits;
-      state->committed_version = next;
-      // The write quorum now holds `next`; remember that for future
-      // fast-path targeting.
-      for (const ProbeReply& r : gather.value().replies) {
-        NoteVersion(r.candidate.host, next);
-      }
-      if (cache_ != nullptr) {
-        cache_->Update(config_.suite_name, next, *state->pending_write);
-      }
-    } else {
-      ++stats_.aborts;
-    }
-    if (Tracer* tracer = net_->tracer()) {
-      tracer->EndWith(state->trace,
-                      st.ok() ? "committed v" + std::to_string(next) : st.ToString());
-    }
-    co_return st;
   }
-  co_await DoAbort(state);
-  co_return FailedPreconditionError("configuration kept changing during commit");
+
+  // Every other probed host only needs its locks released, once (probes
+  // that timed out client-side may still have been granted server-side).
+  std::vector<HostId> read_only;
+  for (const std::shared_ptr<SuiteTransaction::State>& state : states) {
+    state->finished = true;
+    for (HostId host : state->probed) {
+      if (writes.count(host) == 0 &&
+          std::find(read_only.begin(), read_only.end(), host) == read_only.end()) {
+        read_only.push_back(host);
+      }
+    }
+  }
+  const bool wrote = !writes.empty();
+  Status st = co_await first.client->coordinator_->CommitTransaction(
+      first.txn, std::move(writes), std::move(read_only), first.trace);
+
+  for (const std::shared_ptr<SuiteTransaction::State>& state : states) {
+    SuiteClient* client = state->client;
+    if (!st.ok()) {
+      ++client->stats_.aborts;
+      continue;
+    }
+    ++client->stats_.commits;
+    if (!state->pending_write) {
+      continue;
+    }
+    const Version next = state->write_quorum.current + 1;
+    state->committed_version = next;
+    // The write quorum now holds `next`; remember that for future fast-path
+    // targeting.
+    for (const ProbeReply& r : state->write_quorum.replies) {
+      client->NoteVersion(r.candidate.host, next);
+    }
+    if (client->cache_ != nullptr) {
+      client->cache_->Update(client->config_.suite_name, next, *state->pending_write);
+    }
+  }
+  Tracer* tracer = first.client->net_->tracer();
+  if (tracer != nullptr && first.trace.valid()) {
+    std::string outcome =
+        st.ok() ? (wrote ? "committed" : "committed read-only") : st.ToString();
+    for (const std::shared_ptr<SuiteTransaction::State>& state : states) {
+      if (state->committed_version != 0) {
+        outcome += " v" + std::to_string(state->committed_version);
+      }
+    }
+    tracer->EndWith(first.trace, outcome);
+  }
+  co_return st;
 }
 
-Task<void> SuiteClient::DoAbort(std::shared_ptr<SuiteTransaction::State> state) {
-  if (state->finished) {
+Task<void> SuiteClient::DoAbort(States states) {
+  const SuiteTransaction::State& first = *states.front();
+  if (first.finished) {
     co_return;
   }
-  state->finished = true;
-  ++stats_.aborts;
-  const std::set<HostId> release = state->ReleaseSet();
-  std::vector<HostId> targets(release.begin(), release.end());
-  co_await coordinator_->AbortTransaction(state->txn, std::move(targets), state->trace);
-  if (Tracer* tracer = net_->tracer()) {
-    tracer->EndWith(state->trace, "aborted");
+  const TxnId txn = first.txn;
+  const TraceContext trace = first.trace;
+  Coordinator* coordinator = first.client->coordinator_;
+  Tracer* tracer = first.client->net_->tracer();
+  std::vector<HostId> targets;
+  for (const std::shared_ptr<SuiteTransaction::State>& state : states) {
+    state->finished = true;
+    ++state->client->stats_.aborts;
+    for (HostId host : state->probed) {
+      if (std::find(targets.begin(), targets.end(), host) == targets.end()) {
+        targets.push_back(host);
+      }
+    }
+  }
+  co_await coordinator->AbortTransaction(txn, std::move(targets), trace);
+  if (tracer != nullptr) {
+    tracer->EndWith(trace, "aborted");
   }
 }
 
@@ -951,9 +976,9 @@ Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
 
   // Write quorum under the OLD configuration (the paper's rule for changing
   // the prefix).
-  Result<GatherResult> gather = co_await Gather(state, config_.write_quorum, true);
+  Result<GatherResult> gather = co_await Gather(state, /*exclusive=*/true);
   if (!gather.ok()) {
-    co_await DoAbort(state);
+    co_await DoAbort({&state, 1});
     co_return gather.status();
   }
 
@@ -962,7 +987,7 @@ Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
   if (gather.value().current > 0) {
     Result<SuiteReadResp> data = co_await FetchData(state, gather.value());
     if (!data.ok()) {
-      co_await DoAbort(state);
+      co_await DoAbort({&state, 1});
       co_return data.status();
     }
     contents = std::move(data.value().contents);
@@ -987,10 +1012,9 @@ Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
         host, LockVersionReq{state->txn, config_.suite_name}, options_.probe_timeout,
         state->trace);
     if (!locked.ok()) {
-      co_await DoAbort(state);
+      co_await DoAbort({&state, 1});
       co_return locked.status();
     }
-    state->participants.insert(host);
     targets.insert(host);
   }
 
@@ -1002,7 +1026,7 @@ Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
         host, LockReq{state->txn, SuitePrefixKey(config_.suite_name), LockMode::kExclusive},
         options_.probe_timeout, state->trace);
     if (!locked.ok()) {
-      co_await DoAbort(state);
+      co_await DoAbort({&state, 1});
       co_return locked.status();
     }
   }
@@ -1017,19 +1041,12 @@ Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
     writes[host] = {WriteIntent{SuitePrefixKey(config_.suite_name), prefix_bytes},
                     WriteIntent{SuiteValueKey(config_.suite_name), value_bytes}};
   }
-  std::vector<HostId> read_only = ReadOnlyHosts(state->ReleaseSet(), writes);
-
-  state->finished = true;
-  Status st = co_await coordinator_->CommitTransaction(state->txn, std::move(writes),
-                                                       std::move(read_only), state->trace);
+  Status st = co_await DoCommit({&state, 1}, std::move(writes));
   if (st.ok()) {
     if (TraceLog* trace = net_->trace()) {
       trace->Record(rpc_->host_id(), TraceKind::kReconfigured, new_config.ToString());
     }
     config_ = std::move(new_config);
-  }
-  if (Tracer* tracer = net_->tracer()) {
-    tracer->EndWith(state->trace, st.ok() ? "installed" : st.ToString());
   }
   co_return st;
 }

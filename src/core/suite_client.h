@@ -27,8 +27,10 @@
 #ifndef WVOTE_SRC_CORE_SUITE_CLIENT_H_
 #define WVOTE_SRC_CORE_SUITE_CLIENT_H_
 
+#include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -114,7 +116,8 @@ class SuiteClient;
 
 // One transaction against one suite. Obtain from SuiteClient::Begin(); end
 // with Commit() or Abort() (Abort also runs from the destructor as a
-// safety net for abandoned transactions).
+// safety net for abandoned transactions). The transaction must outlive the
+// task Commit() returns.
 class SuiteTransaction {
  public:
   SuiteTransaction(SuiteTransaction&&) = default;
@@ -264,12 +267,18 @@ class SuiteClient {
   // already holds the hinted version).
   size_t PickFastPathTarget(const std::vector<QuorumCandidate>& targets) const;
 
-  // Round-based quorum gather; records every lock-holding representative in
-  // the transaction state (including stragglers that reply late). With
-  // `want_data`, one first-round probe asks for piggybacked contents.
+  // Round-based quorum gather for the read quorum (shared locks) or, with
+  // `exclusive`, the write quorum; records every host it probes in the
+  // transaction state, and releases stragglers that answer after the
+  // transaction ended. With `want_data`, one first-round probe asks for
+  // piggybacked contents.
   Task<Result<GatherResult>> Gather(std::shared_ptr<SuiteTransaction::State> state,
-                                    int required_votes, bool exclusive,
-                                    bool want_data = false);
+                                    bool exclusive, bool want_data = false);
+
+  // Gather under the newest configuration: a gather that meets a newer
+  // prefix re-fetches it and starts over, up to kMaxConfigRetries times.
+  Task<Result<GatherResult>> GatherFollowingConfig(
+      std::shared_ptr<SuiteTransaction::State> state, bool exclusive, bool want_data = false);
 
   // Fetches contents from the cheapest current member of `gather`.
   Task<Result<SuiteReadResp>> FetchData(std::shared_ptr<SuiteTransaction::State> state,
@@ -279,8 +288,23 @@ class SuiteClient {
   void SpawnRefreshes(const GatherResult& gather, Version current, std::string contents);
 
   Task<Result<std::string>> DoRead(std::shared_ptr<SuiteTransaction::State> state);
-  Task<Status> DoCommit(std::shared_ptr<SuiteTransaction::State> state);
-  Task<void> DoAbort(std::shared_ptr<SuiteTransaction::State> state);
+
+  // The states of one transaction: one per suite it touched, all sharing
+  // one TxnId, one trace span and the coordinator of the clients' host.
+  using States = std::span<const std::shared_ptr<SuiteTransaction::State>>;
+
+  // The one commit path of every suite transaction. Gathers a write quorum
+  // for each state with a pending write (following newer configurations),
+  // then runs one two-phase commit over those intents plus `writes` and
+  // releases every other probed host. On success each written suite's
+  // client records the new version; on failure every lock is released.
+  // `states` must outlive the returned task.
+  static Task<Status> DoCommit(States states,
+                               std::map<HostId, std::vector<WriteIntent>> writes = {});
+  // The one abort path: releases every probed host of every state. Reads
+  // `states` only before its first suspension, so a destructor may pass
+  // its own members.
+  static Task<void> DoAbort(States states);
   Task<Status> TryReconfigure(SuiteConfig new_config, TxnId txn);
 
   // ReadOnce's and WriteOnce's shared retry loop under one `span_name` root

@@ -7,11 +7,9 @@
 #ifndef WVOTE_SRC_CORE_TXN_STATE_H_
 #define WVOTE_SRC_CORE_TXN_STATE_H_
 
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "src/core/suite_client.h"
 
@@ -23,14 +21,16 @@ struct SuiteTransaction::State {
   SuiteClient* client = nullptr;
   TxnId txn;
   bool finished = false;
-  std::set<HostId> participants;  // every representative holding our locks
   // Every representative we ever sent a lock-taking request to. A probe that
   // times out client-side may still be granted server-side (it queued on the
-  // lock and won later); aborting at every probed host at transaction end is
+  // lock and won later); releasing every probed host at transaction end is
   // what prevents those grants from leaking forever.
   std::set<HostId> probed;
   std::optional<VersionedValue> read_result;
   std::optional<std::string> pending_write;
+  // The write quorum a commit gathered for `pending_write`; the new version
+  // is its `current` + 1.
+  SuiteClient::GatherResult write_quorum;
   // Version installed by a successful write commit (0 until then). Chaos
   // histories pair each acked write with the version it committed at.
   Version committed_version = 0;
@@ -39,28 +39,7 @@ struct SuiteTransaction::State {
   // the phases tile the attempt span exactly — sim time only advances at
   // awaits, and the phases are the awaits.
   TraceContext trace;
-
-  // Union of participants and probed: everything that must see the
-  // transaction end.
-  std::set<HostId> ReleaseSet() const {
-    std::set<HostId> release = participants;
-    release.insert(probed.begin(), probed.end());
-    return release;
-  }
 };
-
-// The read-only participants of a commit: the hosts of `release` that
-// `writes` installs nothing at. They only need their locks released.
-inline std::vector<HostId> ReadOnlyHosts(
-    const std::set<HostId>& release, const std::map<HostId, std::vector<WriteIntent>>& writes) {
-  std::vector<HostId> read_only;
-  for (HostId host : release) {
-    if (writes.find(host) == writes.end()) {
-      read_only.push_back(host);
-    }
-  }
-  return read_only;
-}
 
 }  // namespace wvote
 

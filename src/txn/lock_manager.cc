@@ -274,28 +274,6 @@ void LockManager::ReleaseAll(TxnId txn) {
   }
 }
 
-std::vector<TxnId> LockManager::ReleaseExpired(
-    Duration lease, const std::function<bool(const TxnId&)>& exempt) {
-  const TimePoint cutoff =
-      TimePoint::FromMicros(sim_->Now().ToMicros() - lease.ToMicros());
-  std::vector<TxnId> expired;
-  for (const auto& [key, entry] : table_) {
-    for (const Holder& h : entry.holders) {
-      if (h.granted_at <= cutoff && !exempt(h.txn)) {
-        expired.push_back(h.txn);
-      }
-    }
-  }
-  // Deduplicate and release whole transactions (a txn past its lease is
-  // presumed dead everywhere, not just on one key).
-  std::sort(expired.begin(), expired.end());
-  expired.erase(std::unique(expired.begin(), expired.end()), expired.end());
-  for (const TxnId& txn : expired) {
-    ReleaseAll(txn);
-  }
-  return expired;
-}
-
 void LockManager::Clear() {
   for (auto& [key, entry] : table_) {
     for (Waiter& w : entry.waiters) {

@@ -77,7 +77,9 @@ class LockManager {
 
   // Installs the orphan-lock lease policy: when an Acquire encounters a
   // holder granted more than `lease` ago that `exempt` does not protect, the
-  // holder's transaction is presumed dead and released. Zero disables.
+  // holder's transaction is presumed dead and released. Zero disables. This
+  // is the orphan-lock backstop: a client that crashed or lost its reply
+  // after a probe was granted never sends an explicit release.
   void SetLeasePolicy(Duration lease, std::function<bool(const TxnId&)> exempt);
 
   // Installs the committing-holder wait policy: a younger requester that
@@ -88,15 +90,6 @@ class LockManager {
   // This keeps back-to-back writes from aborting on the short lock tail the
   // asynchronous phase-2 commit leaves behind. Unset = classic wait-die.
   void SetWaitPolicy(std::function<bool(const TxnId&)> committing);
-
-  // Lease sweep: releases every lock granted before `now - lease` whose
-  // holder `exempt` does not protect (prepared transactions must keep their
-  // locks until their 2PC outcome is known). Returns the released holders'
-  // transaction ids. This is the orphan-lock backstop: a client that crashed
-  // or lost its reply after a probe was granted never sends an explicit
-  // release, and without leases that lock would stall the key forever.
-  std::vector<TxnId> ReleaseExpired(Duration lease,
-                                    const std::function<bool(const TxnId&)>& exempt);
 
   // Drops the whole table (host crash).
   void Clear();

@@ -87,11 +87,11 @@ namespace {
 
 constexpr int kOps = 100;
 
-// Allocation ceilings per op: the measured 29 per read and 132.03 per
+// Allocation ceilings per op: the measured 27 per read and 128.05 per
 // write, plus 10% (the protocol stack before frame pooling and one-block
 // RPC envelopes paid 77 and 253.26).
-constexpr double kReadAllocCeiling = 31.9;
-constexpr double kWriteAllocCeiling = 145.2;
+constexpr double kReadAllocCeiling = 29.7;
+constexpr double kWriteAllocCeiling = 140.9;
 // Messages and simulator events for kOps ops plus the drain; these match
 // the stack before those changes exactly.
 constexpr uint64_t kReadMessages = 400;

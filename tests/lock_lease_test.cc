@@ -112,17 +112,6 @@ TEST_F(LockLeaseTest, ExemptionEndsWithCommit) {
   EXPECT_TRUE(AcquireNow(MakeTxn(5000000), "k", LockMode::kExclusive).ok());
 }
 
-TEST_F(LockLeaseTest, ManualSweepAlsoWorks) {
-  ASSERT_TRUE(AcquireNow(MakeTxn(100), "a", LockMode::kShared).ok());
-  ASSERT_TRUE(AcquireNow(MakeTxn(100), "b", LockMode::kShared).ok());
-  sim_.RunFor(Duration::Seconds(60));
-  std::vector<TxnId> swept = participant_->locks().ReleaseExpired(
-      Duration::Seconds(30), [](const TxnId&) { return false; });
-  ASSERT_EQ(swept.size(), 1u);
-  EXPECT_EQ(swept[0], MakeTxn(100));
-  EXPECT_EQ(participant_->locks().num_locked_keys(), 0u);
-}
-
 TEST_F(LockLeaseTest, ZeroLeaseDisablesExpiry) {
   ParticipantOptions opts;
   opts.lock_lease = Duration::Zero();

@@ -76,6 +76,26 @@ TEST_F(MultiTxnTest, AbortLeavesBothSuitesUntouched) {
   EXPECT_EQ(cluster_->RunTask(audit_client_->ReadOnce()).value(), "log:");
 }
 
+TEST_F(MultiTxnTest, AbandonedTransactionReleasesLocksViaDestructor) {
+  {
+    MultiSuiteTransaction txn(coordinator());
+    ASSERT_TRUE(cluster_->RunTask(txn.Read(accounts_client_)).ok());
+    ASSERT_TRUE(cluster_->RunTask(txn.Read(audit_client_)).ok());
+    // Dropped without Commit/Abort.
+  }
+  cluster_->sim().RunFor(Duration::Seconds(2));
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(cluster_->representative("rep-" + std::to_string(i))
+                  ->participant()
+                  .locks()
+                  .num_locked_keys(),
+              0u)
+        << "rep-" << i;
+  }
+  EXPECT_EQ(accounts_client_->stats().aborts, 1u);
+  EXPECT_EQ(audit_client_->stats().aborts, 1u);
+}
+
 TEST_F(MultiTxnTest, FailedSuiteQuorumAbortsWholeTransaction) {
   // audit (w=3) loses a member: the cross-suite commit must fail and leave
   // accounts untouched too.
@@ -99,7 +119,7 @@ TEST_F(MultiTxnTest, FailedSuiteQuorumAbortsWholeTransaction) {
 
 TEST_F(MultiTxnTest, SharedHostGetsIntentsForBothSuites) {
   // rep-1 and rep-2 belong to both suites: a commit writing both suites
-  // sends them a single prepare with two intents.
+  // sends a shared host a single prepare with both intents appended.
   MultiSuiteTransaction txn(coordinator());
   ASSERT_TRUE(txn.Write(accounts_client_, "balance=7").ok());
   ASSERT_TRUE(txn.Write(audit_client_, "log: seven").ok());
@@ -107,15 +127,59 @@ TEST_F(MultiTxnTest, SharedHostGetsIntentsForBothSuites) {
   // Drain the asynchronous phase-2 fan-out before inspecting replica state.
   cluster_->sim().RunFor(Duration::Seconds(1));
 
-  // rep-1 ends up holding both new values (it was in both write quorums or
-  // neither; with lowest-latency selection over equal links it is).
-  Result<VersionedValue> acc = cluster_->representative("rep-1")->CurrentValue("accounts");
-  Result<VersionedValue> aud = cluster_->representative("rep-1")->CurrentValue("audit");
-  if (acc.ok() && acc.value().version == 2) {
-    EXPECT_EQ(acc.value().contents, "balance=7");
+  // audit's w=3 writes both shared hosts; accounts' w=2 of three writes at
+  // least one of them, which must then hold both new values.
+  int hold_both = 0;
+  for (const char* host : {"rep-1", "rep-2"}) {
+    Result<VersionedValue> aud = cluster_->representative(host)->CurrentValue("audit");
+    ASSERT_TRUE(aud.ok()) << host;
+    EXPECT_EQ(aud.value().contents, "log: seven") << host;
+    Result<VersionedValue> acc = cluster_->representative(host)->CurrentValue("accounts");
+    if (acc.ok() && acc.value().version == 2) {
+      EXPECT_EQ(acc.value().contents, "balance=7") << host;
+      ++hold_both;
+    }
   }
-  ASSERT_TRUE(aud.ok());
-  EXPECT_EQ(aud.value().contents, "log: seven");  // w=3: always installed
+  EXPECT_GE(hold_both, 1);
+}
+
+TEST_F(MultiTxnTest, StaleClientFollowsNewConfigAtCommit) {
+  // Another host moves accounts to four members with w=3; the bank's
+  // accounts client still holds config v1. Its write-only commit meets the
+  // newer prefix, adopts it and commits under it, like a single-suite write.
+  SuiteClient* admin = cluster_->AddClient("admin", accounts_);
+  SuiteConfig next =
+      SuiteConfig::MakeUniform("accounts", {"rep-0", "rep-1", "rep-2", "rep-3"}, 2, 3);
+  ASSERT_TRUE(cluster_->RunTask(admin->Reconfigure(next)).ok());
+  ASSERT_EQ(accounts_client_->config().config_version, 1u);
+
+  MultiSuiteTransaction txn(coordinator());
+  ASSERT_TRUE(txn.Write(accounts_client_, "balance=60").ok());
+  ASSERT_TRUE(txn.Write(audit_client_, "log: moved").ok());
+  Status st = cluster_->RunTask(txn.Commit());
+  ASSERT_TRUE(st.ok()) << st.ToString();
+
+  EXPECT_EQ(accounts_client_->config().config_version, 2u);
+  EXPECT_EQ(accounts_client_->config().write_quorum, 3);
+  EXPECT_EQ(cluster_->RunTask(admin->ReadOnce()).value(), "balance=60");
+  EXPECT_EQ(cluster_->RunTask(audit_client_->ReadOnce()).value(), "log: moved");
+}
+
+TEST_F(MultiTxnTest, CommitCountsOnEveryWrittenSuite) {
+  MultiSuiteTransaction txn(coordinator());
+  ASSERT_TRUE(txn.Write(accounts_client_, "balance=5").ok());
+  ASSERT_TRUE(txn.Write(audit_client_, "log: five").ok());
+  ASSERT_TRUE(cluster_->RunTask(txn.Commit()).ok());
+
+  for (SuiteClient* client : {accounts_client_, audit_client_}) {
+    EXPECT_EQ(client->stats().writes, 1u) << client->config().suite_name;
+    EXPECT_EQ(client->stats().commits, 1u) << client->config().suite_name;
+    EXPECT_EQ(client->stats().aborts, 0u) << client->config().suite_name;
+    EXPECT_GT(client->stats().commit_bytes_serialized, 0u) << client->config().suite_name;
+  }
+  const MetricsSnapshot snap = cluster_->metrics().Snapshot();
+  EXPECT_EQ(snap.counter("core.suite_client.commits{host=bank,suite=accounts}"), 1u);
+  EXPECT_EQ(snap.counter("core.suite_client.commits{host=bank,suite=audit}"), 1u);
 }
 
 TEST_F(MultiTxnTest, OperationsAfterCommitFail) {

@@ -186,9 +186,8 @@ int RunSweep(int seeds_per_cell, MetricsMode metrics_mode) {
   std::printf("# rotation sweep: %llu mid-run policy switches applied\n",
               static_cast<unsigned long long>(total_rotations));
   // Gray-tolerance sweep: the gray templates again, but with the full
-  // response stack armed on every workload client and coordinator (adaptive
-  // per-peer timeouts, hedged probes, circuit breakers) AND mid-run strategy
-  // rotation. Hedges re-route probes to backup representatives, breaker
+  // response stack armed on every workload client (hedged probes, breaker
+  // and latency demotion) AND mid-run strategy rotation. Hedges re-route probes to backup representatives, breaker
   // flaps reorder plans while hosts degrade and heal, rotation swaps
   // policies under all of it — none of which may touch quorum arithmetic,
   // so the consistency spec must hold bit for bit. (The plain sweep above

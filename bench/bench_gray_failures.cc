@@ -10,26 +10,28 @@
 // This bench slows one host mid-run (network service-time multiplier on
 // both directions, the kGrayHost chaos fault) and measures the read latency
 // distribution with the gray-tolerance stack off (baseline) and on
-// (adaptive per-peer timeouts + hedged probes + circuit breakers, all fed
-// by the always-on HealthTracker):
+// (hedged probes + demotion, fed by the always-on HealthTracker):
 //
 //   * 10× gray — the classic degraded host: still well inside the probe
 //     timeout, so timeouts never fire and only latency-aware steering can
 //     help. Hedges mask the very first post-onset probes (the backup
-//     answers while the primary crawls), each hedge win records a primary
-//     failure, the breaker opens after three, and the plan re-ranks the
-//     victim to the back. The acceptance scenario: tolerant read p99 must
-//     be >= 3x better than baseline with hedges fired on <= 10% of probes.
+//     answers while the primary crawls), and latency demotion moves the
+//     victim to the back of the plan once its observed SRTT passes 4× its
+//     link cost. No breaker opens: nothing fails. The acceptance scenario:
+//     tolerant read p99 must be >= 3x better than baseline with hedges
+//     fired on <= 10% of probes.
 //   * 100× gray — past the probe timeout: the baseline now eats a full
 //     timeout + widening round per read; the tolerant stack behaves exactly
-//     as at 10× (hedges don't care how slow the primary is).
-//   * 10× gray under kLoadOptimal — sampled plans: the breaker demotes the
-//     victim inside each sampled order, renormalizing its probe share over
-//     the live hosts.
+//     as at 10× (hedges don't care how slow the primary is), and here the
+//     timed-out probes also open the breaker.
+//   * 10× gray under kLoadOptimal — sampled plans: demotion moves the
+//     victim to the back of each sampled order, renormalizing its probe
+//     share over the live hosts.
 //
-// Every scenario ends with a heal + recovery window: the breaker half-opens
-// after its cooldown, the trial probe succeeds at the healthy latency, and
-// the victim wins its rank (and share) back.
+// Every scenario ends with a heal + recovery window: the victim's stale
+// SRTT is forgiven (and an open breaker half-opens after its cooldown), the
+// next probe succeeds at the healthy latency, and the victim wins its rank
+// (and share) back.
 //
 // The final JSON line is committed as BENCH_gray_failures.json;
 // --baseline=FILE re-checks the 10× improvement ratio against the committed
@@ -252,7 +254,7 @@ int main(int argc, char** argv) {
   std::printf(
       "(5 reps, uniform votes, r=2, w=4; %s at 4ms RTT is every plan's first pick and\n"
       " goes gray mid-run; %d measured ops per scenario, 10:1 read:write, then heal +\n"
-      " %d-op recovery window. tolerant = adaptive timeouts + hedged probes + breakers)\n\n",
+      " %d-op recovery window. tolerant = hedged probes + demotion)\n\n",
       kVictim, g_reads, g_recovery);
   std::printf("%-17s | %10s %10s | %11s | %17s | %10s | %13s\n", "scenario", "read p50",
               "read p99", "heal p99", "hedges wins rate", "brk demo", "srv0 shr recov");
@@ -273,11 +275,12 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nshape check: at 10x the victim stays inside every timeout, so only the health\n"
-      "stack helps — hedges mask the first post-onset probes (each win records a primary\n"
-      "failure), the breaker opens and demotes, and read p99 drops %.1fx. At 100x the\n"
-      "baseline adds a full probe timeout + widening round per read; the tolerant stack\n"
-      "is indifferent to how slow the victim is. After heal, the breaker's trial probe\n"
-      "closes it and the victim is probed again (recov column > 0).\n\n",
+      "stack helps — hedges mask the first post-onset probes, latency demotion moves the\n"
+      "victim to the back of the plan (no breaker opens: nothing fails), and read p99\n"
+      "drops %.1fx. At 100x the baseline adds a full probe timeout + widening round per\n"
+      "read; the tolerant stack is indifferent to how slow the victim is, and its timed-out\n"
+      "probes open the breaker. After heal, the stale SRTT is forgiven (at 100x the\n"
+      "breaker's trial probe closes it) and the victim is probed again (recov column > 0).\n\n",
       improvement);
 
   std::string json = "{\"bench\":\"gray_failures\",\"smoke\":";

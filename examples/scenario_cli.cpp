@@ -66,7 +66,7 @@ struct Args {
   QuorumStrategy strategy = QuorumStrategy::kLowestLatency;
   int probe_timeout_ms = 500;
   int data_timeout_ms = 5000;
-  bool gray_tolerance = false;     // adaptive timeouts + hedges + demotion
+  bool gray_tolerance = false;     // hedged probes + demotion
   std::string gray_host;           // inject a gray fault on this host mid-run
   double gray_mult = 10.0;
   double gray_from_s = -1.0;       // default: seconds/4
@@ -161,7 +161,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
 
 // Degrade one host's links by `mult` for [from, until) of simulated time —
 // slow, not dead, so quorums still complete and only the tolerance stack
-// (adaptive timeouts / hedges / breakers) changes the experienced latency.
+// (hedges / demotion) changes the experienced latency.
 Task<void> RunGrayWindow(Simulator* sim, Network* net, HostId victim, double mult,
                          Duration from, Duration until) {
   co_await sim->Sleep(from);
@@ -237,11 +237,9 @@ int main(int argc, char** argv) {
               args.availability);
   // Echo the effective timeout / tolerance knobs so a pasted run header is
   // enough to reproduce the configuration.
-  std::printf("timeouts: probe %.0fms (%s), data %.0fms; gray tolerance %s; strategy %s\n",
-              client_opts.probe_timeout.ToMillis(),
-              client_opts.gray_tolerance ? "adaptive, flag value is the fallback" : "fixed",
-              client_opts.data_timeout.ToMillis(), client_opts.gray_tolerance ? "on" : "off",
-              QuorumStrategyName(client_opts.strategy));
+  std::printf("timeouts: probe %.0fms, data %.0fms; gray tolerance %s; strategy %s\n",
+              client_opts.probe_timeout.ToMillis(), client_opts.data_timeout.ToMillis(),
+              client_opts.gray_tolerance ? "on" : "off", QuorumStrategyName(client_opts.strategy));
 
   const Duration run = Duration::Seconds(args.seconds);
   std::vector<WorkloadStats> stats(static_cast<size_t>(args.clients));

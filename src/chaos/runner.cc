@@ -204,9 +204,6 @@ ChaosRunOutcome RunChaosWithSchedule(const ChaosRunSpec& spec,
   // before the convergence read, or wait-die kills it as the youngest txn.
   // Still orders of magnitude above this workload's sub-second transactions.
   opts.rep_options.participant.lock_lease = Duration::Seconds(5);
-  // Fail-fast 2PC prepares against a gray host are what open its breaker:
-  // without them the pinned gray run (chaos_gray_pin) opens none.
-  opts.coordinator_options.adaptive_timeouts = spec.gray_tolerance;
   if (spec.scrape_resolution > Duration::Zero()) {
     opts.scrape_resolution = spec.scrape_resolution;
   }

@@ -61,12 +61,10 @@ struct ChaosRunSpec {
   // every switch: strategies only change *which* current representatives a
   // quorum is gathered from, never the quorum arithmetic itself.
   bool rotate_strategies = false;
-  // Set SuiteClientOptions::gray_tolerance on every client (adaptive
-  // per-peer timeouts, hedged probes, breaker and latency demotion) and
-  // CoordinatorOptions::adaptive_timeouts on every client coordinator. Off
-  // by default so existing artifacts replay bit-exact; the consistency spec
-  // must hold either way — tolerance changes latency and routing, never
-  // quorum arithmetic.
+  // Set SuiteClientOptions::gray_tolerance on every client (hedged probes,
+  // breaker and latency demotion). Off by default so existing artifacts
+  // replay bit-exact; the consistency spec must hold either way — tolerance
+  // changes latency and routing, never quorum arithmetic.
   bool gray_tolerance = false;
   // Sim-time metrics scraping during the run (zero = off). Pure
   // observability: scraping rides the simulator metronome outside the timer

@@ -11,17 +11,12 @@ namespace {
 constexpr double kSrttGain = 0.125;
 constexpr double kRttvarGain = 0.25;
 
-// Adaptive timeout = clamp((srtt + max(4·rttvar, kRtoMargin)) · 2^k,
-// kTimeoutFloor, fallback) where k counts consecutive failures (capped): the
-// estimate fails fast on the first miss and degrades gracefully to the
-// caller's fallback when the peer keeps missing. The margin plays the role
-// of clock granularity in Jacobson's RTO — on a steady link rttvar decays
-// toward zero, and a timeout of exactly srtt would fire on any server-side
-// lock wait.
-constexpr double kRttvarTimeoutMult = 4.0;
+// Retransmission-timeout estimate srtt + max(4·rttvar, kRtoMargin): the
+// round trip a reply is expected within, which normalizes suspicion. The
+// margin plays the role of clock granularity in Jacobson's RTO — on a steady
+// link rttvar decays toward zero.
+constexpr double kRttvarRtoMult = 4.0;
 constexpr Duration kRtoMargin = Duration::Millis(5);
-constexpr Duration kTimeoutFloor = Duration::Millis(5);
-constexpr int kTimeoutBackoffCap = 6;  // max doublings
 
 // Hedge delay ≈ p95: srtt + max(3·rttvar, kHedgeMargin), clamped to
 // [kHedgeFloor, fallback/2]. The margin keeps the delay strictly above a
@@ -67,7 +62,7 @@ double HealthTracker::RtoUs(const PeerState& peer) const {
   if (!peer.has_sample) {
     return 0.0;
   }
-  return peer.srtt_us + std::max(kRttvarTimeoutMult * peer.rttvar_us,
+  return peer.srtt_us + std::max(kRttvarRtoMult * peer.rttvar_us,
                                  static_cast<double>(kRtoMargin.ToMicros()));
 }
 
@@ -126,27 +121,6 @@ void HealthTracker::OnRpcOutcome(HostId peer, Duration elapsed, bool ok) {
     state.opened_at = sim_->Now();
     ++breaker_opens_;
   }
-}
-
-Duration HealthTracker::TimeoutFor(HostId peer, Duration fallback) {
-  PeerState& state = StateFor(peer);
-  Tick(state);
-  if (!state.has_sample) {
-    return fallback;
-  }
-  double timeout_us = RtoUs(state);
-  // Exponential backoff on consecutive failures: the tight estimate fails
-  // fast once, then relaxes toward the configured fallback so a peer whose
-  // votes are REQUIRED for quorum can still be waited on. This is what
-  // keeps adaptive timeouts availability-safe.
-  const int doublings = std::min(state.consecutive_failures, kTimeoutBackoffCap);
-  for (int i = 0; i < doublings; ++i) {
-    timeout_us *= 2.0;
-  }
-  const double floor_us = static_cast<double>(kTimeoutFloor.ToMicros());
-  const double cap_us = static_cast<double>(fallback.ToMicros());
-  timeout_us = std::max(floor_us, std::min(timeout_us, cap_us));
-  return Duration::Micros(static_cast<int64_t>(timeout_us));
 }
 
 Duration HealthTracker::HedgeDelay(HostId peer, Duration fallback_timeout) {

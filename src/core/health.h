@@ -7,10 +7,9 @@
 // completions into three per-peer signals the response layer consumes:
 //
 //   * Smoothed latency (Jacobson/Karels SRTT + RTTVAR, failures excluded per
-//     Karn's rule): feeds quantile-adaptive timeouts — timeout ≈ srtt +
-//     4·rttvar, exponentially backed off toward the configured fallback on
-//     consecutive failures so a required-but-slow host can still be waited
-//     on — and the p95-ish hedge delay for backup probes.
+//     Karn's rule): feeds the p95-ish hedge delay for backup probes and the
+//     observed cost that latency demotion and EffectiveLatency rank by.
+//     Every call still waits out the one timeout its caller configured.
 //   * Phi-accrual-style suspicion: once failures begin, suspicion accrues
 //     with time-since-last-success normalized by the expected round trip.
 //     Exported as a gauge; a recovering host visibly decays back to zero.
@@ -59,7 +58,6 @@ class HealthTracker : public PeerHealth {
 
   // PeerHealth: fed by RpcEndpoint on every call completion.
   void OnRpcOutcome(HostId peer, Duration elapsed, bool ok) override;
-  Duration TimeoutFor(HostId peer, Duration fallback) override;
 
   // Backup-probe delay for hedged calls against `peer`.
   Duration HedgeDelay(HostId peer, Duration fallback_timeout);

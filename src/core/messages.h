@@ -20,34 +20,27 @@
 #include <utility>
 
 #include "src/core/types.h"
+#include "src/txn/lock_manager.h"
 #include "src/txn/txn_id.h"
 
 namespace wvote {
 
-// S-lock the suite at this representative and report its version number.
-// With `want_data`, the representative also piggybacks its committed
-// contents on the reply (read under the S lock it just granted), so a read
-// whose chosen representative turns out current needs no second round trip.
+// Lock the suite at this representative in `mode` — S for a read-quorum
+// gather, X for a write-quorum gather — and report its version number. With
+// `want_data` (shared mode only), the representative also piggybacks its
+// committed contents on the reply (read under the S lock it just granted),
+// so a read whose chosen representative turns out current needs no second
+// round trip.
 struct TxnVersionReq {
   TxnId txn;
   std::string suite;
+  LockMode mode = LockMode::kShared;
   bool want_data = false;
 
   TxnVersionReq() = default;
-  TxnVersionReq(TxnId t, std::string s, bool w = false)
-      : txn(t), suite(std::move(s)), want_data(w) {}
+  TxnVersionReq(TxnId t, std::string s, LockMode m, bool w = false)
+      : txn(t), suite(std::move(s)), mode(m), want_data(w) {}
   static constexpr const char* kRpcName = "TxnVersionReq";
-};
-
-// X-lock the suite at this representative and report its version number
-// (the first half of a write-quorum gather).
-struct LockVersionReq {
-  TxnId txn;
-  std::string suite;
-
-  LockVersionReq() = default;
-  LockVersionReq(TxnId t, std::string s) : txn(t), suite(std::move(s)) {}
-  static constexpr const char* kRpcName = "LockVersionReq";
 };
 
 // Lock-free committed version number; used by weak representatives checking

@@ -47,12 +47,6 @@ HostLink HostLinkCache::Link(const std::string& name) {
   return HostLink{there, entry.latency};
 }
 
-void HostLinkCache::InvalidateLatencies() {
-  for (auto& [name, entry] : entries_) {
-    entry.have_latency = false;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // QuorumPlanner
 // ---------------------------------------------------------------------------
@@ -240,7 +234,7 @@ std::shared_ptr<const ProbingStrategy> PlanCache::Get(const SuiteConfig& config,
     // The preference order is independent of the vote target (see Plan);
     // the planner itself is rebuilt per config version, since membership
     // can have changed. Whether latencies are re-read is `link_of_`'s call
-    // (SuiteClient's HostLinkCache keeps them until InvalidatePlanCache).
+    // (SuiteClient's HostLinkCache memoizes them).
     QuorumPlanner planner(config, link_of_);
     auto strategy = std::make_shared<ProbingStrategy>();
     strategy->order = planner.Plan(/*required_votes=*/0, policy);

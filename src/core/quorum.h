@@ -85,8 +85,8 @@ struct HostLink {
 using HostLinkFn = std::function<HostLink(const std::string&)>;
 
 // Shared host-name -> HostLink lookup. Host names never remap in the
-// simulated network, so ids memoize forever; latencies memoize until
-// InvalidateLatencies() (plan-cache invalidation re-samples them). One
+// simulated network, so ids and provisioned latencies memoize for the
+// cache's lifetime; observed latency is the health tracker's job. One
 // instance per client serves plan building, strategy solving, and the few
 // lookups outside a plan, instead of each keeping its own map.
 class HostLinkCache {
@@ -95,7 +95,6 @@ class HostLinkCache {
 
   HostId Resolve(const std::string& name);
   HostLink Link(const std::string& name);  // latency is the round trip
-  void InvalidateLatencies();
 
  private:
   struct Entry {

@@ -117,13 +117,12 @@ void RepresentativeServer::RegisterHandlers() {
   rpc_.HandleTraced<TxnVersionReq, VersionResp>(
       [this](HostId from, TxnVersionReq req, TraceContext ctx) -> Task<Result<VersionResp>> {
         ++stats_.version_polls;
-        Status st = co_await participant_.Lock(req.txn, SuiteValueKey(req.suite),
-                                               LockMode::kShared, ctx);
+        Status st = co_await participant_.Lock(req.txn, SuiteValueKey(req.suite), req.mode, ctx);
         if (!st.ok()) {
           co_return st;
         }
         VersionResp resp = MakeVersionResp(req.suite);
-        if (req.want_data) {
+        if (req.want_data && req.mode == LockMode::kShared) {
           // Piggybacked fast path: read the contents under the S lock just
           // granted (pays the disk read, saves the client a second round
           // trip). Failure to attach data is not an error — the client
@@ -143,17 +142,6 @@ void RepresentativeServer::RegisterHandlers() {
           }
         }
         co_return resp;
-      });
-
-  rpc_.HandleTraced<LockVersionReq, VersionResp>(
-      [this](HostId from, LockVersionReq req, TraceContext ctx) -> Task<Result<VersionResp>> {
-        ++stats_.version_polls;
-        Status st = co_await participant_.Lock(req.txn, SuiteValueKey(req.suite),
-                                               LockMode::kExclusive, ctx);
-        if (!st.ok()) {
-          co_return st;
-        }
-        co_return MakeVersionResp(req.suite);
       });
 
   rpc_.Handle<VersionInquiryReq, VersionResp>(

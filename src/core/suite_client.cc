@@ -42,23 +42,10 @@ struct ProbeOutcome {
 // reply wins, and the loser is dropped idempotently at the RPC layer. With
 // no backup (kInvalidHost) it is a plain call with no hedge timer.
 Task<ProbeOutcome> SendProbe(RpcEndpoint* rpc, QuorumCandidate primary, QuorumCandidate backup,
-                             size_t backup_position, TxnId txn, std::string suite,
-                             bool exclusive, bool want_data, Duration hedge_delay,
+                             size_t backup_position, TxnVersionReq req, Duration hedge_delay,
                              Duration timeout, TraceContext ctx) {
-  // if/else, NOT `exclusive ? co_await ... : co_await ...`: GCC 12
-  // miscompiles the conditional operator with co_await in its arms — the
-  // selected arm's result is copied bitwise, so a string payload ends up
-  // aliasing this coroutine's frame. See rule 4 in src/sim/task.h.
-  HedgedReply<VersionResp> reply;
-  if (exclusive) {
-    reply = co_await rpc->CallHedged<LockVersionReq, VersionResp>(
-        primary.host, backup.host, LockVersionReq{txn, std::move(suite)}, hedge_delay, timeout,
-        ctx);
-  } else {
-    reply = co_await rpc->CallHedged<TxnVersionReq, VersionResp>(
-        primary.host, backup.host, TxnVersionReq{txn, std::move(suite), want_data}, hedge_delay,
-        timeout, ctx);
-  }
+  HedgedReply<VersionResp> reply = co_await rpc->CallHedged<TxnVersionReq, VersionResp>(
+      primary.host, backup.host, std::move(req), hedge_delay, timeout, ctx);
   const bool backup_won =
       reply.reply.ok() && reply.responder == backup.host && backup.host != primary.host;
   ProbeOutcome outcome(backup_won ? std::move(backup) : std::move(primary),
@@ -340,6 +327,7 @@ size_t SuiteClient::PickFastPathTarget(const std::vector<QuorumCandidate>& targe
 Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
     std::shared_ptr<SuiteTransaction::State> state, bool exclusive, bool want_data) {
   const int required_votes = exclusive ? config_.write_quorum : config_.read_quorum;
+  const LockMode mode = exclusive ? LockMode::kExclusive : LockMode::kShared;
   const std::shared_ptr<const ProbingStrategy> strategy_ref =
       PlanFor(options_.strategy);
   const std::vector<QuorumCandidate>& plan = strategy_ref->order;
@@ -438,7 +426,6 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
         }
       }
       Duration hedge_delay;
-      Duration timeout = options_.probe_timeout;
       if (backup_pos < order.size()) {
         backup = plan[order[backup_pos]];
         // The backup may be granted a lock server-side even when its reply
@@ -446,17 +433,14 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
         // transaction is a no-op), so the release safety net must cover it.
         state->probed.insert(backup.host);
         ++stats_.hedged_probes;
-        // The hedge is the latency-control mechanism here; the timeout is
-        // only a backstop and must leave the backup room to answer, so the
-        // hedged call keeps the configured fallback rather than the
-        // primary's (possibly fail-fast) adaptive estimate.
+        // The hedge is the latency-control mechanism; the configured probe
+        // timeout bounds the whole race, so the backup has room to answer.
         hedge_delay = health_->HedgeDelay(candidate.host, options_.probe_timeout);
-      } else if (tolerant) {
-        timeout = health_->TimeoutFor(candidate.host, options_.probe_timeout);
       }
+      TxnVersionReq req(state->txn, config_.suite_name, mode, i == fastpath_target);
       probes.push_back(SendProbe(rpc_, std::move(candidate), std::move(backup), backup_pos,
-                                 state->txn, config_.suite_name, exclusive,
-                                 i == fastpath_target, hedge_delay, timeout, gather_span));
+                                 std::move(req), hedge_delay, options_.probe_timeout,
+                                 gather_span));
     }
 
     const int base_votes = out.votes;
@@ -577,13 +561,9 @@ Task<Result<SuiteReadResp>> SuiteClient::FetchData(
         });
     const ProbeReply* member = *best;
     members.erase(best);
-    Duration timeout = options_.data_timeout;
-    if (tolerant) {
-      timeout = health_->TimeoutFor(member->candidate.host, options_.data_timeout);
-    }
     Result<SuiteReadResp> data = co_await rpc_->Call<TxnReadSuiteReq, SuiteReadResp>(
-        member->candidate.host, TxnReadSuiteReq{state->txn, config_.suite_name}, timeout,
-        fetch_span);
+        member->candidate.host, TxnReadSuiteReq{state->txn, config_.suite_name},
+        options_.data_timeout, fetch_span);
     if (data.ok()) {
       if (data.value().version != gather.current) {
         if (tracer != nullptr) {
@@ -1008,9 +988,9 @@ Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
       continue;
     }
     state->probed.insert(host);
-    Result<VersionResp> locked = co_await rpc_->Call<LockVersionReq, VersionResp>(
-        host, LockVersionReq{state->txn, config_.suite_name}, options_.probe_timeout,
-        state->trace);
+    Result<VersionResp> locked = co_await rpc_->Call<TxnVersionReq, VersionResp>(
+        host, TxnVersionReq{state->txn, config_.suite_name, LockMode::kExclusive},
+        options_.probe_timeout, state->trace);
     if (!locked.ok()) {
       co_await DoAbort({&state, 1});
       co_return locked.status();

@@ -62,12 +62,8 @@ struct SuiteClientOptions {
   // Gray-failure tolerance. Off by default and inert until SetHealth()
   // attaches a tracker, so default runs stay schedule-identical to
   // pre-health builds (the determinism goldens depend on that). On, it arms
-  // three responses together:
-  //  - adaptive timeouts: per-target probe/data timeouts from the tracker's
-  //    RTT estimate instead of the fixed constants above (timeout ≈ srtt +
-  //    4·rttvar, backed off exponentially toward the configured fallback on
-  //    consecutive failures so a required-but-slow representative can still
-  //    be waited on). Cluster::AddClient arms the host coordinator's too.
+  // two responses together; every call still waits out the one timeout
+  // configured above:
   //  - hedged probes: version probes hedge to the next-ranked unconsumed
   //    candidate after a p95-ish delay; the first reply wins and the loser
   //    is dropped idempotently at the RPC layer. Vote accounting stays
@@ -214,14 +210,6 @@ class SuiteClient {
   // strategy is cached (1.0 for deterministic policies with a cached plan,
   // 0.0 when nothing is cached yet).
   double ExpectedMaxShare() const;
-
-  // Drops cached quorum plans (and their sampled link latencies). Needed
-  // only when link costs change out of band; reconfiguration invalidates
-  // automatically via the config version.
-  void InvalidatePlanCache() {
-    plan_cache_.Invalidate();
-    links_.InvalidateLatencies();
-  }
 
   // Registers this client's counters, labeled by host and suite name.
   void RegisterMetrics(MetricsRegistry* registry);

@@ -44,13 +44,12 @@
 
 namespace wvote {
 
-// Per-peer health hook the endpoint feeds and consults. The concrete
-// implementation (core's HealthTracker) lives above this layer; the abstract
-// interface keeps src/rpc free of a dependency on src/core while still
-// letting the txn layer reach the same signal through the endpoint it
-// already holds. All methods must be pure bookkeeping on the simulated
-// clock: no scheduling, no randomness — health recording runs on every call
-// completion, including in runs whose event schedules are pinned bit-exact.
+// Per-peer health hook the endpoint feeds. The concrete implementation
+// (core's HealthTracker) lives above this layer; the abstract interface
+// keeps src/rpc free of a dependency on src/core. It must be pure
+// bookkeeping on the simulated clock: no scheduling, no randomness — health
+// recording runs on every call completion, including in runs whose event
+// schedules are pinned bit-exact.
 class PeerHealth {
  public:
   virtual ~PeerHealth() = default;
@@ -60,11 +59,6 @@ class PeerHealth {
   // still proves the peer alive). Aborts from the caller's own crash are
   // never reported; they say nothing about the peer.
   virtual void OnRpcOutcome(HostId peer, Duration elapsed, bool ok) = 0;
-
-  // Quantile-adaptive timeout for one call to `peer`, clamped to the
-  // caller's configured `fallback`; implementations may return a fail-fast
-  // floor while the peer's circuit breaker is open.
-  virtual Duration TimeoutFor(HostId peer, Duration fallback) = 0;
 };
 
 // Wire-size attribution: messages that carry bulk data (file contents)
@@ -303,10 +297,8 @@ class RpcEndpoint {
   }
 
   // Installs the per-peer health hook. Every Call/CallHedged completion is
-  // reported to it; consumers above (SuiteClient, Coordinator) reach it back
-  // through peer_health() for adaptive timeouts. Null (default) disables.
+  // reported to it. Null (default) disables.
   void SetPeerHealth(PeerHealth* health) { peer_health_ = health; }
-  PeerHealth* peer_health() { return peer_health_; }
 
   // Registers the handler for requests of type Req. The handler runs as a
   // detached coroutine on this host; its Result is sent back as the reply

@@ -9,7 +9,7 @@ namespace {
 
 using HostAck = std::pair<HostId, Result<Ack>>;
 
-// Fixed per-call timeout (and the background retrier's pause), and the
+// The one per-call timeout (and the background retrier's pause), and the
 // retries one phase-2 fan-out spends on a participant before handing it to
 // a background retrier.
 constexpr Duration kRpcTimeout = Duration::Seconds(5);
@@ -17,10 +17,9 @@ constexpr int kCommitRetries = 3;
 
 // Drives one participant's commit with bounded retries, tagging the result
 // with the participant so completion-order joins stay correlated.
-Task<HostAck> CallCommitAt(RpcEndpoint* rpc, HostId host, TxnId txn, Duration timeout,
-                           TraceContext ctx) {
-  Result<Ack> ack = co_await rpc->CallWithRetry<CommitReq, Ack>(host, CommitReq{txn}, timeout,
-                                                                kCommitRetries, ctx);
+Task<HostAck> CallCommitAt(RpcEndpoint* rpc, HostId host, TxnId txn, TraceContext ctx) {
+  Result<Ack> ack = co_await rpc->CallWithRetry<CommitReq, Ack>(host, CommitReq{txn},
+                                                                kRpcTimeout, kCommitRetries, ctx);
   co_return HostAck{host, std::move(ack)};
 }
 
@@ -86,13 +85,6 @@ std::string Coordinator::DecisionKey(const TxnId& txn) {
          "." + std::to_string(txn.coordinator);
 }
 
-Duration Coordinator::TimeoutTo(HostId host) {
-  if (options_.adaptive_timeouts && rpc_->peer_health() != nullptr) {
-    return rpc_->peer_health()->TimeoutFor(host, kRpcTimeout);
-  }
-  return kRpcTimeout;
-}
-
 TxnId Coordinator::Begin() { return BeginAt(rpc_->sim()->Now().ToMicros()); }
 
 TxnId Coordinator::BeginAt(int64_t timestamp_us) {
@@ -140,7 +132,7 @@ Task<Status> Coordinator::CommitTransaction(TxnId txn,
   prepares.reserve(writers.size());
   for (auto& [host, intents] : writes) {
     prepares.push_back(rpc_->Call<PrepareReq, Ack>(host, PrepareReq{txn, std::move(intents)},
-                                                   TimeoutTo(host), prepare_span));
+                                                   kRpcTimeout, prepare_span));
   }
   std::vector<Result<Ack>> votes =
       co_await JoinAll<Result<Ack>>(rpc_->sim(), std::move(prepares));
@@ -267,7 +259,7 @@ Task<Status> Coordinator::SendPhase2(TxnId txn, std::vector<HostId> writers,
   std::vector<Task<HostAck>> commits;
   commits.reserve(writers.size());
   for (HostId host : writers) {
-    commits.push_back(CallCommitAt(rpc_, host, txn, TimeoutTo(host), ctx));
+    commits.push_back(CallCommitAt(rpc_, host, txn, ctx));
   }
   std::vector<HostAck> acks = co_await JoinAll<HostAck>(rpc_->sim(), std::move(commits));
 
@@ -332,7 +324,7 @@ Task<void> Coordinator::AbortTransaction(TxnId txn, std::vector<HostId> particip
   std::vector<Task<Result<Ack>>> aborts;
   aborts.reserve(participants.size());
   for (HostId host : participants) {
-    aborts.push_back(rpc_->Call<AbortReq, Ack>(host, AbortReq{txn}, TimeoutTo(host), ctx));
+    aborts.push_back(rpc_->Call<AbortReq, Ack>(host, AbortReq{txn}, kRpcTimeout, ctx));
   }
   (void)co_await JoinAll<Result<Ack>>(rpc_->sim(), std::move(aborts));
 }

@@ -35,11 +35,6 @@ struct CoordinatorOptions {
   // model's 3-RTT closed form); model-validating benches and protocol
   // tests do.
   bool sync_phase2 = false;
-  // Consult the endpoint's PeerHealth tracker (if one is attached) for
-  // per-participant timeouts instead of the fixed 5 s: timeout ≈ srtt +
-  // 4·rttvar, exponentially backed off toward 5 s on consecutive failures.
-  // OFF by default; inert without a tracker. Only the chaos runner sets it.
-  bool adaptive_timeouts = false;
 };
 
 struct CoordinatorStats {
@@ -99,9 +94,6 @@ class Coordinator {
 
  private:
   static std::string DecisionKey(const TxnId& txn);
-  // Per-participant RPC timeout: adaptive when enabled and the endpoint has
-  // a health tracker, the fixed 5 s otherwise.
-  Duration TimeoutTo(HostId host);
   Task<Status> SendPhase2(TxnId txn, std::vector<HostId> writers,
                           std::vector<HostId> read_only, TraceContext ctx);
   // Spawned wrapper around SendPhase2 for the asynchronous commit path.

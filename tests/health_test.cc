@@ -1,4 +1,4 @@
-// HealthTracker: SRTT/RTTVAR estimation, adaptive timeouts, hedge delays,
+// HealthTracker: SRTT/RTTVAR estimation, hedge delays,
 // circuit breakers, latency demotion, and the staleness-forgiveness rules
 // that let a healed host win its rank back.
 
@@ -28,7 +28,6 @@ class HealthTest : public ::testing::Test {
 
 TEST_F(HealthTest, NoSampleUsesFallbacks) {
   const Duration fallback = Duration::Millis(300);
-  EXPECT_EQ(health_.TimeoutFor(kPeer, fallback), fallback);
   EXPECT_EQ(health_.HedgeDelay(kPeer, fallback), fallback / 2);
   EXPECT_EQ(health_.EffectiveLatency(kPeer, Duration::Millis(10)), Duration::Millis(10));
   EXPECT_EQ(health_.Suspicion(kPeer), 0.0);
@@ -39,21 +38,6 @@ TEST_F(HealthTest, NoSampleUsesFallbacks) {
 TEST_F(HealthTest, FirstSampleSeedsEstimator) {
   Ok(Duration::Millis(10));
   EXPECT_EQ(health_.Srtt(kPeer), Duration::Millis(10));
-  // rttvar seeds at sample/2, so the first adaptive timeout is
-  // srtt + 4 * 5ms = 30ms.
-  EXPECT_EQ(health_.TimeoutFor(kPeer, Duration::Seconds(2)), Duration::Millis(30));
-}
-
-TEST_F(HealthTest, ConvergedTimeoutKeepsMarginAboveSrtt) {
-  // On a perfectly steady link rttvar decays toward zero; the rto margin
-  // must keep the timeout strictly above srtt or any server-side delay
-  // would fire it.
-  for (int i = 0; i < 200; ++i) {
-    Ok(Duration::Millis(10));
-  }
-  const Duration timeout = health_.TimeoutFor(kPeer, Duration::Seconds(2));
-  EXPECT_GE(timeout, health_.Srtt(kPeer) + Duration::Millis(5));
-  EXPECT_LE(timeout, Duration::Millis(31));
 }
 
 TEST_F(HealthTest, KarnFailuresContributeNoSample) {
@@ -63,27 +47,6 @@ TEST_F(HealthTest, KarnFailuresContributeNoSample) {
   Fail(Duration::Millis(500));
   EXPECT_EQ(health_.Srtt(kPeer), before);
   EXPECT_EQ(health_.ConsecutiveFailures(kPeer), 2);
-}
-
-TEST_F(HealthTest, TimeoutBacksOffTowardFallbackOnFailures) {
-  Ok(Duration::Millis(10));
-  const Duration fallback = Duration::Seconds(1);
-  const Duration tight = health_.TimeoutFor(kPeer, fallback);
-  Fail();
-  const Duration once = health_.TimeoutFor(kPeer, fallback);
-  EXPECT_EQ(once, tight * 2);
-  for (int i = 0; i < 10; ++i) {
-    Fail();
-  }
-  // Doublings are capped and clamped: a peer whose votes are required can
-  // still be waited on for the full configured fallback.
-  EXPECT_EQ(health_.TimeoutFor(kPeer, fallback), fallback);
-  // One success resets the failure count; the estimate is tight again
-  // (EWMA has tightened rttvar further, so at most the original estimate).
-  Ok(Duration::Millis(10));
-  const Duration recovered = health_.TimeoutFor(kPeer, fallback);
-  EXPECT_LE(recovered, tight);
-  EXPECT_GE(recovered, health_.Srtt(kPeer) + Duration::Millis(5));
 }
 
 TEST_F(HealthTest, BreakerLifecycle) {

@@ -77,9 +77,10 @@ TEST_F(RepresentativeTest, BootstrapRejectsInvalidConfig) {
   sim_.Run();
 }
 
-TEST_F(RepresentativeTest, TxnVersionPollTakesSharedLock) {
+TEST_F(RepresentativeTest, SharedVersionPollTakesSharedLock) {
   TxnId txn = MakeTxn(100);
-  Result<VersionResp> resp = Call<TxnVersionReq, VersionResp>(TxnVersionReq(txn, "file"));
+  Result<VersionResp> resp =
+      Call<TxnVersionReq, VersionResp>(TxnVersionReq(txn, "file", LockMode::kShared));
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp.value().version, 1u);
   EXPECT_EQ(resp.value().config_version, 1u);
@@ -88,12 +89,29 @@ TEST_F(RepresentativeTest, TxnVersionPollTakesSharedLock) {
       txn, Participant::DataKey(SuiteValueKey("file")), LockMode::kShared));
 }
 
-TEST_F(RepresentativeTest, LockVersionPollTakesExclusiveLock) {
+TEST_F(RepresentativeTest, ExclusiveVersionPollTakesExclusiveLock) {
   TxnId txn = MakeTxn(100);
-  Result<VersionResp> resp = Call<LockVersionReq, VersionResp>(LockVersionReq(txn, "file"));
+  Result<VersionResp> resp =
+      Call<TxnVersionReq, VersionResp>(TxnVersionReq(txn, "file", LockMode::kExclusive));
   ASSERT_TRUE(resp.ok());
   EXPECT_TRUE(server_->participant().locks().Holds(
       txn, Participant::DataKey(SuiteValueKey("file")), LockMode::kExclusive));
+}
+
+TEST_F(RepresentativeTest, OnlySharedVersionPollPiggybacksData) {
+  const TxnId writer = MakeTxn(100);
+  Result<VersionResp> exclusive = Call<TxnVersionReq, VersionResp>(
+      TxnVersionReq(writer, "file", LockMode::kExclusive, /*w=*/true));
+  ASSERT_TRUE(exclusive.ok());
+  EXPECT_FALSE(exclusive.value().has_data);
+  ASSERT_TRUE((Call<AbortReq, Ack>(AbortReq(writer))).ok());
+
+  Result<VersionResp> shared = Call<TxnVersionReq, VersionResp>(
+      TxnVersionReq(MakeTxn(200), "file", LockMode::kShared, /*w=*/true));
+  ASSERT_TRUE(shared.ok());
+  EXPECT_TRUE(shared.value().has_data);
+  EXPECT_EQ(shared.value().contents, "genesis");
+  EXPECT_EQ(server_->stats().piggyback_serves, 1u);
 }
 
 TEST_F(RepresentativeTest, UnknownSuitePollsAsVersionZero) {
@@ -154,7 +172,8 @@ TEST_F(RepresentativeTest, RefreshWaitsOutTransientLockThenInstalls) {
   // A client transaction holds an S lock; the refresh (oldest timestamp)
   // queues behind it and installs after release.
   TxnId txn = MakeTxn(100);
-  ASSERT_TRUE((Call<TxnVersionReq, VersionResp>(TxnVersionReq(txn, "file"))).ok());
+  ASSERT_TRUE(
+      (Call<TxnVersionReq, VersionResp>(TxnVersionReq(txn, "file", LockMode::kShared))).ok());
 
   auto resp = std::make_shared<std::optional<Result<RefreshResp>>>();
   auto runner = [](RpcEndpoint* rpc, HostId to,

@@ -162,9 +162,9 @@ uint64_t SumCountersInJson(const std::string& json, const std::string& name) {
 struct ChaosPin {
   const char* golden;
   ChaosRunSpec spec;
-  // Also pin (and require nonzero) the gray-failure response counters, so
-  // the pin provably drives hedged probes, demotion and breakers.
-  bool gray_counters = false;
+  // Gray-failure response counters this pin also records and requires to
+  // be nonzero, so it provably drives the machinery they count.
+  std::vector<const char*> gray_counters;
 };
 
 std::vector<ChaosPin> ChaosPins() {
@@ -180,7 +180,8 @@ std::vector<ChaosPin> ChaosPins() {
   pins.push_back(churn);
 
   // One gray host under rotating strategies with the whole gray-failure
-  // stack armed: hedged probes, sampled probe orders, and demotion.
+  // stack armed: hedged probes, sampled probe orders, and demotion. A slow
+  // host still answers within the probe timeout, so no breaker opens here.
   ChaosPin gray;
   gray.golden = "chaos_gray_pin.golden";
   gray.spec.seed = 8;
@@ -190,8 +191,17 @@ std::vector<ChaosPin> ChaosPins() {
   gray.spec.ops_per_client = 18;
   gray.spec.rotate_strategies = true;
   gray.spec.gray_tolerance = true;
-  gray.gray_counters = true;
+  gray.gray_counters = {"rpc.endpoint.hedges_sent", "rpc.endpoint.hedge_wins",
+                        "core.suite_client.breaker_demotions"};
   pins.push_back(gray);
+
+  // The same stack under partitions: calls that cannot be answered fail,
+  // which is what opens breakers.
+  ChaosPin partitions = gray;
+  partitions.golden = "chaos_partitions_pin.golden";
+  partitions.spec.schedule_template = "partitions";
+  partitions.gray_counters = {"core.health.breaker_opens"};
+  pins.push_back(partitions);
 
   return pins;
 }
@@ -205,14 +215,10 @@ TEST(SimDeterminismPin, ChaosHistoryMatchesGolden) {
     std::ostringstream pin;
     pin << "schedule:\n" << outcome.schedule.Serialize();
     pin << "final_read_ok: " << (outcome.final_read_ok ? 1 : 0) << "\n";
-    if (pin_spec.gray_counters) {
-      for (const char* counter :
-           {"rpc.endpoint.hedges_sent", "rpc.endpoint.hedge_wins",
-            "core.suite_client.breaker_demotions", "core.health.breaker_opens"}) {
-        const uint64_t value = SumCountersInJson(outcome.metrics_json, counter);
-        EXPECT_GT(value, 0u) << counter;
-        pin << counter << ": " << value << "\n";
-      }
+    for (const char* counter : pin_spec.gray_counters) {
+      const uint64_t value = SumCountersInJson(outcome.metrics_json, counter);
+      EXPECT_GT(value, 0u) << counter;
+      pin << counter << ": " << value << "\n";
     }
     pin << "history:\n";
     for (const ChaosOp& op : outcome.history) {

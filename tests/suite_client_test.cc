@@ -503,5 +503,48 @@ TEST_F(SuiteClientTest, GrayToleranceArmsHedgesAndDemotion) {
   }
 }
 
+// A write whose X locks queue behind a younger reader's S locks waits the
+// reader out under wait-die. Gray tolerance must not turn that wait into a
+// timeout: its tracker is trained on probe round trips, which say nothing
+// about how long a lock is held.
+TEST_F(SuiteClientTest, GrayTolerantWriteWaitsOutALockHolder) {
+  SuiteClientOptions copts;
+  copts.gray_tolerance = true;
+  Deploy(3, 2, 3, copts);
+  SuiteClient* reader = cluster_->AddClient("reader", config_);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(cluster_->RunTask(client_->ReadOnce()).ok());
+  }
+
+  SuiteTransaction write = client_->Begin();
+  ASSERT_TRUE(write.Write("after-the-reader").ok());
+  cluster_->sim().RunFor(Duration::Millis(1));  // the reader begins younger
+
+  auto hold = [](Simulator* sim, SuiteClient* c,
+                 std::shared_ptr<std::optional<Status>> out) -> Task<void> {
+    SuiteTransaction txn = c->Begin();
+    Result<std::string> got = co_await txn.Read();
+    if (!got.ok()) {
+      *out = got.status();
+      co_return;
+    }
+    co_await sim->Sleep(Duration::Millis(200));  // S locks held throughout
+    *out = co_await txn.Commit();
+  };
+  auto held = std::make_shared<std::optional<Status>>();
+  Spawn(hold(&cluster_->sim(), reader, held));
+  cluster_->sim().RunFor(Duration::Millis(50));  // the reader holds its locks
+  ASSERT_FALSE(held->has_value());
+
+  Status committed = cluster_->RunTask(write.Commit());
+  EXPECT_TRUE(committed.ok()) << committed.ToString();
+  ASSERT_TRUE(held->has_value());
+  EXPECT_TRUE((*held)->ok()) << (*held)->ToString();
+
+  Result<std::string> r = cluster_->RunTask(client_->ReadOnce());
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value(), "after-the-reader");
+}
+
 }  // namespace
 }  // namespace wvote

@@ -44,7 +44,8 @@ TimestampServer::TimestampServer(Network* net, Host* host, LatencyModel disk_wri
     : rpc_(net, host), store_(net->sim(), host, disk_write, disk_read) {
   rpc_.Handle<TsReadReq, TsReadResp>(
       [this](HostId from, TsReadReq req) -> Task<Result<TsReadResp>> {
-        Result<std::string> bytes = co_await store_.Read(DataKey(req.name));
+        const std::string key = DataKey(req.name);
+        Result<std::string> bytes = co_await store_.Read(key);
         if (!bytes.ok()) {
           if (bytes.status().code() == StatusCode::kNotFound) {
             co_return TsReadResp{0, ""};  // never written
@@ -145,8 +146,8 @@ Task<Result<std::string>> MajorityConsensusStore::Read() {
         }
         return ok >= majority;
       };
-  std::vector<Result<TsReadResp>> replies = co_await JoinUntil<Result<TsReadResp>>(
-      rpc_->sim(), std::move(calls), std::move(enough));
+  std::vector<Result<TsReadResp>> replies;
+  co_await JoinUntil<Result<TsReadResp>>(rpc_->sim(), calls, replies, std::move(enough));
 
   size_t ok = 0;
   uint64_t best_ts = 0;
@@ -187,8 +188,8 @@ Task<Status> MajorityConsensusStore::Write(std::string contents) {
         }
         return ok >= majority;
       };
-  std::vector<Result<TsWriteResp>> replies = co_await JoinUntil<Result<TsWriteResp>>(
-      rpc_->sim(), std::move(calls), std::move(enough));
+  std::vector<Result<TsWriteResp>> replies;
+  co_await JoinUntil<Result<TsWriteResp>>(rpc_->sim(), calls, replies, std::move(enough));
 
   size_t ok = 0;
   for (const Result<TsWriteResp>& r : replies) {

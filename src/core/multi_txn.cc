@@ -35,8 +35,7 @@ const std::shared_ptr<SuiteTransaction::State>& MultiSuiteTransaction::StateFor(
       }
     }
   }
-  auto state = std::make_shared<SuiteTransaction::State>();
-  state->client = suite;
+  std::shared_ptr<SuiteTransaction::State> state = suite->NewState();
   state->txn = txn_;      // the SAME transaction everywhere
   state->trace = trace_;  // ... and the same span tree
   states_.push_back(std::move(state));

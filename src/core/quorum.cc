@@ -168,9 +168,17 @@ std::vector<uint16_t> ProbeOrder(size_t plan_size, std::vector<uint16_t> sampled
   }
   WVOTE_CHECK(health.size() == plan_size);
   if (deterministic) {
-    std::stable_sort(order.begin(), order.end(), [&health](uint16_t a, uint16_t b) {
-      return health[a].effective_latency < health[b].effective_latency;
-    });
+    // Stable insertion sort by effective latency: plans hold a handful of
+    // hosts, and std::stable_sort would allocate a scratch buffer per gather.
+    for (size_t i = 1; i < order.size(); ++i) {
+      const uint16_t idx = order[i];
+      size_t j = i;
+      for (; j > 0 && health[idx].effective_latency < health[order[j - 1]].effective_latency;
+           --j) {
+        order[j] = order[j - 1];
+      }
+      order[j] = idx;
+    }
   }
   std::stable_partition(order.begin(), order.end(),
                         [&health](uint16_t idx) { return !health[idx].demoted; });

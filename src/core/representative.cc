@@ -117,7 +117,8 @@ void RepresentativeServer::RegisterHandlers() {
   rpc_.HandleTraced<TxnVersionReq, VersionResp>(
       [this](HostId from, TxnVersionReq req, TraceContext ctx) -> Task<Result<VersionResp>> {
         ++stats_.version_polls;
-        Status st = co_await participant_.Lock(req.txn, SuiteValueKey(req.suite), req.mode, ctx);
+        const std::string& value_key = PagesFor(req.suite).value_key;
+        Status st = co_await participant_.LockPage(req.txn, value_key, req.mode, ctx);
         if (!st.ok()) {
           co_return st;
         }
@@ -127,8 +128,7 @@ void RepresentativeServer::RegisterHandlers() {
           // granted (pays the disk read, saves the client a second round
           // trip). Failure to attach data is not an error — the client
           // falls back to an explicit fetch.
-          Result<std::string> bytes =
-              co_await participant_.TxnRead(req.txn, SuiteValueKey(req.suite), ctx);
+          Result<std::string> bytes = co_await participant_.ReadPage(req.txn, value_key, ctx);
           if (bytes.ok()) {
             Result<VersionedValue> value = VersionedValue::Parse(bytes.value());
             if (value.ok()) {
@@ -153,8 +153,8 @@ void RepresentativeServer::RegisterHandlers() {
   rpc_.HandleTraced<TxnReadSuiteReq, SuiteReadResp>(
       [this](HostId from, TxnReadSuiteReq req, TraceContext ctx) -> Task<Result<SuiteReadResp>> {
         ++stats_.data_reads;
-        Result<std::string> bytes =
-            co_await participant_.TxnRead(req.txn, SuiteValueKey(req.suite), ctx);
+        const std::string& value_key = PagesFor(req.suite).value_key;
+        Result<std::string> bytes = co_await participant_.ReadPage(req.txn, value_key, ctx);
         if (!bytes.ok()) {
           co_return bytes.status();
         }
@@ -168,8 +168,8 @@ void RepresentativeServer::RegisterHandlers() {
   rpc_.HandleTraced<StaleReadReq, SuiteReadResp>(
       [this](HostId from, StaleReadReq req, TraceContext ctx) -> Task<Result<SuiteReadResp>> {
         ++stats_.data_reads;
-        Result<std::string> bytes =
-            co_await store_.Read(Participant::DataKey(SuiteValueKey(req.suite)), ctx);
+        const std::string& value_key = PagesFor(req.suite).value_key;
+        Result<std::string> bytes = co_await store_.Read(value_key, ctx);
         if (!bytes.ok()) {
           co_return bytes.status();
         }
@@ -182,8 +182,8 @@ void RepresentativeServer::RegisterHandlers() {
 
   rpc_.HandleTraced<PrefixReadReq, PrefixReadResp>(
       [this](HostId from, PrefixReadReq req, TraceContext ctx) -> Task<Result<PrefixReadResp>> {
-        Result<std::string> bytes =
-            co_await store_.Read(Participant::DataKey(SuitePrefixKey(req.suite)), ctx);
+        const std::string& prefix_key = PagesFor(req.suite).prefix_key;
+        Result<std::string> bytes = co_await store_.Read(prefix_key, ctx);
         if (!bytes.ok()) {
           co_return bytes.status();
         }
@@ -204,8 +204,8 @@ void RepresentativeServer::RegisterHandlers() {
         txn.timestamp_us = TxnId::kCourtesyTimestamp;
         txn.serial = refresh_serial_++;
         txn.coordinator = rpc_.host_id();
-        const std::string key = SuiteValueKey(req.suite);
-        Status st = co_await participant_.Lock(txn, key, LockMode::kExclusive, ctx);
+        const std::string& value_key = PagesFor(req.suite).value_key;
+        Status st = co_await participant_.LockPage(txn, value_key, LockMode::kExclusive, ctx);
         if (!st.ok()) {
           ++stats_.refreshes_skipped;
           co_return RefreshResp{false};  // busy; refresh is opportunistic
@@ -215,8 +215,7 @@ void RepresentativeServer::RegisterHandlers() {
         const Version have = current.ok() ? current.value().version : 0;
         if (req.version > have) {
           VersionedValue next{req.version, std::move(req.contents)};
-          Status wrote =
-              co_await store_.Write(Participant::DataKey(key), next.Serialize(), ctx);
+          Status wrote = co_await store_.Write(value_key, next.Serialize(), ctx);
           resp.installed = wrote.ok();
         }
         if (resp.installed) {

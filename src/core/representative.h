@@ -75,9 +75,11 @@ class RepresentativeServer {
  private:
   void RegisterHandlers();
 
-  // Page keys of one suite, built once, plus the fields a version poll
-  // needs from the suite's prefix, parsed from `prefix_bytes` and reused
-  // while the committed prefix stays byte-identical.
+  // Page keys of one suite, built once and passed by reference to the lock
+  // table and the store (the map never drops a suite, so they outlive every
+  // request), plus the fields a version poll needs from the suite's prefix,
+  // parsed from `prefix_bytes` and reused while the committed prefix stays
+  // byte-identical.
   struct SuitePages {
     std::string value_key;   // DataKey(SuiteValueKey(suite))
     std::string prefix_key;  // DataKey(SuitePrefixKey(suite))

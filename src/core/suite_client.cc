@@ -8,6 +8,7 @@
 
 #include "src/common/backoff.h"
 #include "src/common/check.h"
+#include "src/common/dense_bitset.h"
 #include "src/core/txn_state.h"
 #include "src/sim/join.h"
 
@@ -18,24 +19,6 @@ namespace {
 // Prefix-refresh retries per operation: how many newer configurations one
 // read or write follows before giving up.
 constexpr int kMaxConfigRetries = 3;
-
-// User-declared constructor per the GCC 12 rule in src/sim/task.h: this type
-// travels by value through coroutine plumbing (Task payloads, std::function
-// callbacks).
-struct ProbeOutcome {
-  // The candidate whose votes the reply carries: the primary, or the hedge
-  // backup when the backup answered first (and the primary on timeout).
-  QuorumCandidate candidate;
-  Result<VersionResp> result;
-  // Set when the backup won: its probe-order position, to be marked consumed
-  // so widening rounds never re-count its votes.
-  bool backup_won = false;
-  size_t backup_position = 0;
-
-  ProbeOutcome() : result(TimeoutError("unprobed")) {}
-  ProbeOutcome(QuorumCandidate c, Result<VersionResp> r)
-      : candidate(std::move(c)), result(std::move(r)) {}
-};
 
 // One version probe. It goes to `primary` at once; when `backup.host` is a
 // real host, an identical backup follows after `hedge_delay`, the first
@@ -56,6 +39,10 @@ Task<ProbeOutcome> SendProbe(RpcEndpoint* rpc, QuorumCandidate primary, QuorumCa
   }
   co_return std::move(outcome);
 }
+
+// How many transaction states a client keeps for reuse: one per
+// transaction in flight plus a few pinned by straggler probes.
+constexpr size_t kMaxPooledStates = 4;
 
 // Releases locks acquired by a straggler probe that answered after its
 // transaction already ended.
@@ -273,9 +260,23 @@ double SuiteClient::ExpectedMaxShare() const {
   return 1.0;  // deterministic plan: the whole preferred prefix every op
 }
 
-SuiteTransaction SuiteClient::Begin(TraceContext parent) {
+std::shared_ptr<SuiteTransaction::State> SuiteClient::NewState() {
+  for (const std::shared_ptr<SuiteTransaction::State>& pooled : state_pool_) {
+    if (pooled.use_count() == 1) {
+      pooled->Reset();
+      return pooled;
+    }
+  }
   auto state = std::make_shared<SuiteTransaction::State>();
   state->client = this;
+  if (state_pool_.size() < kMaxPooledStates) {
+    state_pool_.push_back(state);
+  }
+  return state;
+}
+
+SuiteTransaction SuiteClient::Begin(TraceContext parent) {
+  std::shared_ptr<SuiteTransaction::State> state = NewState();
   state->txn = coordinator_->Begin();
   if (Tracer* tracer = net_->tracer()) {
     if (parent.valid()) {
@@ -324,8 +325,8 @@ size_t SuiteClient::PickFastPathTarget(const std::vector<QuorumCandidate>& targe
   return 0;
 }
 
-Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
-    std::shared_ptr<SuiteTransaction::State> state, bool exclusive, bool want_data) {
+Task<Status> SuiteClient::Gather(std::shared_ptr<SuiteTransaction::State> state, bool exclusive,
+                                 bool want_data) {
   const int required_votes = exclusive ? config_.write_quorum : config_.read_quorum;
   const LockMode mode = exclusive ? LockMode::kExclusive : LockMode::kShared;
   const std::shared_ptr<const ProbingStrategy> strategy_ref =
@@ -337,9 +338,9 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
   // the probe order (see ProbeOrder). A gray host with generous timeouts
   // never FAILS, so nothing trips its breaker; its inflated latency demotes
   // it all the same.
-  std::vector<ProbeHealth> health;
+  std::vector<ProbeHealth>& health = state->health;
+  health.clear();
   if (tolerant) {
-    health.reserve(plan.size());
     for (const QuorumCandidate& c : plan) {
       const bool demoted = health_->ShouldDemote(c.host) ||
                            health_->LatencyDemoted(c.host, c.expected_latency);
@@ -353,9 +354,15 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
   // Probe position -> plan index. Probabilistic policies draw this
   // operation's quorum from the cached distribution; deterministic policies
   // get an empty sample and consume no randomness, so replays of
-  // pre-strategy schedules stay bit-exact.
-  const std::vector<uint16_t> order = ProbeOrder(
-      plan.size(), strategy_ref->SampleOrder(required_votes, &net_->sim()->rng()), health);
+  // pre-strategy schedules stay bit-exact. An empty sample lets ProbeOrder
+  // build the order in the state's recycled buffer.
+  std::vector<uint16_t> sampled = strategy_ref->SampleOrder(required_votes, &net_->sim()->rng());
+  if (sampled.empty()) {
+    sampled.swap(state->order);
+    sampled.clear();
+  }
+  state->order = ProbeOrder(plan.size(), std::move(sampled), health);
+  const std::vector<uint16_t>& order = state->order;
 
   Tracer* tracer = net_->tracer();
   TraceContext gather_span;
@@ -363,12 +370,14 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
     gather_span = tracer->StartChild(state->trace, rpc_->host_id(), "phase.gather");
   }
 
-  GatherResult out;
+  GatherResult& out = state->gather;
+  out.Clear();
   size_t next_candidate = 0;
   // Probe-order positions already credited: primaries advance
   // `next_candidate` past themselves; a hedge backup that won is recorded
   // here so a widening round skips it instead of counting its votes twice.
-  std::set<size_t> consumed;
+  DenseBitset<size_t>& consumed = state->consumed;
+  consumed.Clear();
   int rounds_used = 0;
   bool fastpath_requested = false;
 
@@ -376,12 +385,13 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
        ++round) {
     // Choose this round's targets: enough fresh candidates to close the vote
     // gap (all of them under kBroadcast).
-    std::vector<QuorumCandidate> targets;
+    std::vector<QuorumCandidate>& targets = state->targets;
+    targets.clear();
     int planned_votes = out.votes;
     while (next_candidate < order.size() &&
            (options_.strategy == QuorumStrategy::kBroadcast ||
             planned_votes < required_votes)) {
-      if (consumed.count(next_candidate) != 0) {
+      if (consumed.Contains(next_candidate)) {
         ++next_candidate;
         continue;
       }
@@ -407,18 +417,17 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
     // available as a widening candidate (its votes were never counted).
     size_t hedge_scan = next_candidate;
 
-    std::vector<Task<ProbeOutcome>> probes;
-    probes.reserve(targets.size());
+    std::vector<Task<ProbeOutcome>>& probes = state->probes;
     for (size_t i = 0; i < targets.size(); ++i) {
       QuorumCandidate& candidate = targets[i];
       ++stats_.probes_sent;
       ++SlotFor(probe_counts_, candidate.host);
-      state->probed.insert(candidate.host);
+      state->probed.Insert(candidate.host);
 
       QuorumCandidate backup;  // host kInvalidHost: no hedge
       size_t backup_pos = order.size();
       if (tolerant) {
-        while (hedge_scan < order.size() && consumed.count(hedge_scan) != 0) {
+        while (hedge_scan < order.size() && consumed.Contains(hedge_scan)) {
           ++hedge_scan;
         }
         if (hedge_scan < order.size()) {
@@ -431,7 +440,7 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
         // The backup may be granted a lock server-side even when its reply
         // loses the race (or the hedge never fires — aborting an unknown
         // transaction is a no-op), so the release safety net must cover it.
-        state->probed.insert(backup.host);
+        state->probed.Insert(backup.host);
         ++stats_.hedged_probes;
         // The hedge is the latency-control mechanism; the configured probe
         // timeout bounds the whole race, so the backup has room to answer.
@@ -444,35 +453,37 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
     }
 
     const int base_votes = out.votes;
-    // Named std::function bindings (not bare lambdas) per the GCC 12 rule in
+    // Named bindings, moved into the join, per the GCC 12 rule in
     // src/sim/task.h.
-    std::function<bool(const std::vector<ProbeOutcome>&)> enough =
-        [base_votes, required_votes](const std::vector<ProbeOutcome>& got) {
-          int votes = base_votes;
-          for (const ProbeOutcome& o : got) {
-            if (o.result.ok()) {
-              votes += o.candidate.votes;
-            }
-          }
-          return votes >= required_votes;
-        };
+    auto enough = [base_votes, required_votes](const std::vector<ProbeOutcome>& got) {
+      int votes = base_votes;
+      for (const ProbeOutcome& o : got) {
+        if (o.result.ok()) {
+          votes += o.candidate.votes;
+        }
+      }
+      return votes >= required_votes;
+    };
     // Stragglers acquired locks after we stopped waiting. They are already
     // in `probed`, so the transaction's end releases them; one that answers
-    // after the end is released here.
-    std::function<void(ProbeOutcome)> leftover =
-        [state, rpc = rpc_, timeout = options_.probe_timeout](ProbeOutcome o) {
-          if (o.result.ok() && state->finished) {
-            Spawn(ReleaseLateLocks(rpc, o.candidate.host, state->txn, timeout));
-          }
-        };
+    // after the end is released here. Holding `state` keeps the client from
+    // recycling it while a straggler may still report.
+    auto leftover = [state](ProbeOutcome o) {
+      if (o.result.ok() && state->finished) {
+        SuiteClient* client = state->client;
+        Spawn(ReleaseLateLocks(client->rpc_, o.candidate.host, state->txn,
+                               client->options_.probe_timeout));
+      }
+    };
 
-    std::vector<ProbeOutcome> outcomes = co_await JoinUntil<ProbeOutcome>(
-        net_->sim(), std::move(probes), std::move(enough), std::move(leftover));
+    std::vector<ProbeOutcome>& outcomes = state->outcomes;
+    co_await JoinUntil<ProbeOutcome>(net_->sim(), probes, outcomes, std::move(enough),
+                                     std::move(leftover));
 
     for (ProbeOutcome& o : outcomes) {
       if (o.result.ok()) {
         if (o.backup_won) {
-          consumed.insert(o.backup_position);
+          consumed.Insert(o.backup_position);
         }
         out.votes += o.candidate.votes;
         out.current = std::max(out.current, o.result.value().version);
@@ -523,11 +534,12 @@ Task<Result<SuiteClient::GatherResult>> SuiteClient::Gather(
                         std::to_string(rounds_used) +
                         (fastpath_requested ? " fastpath-requested" : ""));
   }
-  co_return out;
+  co_return Status::Ok();
 }
 
 Task<Result<SuiteReadResp>> SuiteClient::FetchData(
-    std::shared_ptr<SuiteTransaction::State> state, const GatherResult& gather) {
+    std::shared_ptr<SuiteTransaction::State> state) {
+  const GatherResult& gather = state->gather;
   // Fetch from the cheapest current member — Gifford's "read from the best
   // up-to-date representative". The candidates already carry their expected
   // latency from the (latency-ordered) plan, so a min-scan per attempt
@@ -584,7 +596,7 @@ Task<Result<SuiteReadResp>> SuiteClient::FetchData(
 }
 
 void SuiteClient::SpawnRefreshes(const GatherResult& gather, Version current,
-                                 std::string contents) {
+                                 const std::string& contents) {
   if (!options_.background_refresh || current == 0) {
     return;
   }
@@ -593,11 +605,8 @@ void SuiteClient::SpawnRefreshes(const GatherResult& gather, Version current,
   // refreshed too (the install is conditional server-side, so an
   // already-current straggler ignores it) — this is what lets a recovered
   // replica catch up from any broadcast reader.
-  std::set<HostId> confirmed_current;
   for (const ProbeReply& r : gather.replies) {
-    if (r.resp.version >= current) {
-      confirmed_current.insert(r.candidate.host);
-    } else {
+    if (r.resp.version < current) {
       ++stats_.refreshes_spawned;
       Spawn(SendRefresh(rpc_, r.candidate.host, config_.suite_name, current, contents,
                         options_.data_timeout));
@@ -608,15 +617,12 @@ void SuiteClient::SpawnRefreshes(const GatherResult& gather, Version current,
       if (rep.weak()) {
         continue;
       }
+      // Members that answered are current or were refreshed above.
       const HostId host = links_.Resolve(rep.host_name);
-      bool probed_stale = false;
-      for (const ProbeReply& r : gather.replies) {
-        if (r.candidate.host == host) {
-          probed_stale = r.resp.version < current;
-          break;
-        }
-      }
-      if (confirmed_current.count(host) == 0 && !probed_stale) {
+      const bool answered =
+          std::any_of(gather.replies.begin(), gather.replies.end(),
+                      [host](const ProbeReply& r) { return r.candidate.host == host; });
+      if (!answered) {
         ++stats_.refreshes_spawned;
         Spawn(SendRefresh(rpc_, host, config_.suite_name, current, contents,
                           options_.data_timeout));
@@ -625,12 +631,12 @@ void SuiteClient::SpawnRefreshes(const GatherResult& gather, Version current,
   }
 }
 
-Task<Result<SuiteClient::GatherResult>> SuiteClient::GatherFollowingConfig(
-    std::shared_ptr<SuiteTransaction::State> state, bool exclusive, bool want_data) {
+Task<Status> SuiteClient::GatherFollowingConfig(std::shared_ptr<SuiteTransaction::State> state,
+                                                bool exclusive, bool want_data) {
   for (int attempt = 0; attempt <= kMaxConfigRetries; ++attempt) {
-    Result<GatherResult> gather = co_await Gather(state, exclusive, want_data);
-    if (gather.ok() || gather.status().code() != StatusCode::kFailedPrecondition) {
-      co_return gather;
+    Status gathered = co_await Gather(state, exclusive, want_data);
+    if (gathered.ok() || gathered.code() != StatusCode::kFailedPrecondition) {
+      co_return gathered;
     }
     WVOTE_CO_RETURN_IF_ERROR(co_await RefreshConfigFromPrefix());
   }
@@ -649,13 +655,14 @@ Task<Result<std::string>> SuiteClient::DoRead(std::shared_ptr<SuiteTransaction::
     co_return state->read_result->contents;  // repeated read
   }
 
-  Result<GatherResult> gather =
+  Status gathered =
       co_await GatherFollowingConfig(state, /*exclusive=*/false, options_.fastpath_reads);
-  if (!gather.ok()) {
-    co_return gather.status();
+  if (!gathered.ok()) {
+    co_return gathered;
   }
   ++stats_.reads;
-  const Version current = gather.value().current;
+  GatherResult& gather = state->gather;
+  const Version current = gather.current;
 
   if (current == 0) {
     // Never written: reads as empty.
@@ -668,7 +675,7 @@ Task<Result<std::string>> SuiteClient::DoRead(std::shared_ptr<SuiteTransaction::
     if (cached != nullptr) {
       ++stats_.cache_hits;
       state->read_result = VersionedValue{current, *cached};
-      SpawnRefreshes(gather.value(), current, *cached);
+      SpawnRefreshes(gather, current, *cached);
       co_return *cached;
     }
   }
@@ -678,7 +685,7 @@ Task<Result<std::string>> SuiteClient::DoRead(std::shared_ptr<SuiteTransaction::
     // proves that copy current — the read is done in one round trip. This
     // is exactly Gifford's read rule with the data transfer overlapped
     // into the version poll; the currency decision is unchanged.
-    for (ProbeReply& r : gather.value().replies) {
+    for (ProbeReply& r : gather.replies) {
       if (r.resp.has_data && r.resp.version == current) {
         ++stats_.fastpath_hits;
         if (Tracer* tracer = net_->tracer()) {
@@ -689,7 +696,7 @@ Task<Result<std::string>> SuiteClient::DoRead(std::shared_ptr<SuiteTransaction::
         if (cache_ != nullptr) {
           cache_->Update(config_.suite_name, current, r.resp.contents);
         }
-        SpawnRefreshes(gather.value(), current, r.resp.contents);
+        SpawnRefreshes(gather, current, r.resp.contents);
         state->read_result = VersionedValue{current, std::move(r.resp.contents)};
         co_return state->read_result->contents;
       }
@@ -702,21 +709,21 @@ Task<Result<std::string>> SuiteClient::DoRead(std::shared_ptr<SuiteTransaction::
     }
   }
 
-  Result<SuiteReadResp> data = co_await FetchData(state, gather.value());
+  Result<SuiteReadResp> data = co_await FetchData(state);
   if (!data.ok()) {
     co_return data.status();
   }
   if (cache_ != nullptr) {
     cache_->Update(config_.suite_name, current, data.value().contents);
   }
-  SpawnRefreshes(gather.value(), current, data.value().contents);
+  SpawnRefreshes(gather, current, data.value().contents);
   state->read_result = VersionedValue{current, data.value().contents};
   co_return std::move(data.value().contents);
 }
 
 Task<Status> SuiteClient::DoCommit(States states,
                                    std::map<HostId, std::vector<WriteIntent>> writes) {
-  const SuiteTransaction::State& first = *states.front();
+  SuiteTransaction::State& first = *states.front();
   if (first.finished) {
     co_return FailedPreconditionError("transaction already finished");
   }
@@ -728,20 +735,18 @@ Task<Status> SuiteClient::DoCommit(States states,
       continue;
     }
     SuiteClient* client = state->client;
-    Result<GatherResult> gather =
-        co_await client->GatherFollowingConfig(state, /*exclusive=*/true);
-    if (!gather.ok()) {
+    Status gathered = co_await client->GatherFollowingConfig(state, /*exclusive=*/true);
+    if (!gathered.ok()) {
       co_await DoAbort(states);
-      co_return gather.status();
+      co_return gathered;
     }
     ++client->stats_.writes;
-    state->write_quorum = std::move(gather.value());
     // Serialize the versioned value exactly once per commit; every quorum
     // member's intent (and every message hop) shares the one buffer.
     const SharedPayload payload(
-        VersionedValue{state->write_quorum.current + 1, *state->pending_write}.Serialize());
+        VersionedValue{state->gather.current + 1, *state->pending_write}.Serialize());
     client->stats_.commit_bytes_serialized += payload.size();
-    for (const ProbeReply& r : state->write_quorum.replies) {
+    for (const ProbeReply& r : state->gather.replies) {
       writes[r.candidate.host].push_back(
           WriteIntent(SuiteValueKey(client->config_.suite_name), payload));
     }
@@ -749,19 +754,20 @@ Task<Status> SuiteClient::DoCommit(States states,
 
   // Every other probed host only needs its locks released, once (probes
   // that timed out client-side may still have been granted server-side).
-  std::vector<HostId> read_only;
+  std::vector<HostId>& read_only = first.release;
+  read_only.clear();
   for (const std::shared_ptr<SuiteTransaction::State>& state : states) {
     state->finished = true;
-    for (HostId host : state->probed) {
+    state->probed.ForEach([&](HostId host) {
       if (writes.count(host) == 0 &&
           std::find(read_only.begin(), read_only.end(), host) == read_only.end()) {
         read_only.push_back(host);
       }
-    }
+    });
   }
   const bool wrote = !writes.empty();
   Status st = co_await first.client->coordinator_->CommitTransaction(
-      first.txn, std::move(writes), std::move(read_only), first.trace);
+      first.txn, std::move(writes), read_only, first.trace);
 
   for (const std::shared_ptr<SuiteTransaction::State>& state : states) {
     SuiteClient* client = state->client;
@@ -773,11 +779,11 @@ Task<Status> SuiteClient::DoCommit(States states,
     if (!state->pending_write) {
       continue;
     }
-    const Version next = state->write_quorum.current + 1;
+    const Version next = state->gather.current + 1;
     state->committed_version = next;
     // The write quorum now holds `next`; remember that for future fast-path
     // targeting.
-    for (const ProbeReply& r : state->write_quorum.replies) {
+    for (const ProbeReply& r : state->gather.replies) {
       client->NoteVersion(r.candidate.host, next);
     }
     if (client->cache_ != nullptr) {
@@ -799,7 +805,7 @@ Task<Status> SuiteClient::DoCommit(States states,
 }
 
 Task<void> SuiteClient::DoAbort(States states) {
-  const SuiteTransaction::State& first = *states.front();
+  SuiteTransaction::State& first = *states.front();
   if (first.finished) {
     co_return;
   }
@@ -807,17 +813,20 @@ Task<void> SuiteClient::DoAbort(States states) {
   const TraceContext trace = first.trace;
   Coordinator* coordinator = first.client->coordinator_;
   Tracer* tracer = first.client->net_->tracer();
-  std::vector<HostId> targets;
+  std::vector<HostId>& targets = first.release;
+  targets.clear();
   for (const std::shared_ptr<SuiteTransaction::State>& state : states) {
     state->finished = true;
     ++state->client->stats_.aborts;
-    for (HostId host : state->probed) {
+    state->probed.ForEach([&](HostId host) {
       if (std::find(targets.begin(), targets.end(), host) == targets.end()) {
         targets.push_back(host);
       }
-    }
+    });
   }
-  co_await coordinator->AbortTransaction(txn, std::move(targets), trace);
+  // AbortTransaction reads `targets` before its first suspension, which is
+  // also when this task stops reading `states`.
+  co_await coordinator->AbortTransaction(txn, targets, trace);
   if (tracer != nullptr) {
     tracer->EndWith(trace, "aborted");
   }
@@ -944,8 +953,7 @@ Task<Status> SuiteClient::Reconfigure(SuiteConfig new_config, int retries) {
 }
 
 Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
-  auto state = std::make_shared<SuiteTransaction::State>();
-  state->client = this;
+  std::shared_ptr<SuiteTransaction::State> state = NewState();
   state->txn = txn;
   if (Tracer* tracer = net_->tracer()) {
     state->trace = tracer->StartRoot(rpc_->host_id(), "client.reconfigure");
@@ -956,27 +964,28 @@ Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
 
   // Write quorum under the OLD configuration (the paper's rule for changing
   // the prefix).
-  Result<GatherResult> gather = co_await Gather(state, /*exclusive=*/true);
-  if (!gather.ok()) {
+  Status gathered = co_await Gather(state, /*exclusive=*/true);
+  if (!gathered.ok()) {
     co_await DoAbort({&state, 1});
-    co_return gather.status();
+    co_return gathered;
   }
 
   // Current contents, needed to initialize members new to the suite.
+  const GatherResult& gather = state->gather;
   std::string contents;
-  if (gather.value().current > 0) {
-    Result<SuiteReadResp> data = co_await FetchData(state, gather.value());
+  if (gather.current > 0) {
+    Result<SuiteReadResp> data = co_await FetchData(state);
     if (!data.ok()) {
       co_await DoAbort({&state, 1});
       co_return data.status();
     }
     contents = std::move(data.value().contents);
   }
-  const Version next = gather.value().current + 1;
+  const Version next = gather.current + 1;
 
   // Exclusive locks at every new-config member that we do not already hold.
   std::set<HostId> targets;
-  for (const ProbeReply& r : gather.value().replies) {
+  for (const ProbeReply& r : gather.replies) {
     targets.insert(r.candidate.host);
   }
   for (const RepresentativeInfo& rep : new_config.representatives) {
@@ -987,7 +996,7 @@ Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
     if (targets.count(host) != 0) {
       continue;
     }
-    state->probed.insert(host);
+    state->probed.Insert(host);
     Result<VersionResp> locked = co_await rpc_->Call<TxnVersionReq, VersionResp>(
         host, TxnVersionReq{state->txn, config_.suite_name, LockMode::kExclusive},
         options_.probe_timeout, state->trace);
@@ -1001,7 +1010,7 @@ Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
   // The new prefix is also written at every target, so it needs its own
   // exclusive lock (Prepare refuses intents whose keys are unlocked).
   for (HostId host : targets) {
-    state->probed.insert(host);
+    state->probed.Insert(host);
     Result<Ack> locked = co_await rpc_->Call<LockReq, Ack>(
         host, LockReq{state->txn, SuitePrefixKey(config_.suite_name), LockMode::kExclusive},
         options_.probe_timeout, state->trace);

@@ -234,7 +234,19 @@ class SuiteClient {
     uint64_t max_config_version = 0;
 
     GatherResult() = default;
+    // Empties the result, keeping the replies' capacity.
+    void Clear() {
+      replies.clear();
+      votes = 0;
+      current = 0;
+      max_config_version = 0;
+    }
   };
+
+  // A transaction state for a new transaction: a pooled one that nothing
+  // but the pool still holds (its transaction ended and no straggler probe
+  // pins it), else a fresh one, pooled while the pool has room.
+  std::shared_ptr<SuiteTransaction::State> NewState();
 
   // This client's probes to `host` since the last stats reset.
   uint64_t ProbeCountOf(const std::string& host) const;
@@ -256,24 +268,23 @@ class SuiteClient {
   size_t PickFastPathTarget(const std::vector<QuorumCandidate>& targets) const;
 
   // Round-based quorum gather for the read quorum (shared locks) or, with
-  // `exclusive`, the write quorum; records every host it probes in the
-  // transaction state, and releases stragglers that answer after the
-  // transaction ended. With `want_data`, one first-round probe asks for
-  // piggybacked contents.
-  Task<Result<GatherResult>> Gather(std::shared_ptr<SuiteTransaction::State> state,
-                                    bool exclusive, bool want_data = false);
+  // `exclusive`, the write quorum, into `state->gather`; records every host
+  // it probes in the transaction state, and releases stragglers that answer
+  // after the transaction ended. With `want_data`, one first-round probe
+  // asks for piggybacked contents.
+  Task<Status> Gather(std::shared_ptr<SuiteTransaction::State> state, bool exclusive,
+                      bool want_data = false);
 
   // Gather under the newest configuration: a gather that meets a newer
   // prefix re-fetches it and starts over, up to kMaxConfigRetries times.
-  Task<Result<GatherResult>> GatherFollowingConfig(
-      std::shared_ptr<SuiteTransaction::State> state, bool exclusive, bool want_data = false);
+  Task<Status> GatherFollowingConfig(std::shared_ptr<SuiteTransaction::State> state,
+                                     bool exclusive, bool want_data = false);
 
-  // Fetches contents from the cheapest current member of `gather`.
-  Task<Result<SuiteReadResp>> FetchData(std::shared_ptr<SuiteTransaction::State> state,
-                                        const GatherResult& gather);
+  // Fetches contents from the cheapest current member of `state->gather`.
+  Task<Result<SuiteReadResp>> FetchData(std::shared_ptr<SuiteTransaction::State> state);
 
   // Best-effort background update of stale representatives.
-  void SpawnRefreshes(const GatherResult& gather, Version current, std::string contents);
+  void SpawnRefreshes(const GatherResult& gather, Version current, const std::string& contents);
 
   Task<Result<std::string>> DoRead(std::shared_ptr<SuiteTransaction::State> state);
 
@@ -324,6 +335,8 @@ class SuiteClient {
   // request, never to decide currency (that always takes a quorum).
   Version hint_version_ = 0;
   std::vector<Version> rep_version_hints_;
+  // Transaction states recycled by NewState().
+  std::vector<std::shared_ptr<SuiteTransaction::State>> state_pool_;
 };
 
 }  // namespace wvote

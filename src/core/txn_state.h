@@ -8,15 +8,38 @@
 #define WVOTE_SRC_CORE_TXN_STATE_H_
 
 #include <optional>
-#include <set>
 #include <string>
+#include <vector>
 
+#include "src/common/dense_bitset.h"
 #include "src/core/suite_client.h"
 
 namespace wvote {
 
+// One version probe's result. User-declared constructor per the GCC 12 rule
+// in src/sim/task.h: this type travels by value through coroutine plumbing.
+struct ProbeOutcome {
+  // The candidate whose votes the reply carries: the primary, or the hedge
+  // backup when the backup answered first (and the primary on timeout).
+  QuorumCandidate candidate;
+  Result<VersionResp> result;
+  // Set when the backup won: its probe-order position, to be marked consumed
+  // so widening rounds never re-count its votes.
+  bool backup_won = false;
+  size_t backup_position = 0;
+
+  ProbeOutcome() : result(TimeoutError("unprobed")) {}
+  ProbeOutcome(QuorumCandidate c, Result<VersionResp> r)
+      : candidate(std::move(c)), result(std::move(r)) {}
+};
+
 // Per-transaction shared state. Held by the transaction handle, by in-flight
-// probe coroutines, and by straggler cleanup closures.
+// probe coroutines, and by straggler cleanup closures. The client recycles a
+// State once nothing but its pool holds it (SuiteClient::NewState): Reset()
+// clears the transaction's fields, and the working buffers below keep their
+// capacity, so a steady stream of transactions gathers, commits and releases
+// without heap allocation. A transaction runs one operation at a time, so
+// the buffers are never shared between two gathers.
 struct SuiteTransaction::State {
   SuiteClient* client = nullptr;
   TxnId txn;
@@ -24,13 +47,14 @@ struct SuiteTransaction::State {
   // Every representative we ever sent a lock-taking request to. A probe that
   // times out client-side may still be granted server-side (it queued on the
   // lock and won later); releasing every probed host at transaction end is
-  // what prevents those grants from leaking forever.
-  std::set<HostId> probed;
+  // what prevents those grants from leaking forever. Ascending, like the
+  // std::set it replaced, so releases go out in host order.
+  DenseBitset<HostId> probed;
   std::optional<VersionedValue> read_result;
   std::optional<std::string> pending_write;
-  // The write quorum a commit gathered for `pending_write`; the new version
-  // is its `current` + 1.
-  SuiteClient::GatherResult write_quorum;
+  // The last gather's quorum: the read's, or the write quorum a commit
+  // gathered for `pending_write` (the new version is its `current` + 1).
+  SuiteClient::GatherResult gather;
   // Version installed by a successful write commit (0 until then). Chaos
   // histories pair each acked write with the version it committed at.
   Version committed_version = 0;
@@ -39,6 +63,30 @@ struct SuiteTransaction::State {
   // the phases tile the attempt span exactly — sim time only advances at
   // awaits, and the phases are the awaits.
   TraceContext trace;
+
+  // Gather's working buffers: the health view and probe order of the plan,
+  // one round's targets, probes and outcomes, and the probe positions a
+  // winning hedge backup already credited.
+  std::vector<ProbeHealth> health;
+  std::vector<uint16_t> order;
+  std::vector<QuorumCandidate> targets;
+  std::vector<Task<ProbeOutcome>> probes;
+  std::vector<ProbeOutcome> outcomes;
+  DenseBitset<size_t> consumed;
+  // The hosts a commit or abort releases.
+  std::vector<HostId> release;
+
+  // Readies a pooled State for a new transaction, keeping the buffers.
+  void Reset() {
+    txn = TxnId();
+    finished = false;
+    probed.Clear();
+    read_result.reset();
+    pending_write.reset();
+    gather.Clear();
+    committed_version = 0;
+    trace = TraceContext();
+  }
 };
 
 }  // namespace wvote

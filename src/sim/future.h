@@ -17,6 +17,7 @@
 
 #include "src/common/check.h"
 #include "src/sim/simulator.h"
+#include "src/sim/task.h"
 
 namespace wvote {
 
@@ -76,7 +77,8 @@ template <typename T>
 class Promise {
  public:
   explicit Promise(Simulator* sim)
-      : state_(std::make_shared<internal::FutureState<T>>(sim)) {}
+      : state_(std::allocate_shared<internal::FutureState<T>>(
+            internal::PoolAllocator<internal::FutureState<T>>(), sim)) {}
 
   Future<T> GetFuture() { return Future<T>(state_); }
 

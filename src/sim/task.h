@@ -13,7 +13,8 @@
 //
 // Frame memory: every RPC round trip creates and destroys several frames
 // (caller, handler, detached wrapper), so frames come from a per-thread
-// size-class free list instead of the general heap (FramePool below).
+// size-class free list instead of the general heap (FramePool below). The
+// shared state of Promise/Future pairs and joins comes from the same pool.
 //
 // ---------------------------------------------------------------------------
 // GCC 12 COMPATIBILITY RULE — read before adding coroutine functions.
@@ -126,6 +127,29 @@ class FramePool {
   static FreeBlock** Heads() {
     static thread_local FreeBlock* heads[kClasses] = {};
     return heads;
+  }
+};
+
+// An allocator over FramePool for the small shared blocks that coroutine
+// plumbing creates per call (a Promise's state, a join's bookkeeping):
+// std::allocate_shared with it puts the control block and the object in one
+// pooled block, poisoned while parked exactly like a frame.
+template <typename T>
+struct PoolAllocator {
+  using value_type = T;
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "FramePool blocks carry operator new's default alignment");
+
+  PoolAllocator() = default;
+  template <typename U>
+  PoolAllocator(const PoolAllocator<U>&) noexcept {}
+
+  T* allocate(size_t n) { return static_cast<T*>(FramePool::Allocate(n * sizeof(T))); }
+  void deallocate(T* p, size_t n) noexcept { FramePool::Deallocate(p, n * sizeof(T)); }
+
+  template <typename U>
+  bool operator==(const PoolAllocator<U>&) const noexcept {
+    return true;
   }
 };
 

@@ -195,7 +195,7 @@ Task<Status> StableStore::WriteBatch(
   co_return result;
 }
 
-Task<Result<std::string>> StableStore::Read(std::string key, TraceContext ctx) {
+Task<Result<std::string>> StableStore::Read(const std::string& key, TraceContext ctx) {
   if (!host_->up()) {
     co_return AbortedError("host down");
   }

@@ -102,8 +102,9 @@ class StableStore {
                           TraceContext ctx = TraceContext());
 
   // Durable read with simulated disk latency. kNotFound if the page was
-  // never completely written; kAborted on crash mid-read.
-  Task<Result<std::string>> Read(std::string key, TraceContext ctx = TraceContext());
+  // never completely written; kAborted on crash mid-read. `key` must stay
+  // valid until the returned task completes.
+  Task<Result<std::string>> Read(const std::string& key, TraceContext ctx = TraceContext());
 
   // Durably removes a page (log garbage collection). A crash mid-delete may
   // leave the page present; deletes must therefore be idempotent upstream.

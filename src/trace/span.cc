@@ -41,7 +41,7 @@ void AppendJsonEscaped(std::string_view in, std::string* out) {
 
 }  // namespace
 
-Tracer::Tracer(Simulator* sim, size_t capacity) : sim_(sim), ring_(capacity) {}
+Tracer::Tracer(Simulator* sim, size_t capacity) : sim_(sim), capacity_(capacity) {}
 
 TraceContext Tracer::StartRoot(HostId host, std::string_view name) {
   if (!enabled_) {
@@ -129,13 +129,20 @@ void Tracer::Complete(Span span) {
     // The root must be visible to DumpTree, so stash it first.
     const uint64_t trace_id = span.trace_id;
     const HostId host = span.host;
-    ring_[next_slot_] = std::move(span);
-    next_slot_ = (next_slot_ + 1) % ring_.size();
+    Store(std::move(span));
     slow_log_->Record(host, TraceKind::kSlowOp, head + DumpTree(trace_id));
     return;
   }
-  ring_[next_slot_] = std::move(span);
-  next_slot_ = (next_slot_ + 1) % ring_.size();
+  Store(std::move(span));
+}
+
+void Tracer::Store(Span span) {
+  if (ring_.size() < capacity_) {
+    ring_.push_back(std::move(span));
+  } else {
+    ring_[next_slot_] = std::move(span);
+  }
+  next_slot_ = (next_slot_ + 1) % capacity_;
 }
 
 void Tracer::RegisterMetrics(MetricsRegistry* metrics) {
@@ -171,9 +178,10 @@ void Tracer::SetHostNamer(std::function<std::string(HostId)> namer) {
 
 std::vector<Span> Tracer::Snapshot() const {
   std::vector<Span> out;
-  const uint64_t kept = std::min<uint64_t>(spans_completed_, ring_.size());
+  const uint64_t kept = ring_.size();
   out.reserve(kept + open_.size());
-  const size_t start = (spans_completed_ >= ring_.size()) ? next_slot_ : 0;
+  // Oldest retained span sits at next_slot_ once the ring has wrapped.
+  const size_t start = ring_.size() == capacity_ ? next_slot_ : 0;
   for (uint64_t i = 0; i < kept; ++i) {
     out.push_back(ring_[(start + i) % ring_.size()]);
   }
@@ -337,9 +345,7 @@ std::string Tracer::ExportChromeTrace(int pid_base) const {
 }
 
 void Tracer::Clear() {
-  for (Span& span : ring_) {
-    span = Span();
-  }
+  ring_.clear();
   next_slot_ = 0;
   spans_started_ = 0;
   spans_completed_ = 0;

@@ -13,7 +13,8 @@
 // first and the arguments are views/integers, so a disabled tracer — like a
 // null TraceLog — costs one predictable branch per call site and never
 // allocates. Enabled spans cost one map insert at start and one ring write
-// at end; completed spans recycle a bounded ring (default 64Ki spans).
+// at end; completed spans recycle a bounded ring (default 64Ki spans) that
+// grows on demand, so a tracer that records nothing costs no ring memory.
 //
 // Well-known span names (phase.* feed same-named trace.phase.* histograms
 // in the MetricsRegistry; client.read/client.write feed trace.op.*):
@@ -141,6 +142,9 @@ class Tracer {
 
  private:
   void Complete(Span span);
+  // Puts a completed span in the ring: appended while the ring is below
+  // capacity, else over the oldest.
+  void Store(Span span);
   std::string HostName(HostId host) const;
   void AppendChromeEvent(const Span& span, int pid_base, std::string_view tag,
                          std::string* out, bool* first) const;
@@ -149,7 +153,8 @@ class Tracer {
   bool enabled_ = false;
   uint64_t next_id_ = 1;
 
-  std::vector<Span> ring_;
+  const size_t capacity_;
+  std::vector<Span> ring_;  // grows to capacity_, then wraps at next_slot_
   size_t next_slot_ = 0;
   uint64_t spans_started_ = 0;
   uint64_t spans_completed_ = 0;

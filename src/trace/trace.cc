@@ -49,14 +49,14 @@ const char* TraceKindName(TraceKind kind) {
 
 TraceLog::TraceLog(Simulator* sim, size_t capacity) : sim_(sim), ring_(capacity) {}
 
-void TraceLog::Record(HostId host, TraceKind kind, std::string detail) {
+void TraceLog::Record(HostId host, TraceKind kind, std::string_view detail) {
   static_assert(sizeof(counts_) / sizeof(counts_[0]) == kNumTraceKinds,
                 "counts_ must have one slot per TraceKind enumerator");
   TraceEvent& slot = ring_[next_];
   slot.at = sim_->Now();
   slot.host = host;
   slot.kind = kind;
-  slot.detail = std::move(detail);
+  slot.detail.assign(detail);
   next_ = (next_ + 1) % ring_.size();
   ++total_recorded_;
   ++counts_[static_cast<size_t>(kind)];

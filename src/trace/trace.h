@@ -7,8 +7,10 @@
 // happening on rep-2 when the commit stalled?") and gives tests a way to
 // assert on protocol-level behavior rather than only on end state.
 //
-// Recording is two appends and never allocates after construction; disabled
-// (null) logs cost one branch.
+// Recording copies the detail into the ring slot's own buffer, which the
+// slot keeps, so once the ring has wrapped a record allocates only when its
+// detail is longer than any the slot held before; disabled (null) logs cost
+// one branch.
 
 #ifndef WVOTE_SRC_TRACE_TRACE_H_
 #define WVOTE_SRC_TRACE_TRACE_H_
@@ -16,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/time.h"
@@ -60,7 +63,7 @@ class TraceLog {
  public:
   explicit TraceLog(Simulator* sim, size_t capacity = 4096);
 
-  void Record(HostId host, TraceKind kind, std::string detail);
+  void Record(HostId host, TraceKind kind, std::string_view detail);
 
   // Events in chronological order (oldest retained first).
   std::vector<TraceEvent> Snapshot() const;

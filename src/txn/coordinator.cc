@@ -1,5 +1,6 @@
 #include "src/txn/coordinator.h"
 
+#include <cstdio>
 #include <utility>
 
 #include "src/sim/join.h"
@@ -52,7 +53,8 @@ Coordinator::Coordinator(RpcEndpoint* rpc, StableStore* store, CoordinatorOption
       [this](HostId from, DecisionInquiryReq req,
              TraceContext ctx) -> Task<Result<DecisionResp>> {
         ++stats_.inquiries_served;
-        Result<std::string> rec = co_await store_->Read(DecisionKey(req.txn), ctx);
+        const std::string key = DecisionKey(req.txn);
+        Result<std::string> rec = co_await store_->Read(key, ctx);
         if (rec.ok() && rec.value() == "C") {
           co_return DecisionResp{TxnDecision::kCommitted};
         }
@@ -98,7 +100,7 @@ TxnId Coordinator::BeginAt(int64_t timestamp_us) {
 
 Task<Status> Coordinator::CommitTransaction(TxnId txn,
                                             std::map<HostId, std::vector<WriteIntent>> writes,
-                                            std::vector<HostId> read_only_participants,
+                                            std::span<const HostId> read_only_participants,
                                             TraceContext ctx) {
   Tracer* tracer = rpc_->network()->tracer();
   std::vector<HostId> writers;
@@ -158,7 +160,7 @@ Task<Status> Coordinator::CommitTransaction(TxnId txn,
     everyone.insert(everyone.end(), read_only_participants.begin(),
                     read_only_participants.end());
     undecided_.erase(txn);
-    co_await AbortTransaction(txn, std::move(everyone), ctx);
+    co_await AbortTransaction(txn, everyone, ctx);
     ++stats_.aborted;
     co_return AbortedError("prepare failed: " + failure.ToString());
   }
@@ -182,7 +184,7 @@ Task<Status> Coordinator::CommitTransaction(TxnId txn,
   // the exact window phase-targeted chaos schedules crash into (the ack
   // must stand and convergence must come from inquiries alone).
   if (TraceLog* trace = rpc_->network()->trace()) {
-    trace->Record(rpc_->host_id(), TraceKind::kDecisionLogged, txn.ToString());
+    trace->Record(rpc_->host_id(), TraceKind::kDecisionLogged, txn.ToText().view());
   }
 
   if (options_.sync_phase2) {
@@ -190,8 +192,10 @@ Task<Status> Coordinator::CommitTransaction(TxnId txn,
     if (tracer != nullptr) {
       ack_span = tracer->StartChild(ctx, rpc_->host_id(), "phase.commit_ack");
     }
-    Status phase2 = co_await SendPhase2(txn, std::move(writers),
-                                        std::move(read_only_participants), ack_span);
+    Status phase2 = co_await SendPhase2(
+        txn, std::move(writers),
+        std::vector<HostId>(read_only_participants.begin(), read_only_participants.end()),
+        ack_span);
     if (tracer != nullptr) {
       tracer->EndWith(ack_span, "sync");
     }
@@ -213,8 +217,9 @@ Task<Status> Coordinator::CommitTransaction(TxnId txn,
     tracer->EndWith(ack_span, "async: deferred to background fan-out");
   }
   ++stats_.async_phase2_spawned;
-  Spawn(RunPhase2InBackground(txn, std::move(writers),
-                              std::move(read_only_participants), ctx));
+  Spawn(RunPhase2InBackground(
+      txn, std::move(writers),
+      std::vector<HostId>(read_only_participants.begin(), read_only_participants.end()), ctx));
   ++stats_.committed;
   co_return Status::Ok();
 }
@@ -237,7 +242,9 @@ Task<void> Coordinator::RunPhase2InBackground(TxnId txn, std::vector<HostId> wri
     // Completion event with the owning txn id: the write's observability
     // does not end at the client ack — tests assert causality on this.
     if (TraceLog* trace = rpc_->network()->trace()) {
-      trace->Record(rpc_->host_id(), TraceKind::kPhase2Completed, txn.ToString() + " fanout");
+      char detail[80];
+      std::snprintf(detail, sizeof(detail), "%s fanout", txn.ToText().c_str());
+      trace->Record(rpc_->host_id(), TraceKind::kPhase2Completed, detail);
     }
   }
   if (tracer != nullptr) {
@@ -319,7 +326,7 @@ Task<void> Coordinator::RetryCommitForever(TxnId txn, HostId participant, TraceC
   }
 }
 
-Task<void> Coordinator::AbortTransaction(TxnId txn, std::vector<HostId> participants,
+Task<void> Coordinator::AbortTransaction(TxnId txn, std::span<const HostId> participants,
                                          TraceContext ctx) {
   std::vector<Task<Result<Ack>>> aborts;
   aborts.reserve(participants.size());

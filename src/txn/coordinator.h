@@ -14,6 +14,7 @@
 #define WVOTE_SRC_TXN_COORDINATOR_H_
 
 #include <map>
+#include <span>
 #include <vector>
 
 #include "src/rpc/rpc.h"
@@ -72,13 +73,16 @@ class Coordinator {
   // handed to a background retrier). A valid `ctx` records phase.prepare /
   // phase.disk / phase.commit_ack child spans, and the background phase-2
   // fan-out and retriers continue the same trace after the client's ack.
+  // `read_only_participants` must outlive the returned task; a read-only
+  // commit reads it only before its first suspension.
   Task<Status> CommitTransaction(TxnId txn,
                                  std::map<HostId, std::vector<WriteIntent>> writes,
-                                 std::vector<HostId> read_only_participants,
+                                 std::span<const HostId> read_only_participants,
                                  TraceContext ctx = TraceContext());
 
   // Aborts everywhere; best-effort (participants presume abort anyway).
-  Task<void> AbortTransaction(TxnId txn, std::vector<HostId> participants,
+  // Reads `participants` only before its first suspension.
+  Task<void> AbortTransaction(TxnId txn, std::span<const HostId> participants,
                               TraceContext ctx = TraceContext());
 
   const CoordinatorStats& stats() const { return stats_; }

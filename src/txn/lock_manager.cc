@@ -111,10 +111,32 @@ void LockManager::MaybeExpireHolders(const std::string& key) {
   }
 }
 
-Task<Status> LockManager::Acquire(TxnId txn, std::string key, LockMode mode,
+LockManager::Entry& LockManager::EntryFor(const std::string& key) {
+  auto it = table_.lower_bound(key);
+  if (it != table_.end() && it->first == key) {
+    return it->second;
+  }
+  if (free_entries_.empty()) {
+    return table_.try_emplace(it, key)->second;
+  }
+  Table::node_type node = std::move(free_entries_.back());
+  free_entries_.pop_back();
+  node.key() = key;
+  return table_.insert(it, std::move(node))->second;
+}
+
+void LockManager::Retire(Table::iterator it) {
+  if (free_entries_.size() < kMaxFreeEntries) {
+    free_entries_.push_back(table_.extract(it));
+  } else {
+    table_.erase(it);
+  }
+}
+
+Task<Status> LockManager::Acquire(TxnId txn, const std::string& key, LockMode mode,
                                   Duration timeout, TraceContext ctx) {
   MaybeExpireHolders(key);
-  Entry& entry = table_[key];
+  Entry& entry = EntryFor(key);
 
   // Reentrant acquire / upgrade detection.
   Holder* own = nullptr;
@@ -244,12 +266,12 @@ void LockManager::WakeWaiters(const std::string& key) {
     entry.waiters.pop_front();
   }
   if (entry.holders.empty() && entry.waiters.empty()) {
-    table_.erase(it);
+    Retire(it);
   }
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
-  // Map keys stay put until WakeWaiters erases their own entry, so the
+  // Map nodes stay put until WakeWaiters retires their own entry, so the
   // released keys are kept by address; the vector's capacity is reused.
   std::vector<const std::string*>& touched = released_keys_;
   touched.clear();

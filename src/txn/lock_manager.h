@@ -10,6 +10,11 @@
 //
 // The lock table is volatile: a crash clears it (callers re-acquire after
 // recovery), which is exactly what happens to lock state on a real server.
+//
+// The table holds only locked keys. A key's entry is freed when its last
+// holder and waiter leave; freed entries go, up to kMaxFreeEntries, to a free
+// list that keeps their key and holder/waiter storage for the next newly
+// locked key, so a steady stream of lock/release cycles allocates nothing.
 
 #ifndef WVOTE_SRC_TXN_LOCK_MANAGER_H_
 #define WVOTE_SRC_TXN_LOCK_MANAGER_H_
@@ -56,14 +61,18 @@ struct LockManagerStats {
 
 class LockManager {
  public:
-  explicit LockManager(Simulator* sim) : sim_(sim) {}
+  // Freed table entries kept for reuse.
+  static constexpr size_t kMaxFreeEntries = 8;
+
+  explicit LockManager(Simulator* sim) : sim_(sim) { free_entries_.reserve(kMaxFreeEntries); }
 
   // Acquires `mode` on `key` for `txn`, waiting up to `timeout` if the
   // wait-die rule permits waiting. Re-acquiring a held lock is a no-op;
   // S -> X upgrade succeeds immediately when txn is the sole holder.
   // A valid `ctx` records a "phase.lock_wait" child span — only when the
   // request actually parks (immediate grants and dies produce no span).
-  Task<Status> Acquire(TxnId txn, std::string key, LockMode mode, Duration timeout,
+  // `key` must stay valid until the returned task completes.
+  Task<Status> Acquire(TxnId txn, const std::string& key, LockMode mode, Duration timeout,
                        TraceContext ctx = TraceContext());
 
   // Lock-wait spans are attributed to `host` (the owning participant).
@@ -96,6 +105,7 @@ class LockManager {
 
   bool Holds(TxnId txn, const std::string& key, LockMode mode) const;
   size_t num_locked_keys() const { return table_.size(); }
+  size_t num_free_entries() const { return free_entries_.size(); }
   const LockManagerStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
 
@@ -118,6 +128,13 @@ class LockManager {
     std::vector<Holder> holders;
     std::deque<Waiter> waiters;
   };
+  using Table = std::map<std::string, Entry>;
+
+  // `key`'s entry, created (from the free list when it has one) if the key
+  // is not locked yet.
+  Entry& EntryFor(const std::string& key);
+  // Drops an entry that has no holders and no waiters left.
+  void Retire(Table::iterator it);
 
   // True if `txn` may be granted `mode` given current holders (ignoring any
   // holding entry for txn itself, which is handled as reentry/upgrade).
@@ -136,7 +153,8 @@ class LockManager {
   Simulator* sim_;
   Tracer* tracer_ = nullptr;
   HostId host_ = kInvalidHost;
-  std::map<std::string, Entry> table_;
+  Table table_;
+  std::vector<Table::node_type> free_entries_;
   std::vector<const std::string*> released_keys_;  // ReleaseAll's scratch
   Duration lease_ = Duration::Zero();
   std::function<bool(const TxnId&)> lease_exempt_;

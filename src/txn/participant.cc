@@ -110,13 +110,23 @@ Result<std::string> Participant::PeekCommitted(const std::string& key) const {
 }
 
 Task<Status> Participant::Lock(TxnId txn, std::string key, LockMode mode, TraceContext ctx) {
-  return locks_.Acquire(txn, DataKey(key), mode, kLockWaitTimeout, ctx);
+  const std::string data_key = DataKey(key);
+  co_return co_await LockPage(txn, data_key, mode, ctx);
 }
 
 Task<Result<std::string>> Participant::TxnRead(TxnId txn, std::string key, TraceContext ctx) {
   const std::string data_key = DataKey(key);
-  Status st = co_await locks_.Acquire(txn, data_key, LockMode::kShared,
-                                      kLockWaitTimeout, ctx);
+  co_return co_await ReadPage(txn, data_key, ctx);
+}
+
+Task<Status> Participant::LockPage(TxnId txn, const std::string& data_key, LockMode mode,
+                                   TraceContext ctx) {
+  return locks_.Acquire(txn, data_key, mode, kLockWaitTimeout, ctx);
+}
+
+Task<Result<std::string>> Participant::ReadPage(TxnId txn, const std::string& data_key,
+                                                TraceContext ctx) {
+  Status st = co_await locks_.Acquire(txn, data_key, LockMode::kShared, kLockWaitTimeout, ctx);
   if (!st.ok()) {
     co_return st;
   }
@@ -149,7 +159,7 @@ Task<Status> Participant::Prepare(TxnId txn, std::vector<WriteIntent> writes,
     Spawn(ResolveIfStillInDoubt(record));
   }
   if (TraceLog* trace = rpc_->network()->trace()) {
-    trace->Record(rpc_->host_id(), TraceKind::kTxnPrepared, txn.ToString());
+    trace->Record(rpc_->host_id(), TraceKind::kTxnPrepared, txn.ToText().view());
   }
   co_return Status::Ok();
 }
@@ -190,7 +200,7 @@ Task<Status> Participant::Commit(TxnId txn, TraceContext ctx) {
   prepared_.erase(txn);
   locks_.ReleaseAll(txn);
   if (TraceLog* trace = rpc_->network()->trace()) {
-    trace->Record(rpc_->host_id(), TraceKind::kTxnCommitted, txn.ToString());
+    trace->Record(rpc_->host_id(), TraceKind::kTxnCommitted, txn.ToText().view());
   }
   co_return Status::Ok();
 }
@@ -208,7 +218,7 @@ Task<Status> Participant::Abort(TxnId txn, TraceContext ctx) {
   prepared_.erase(txn);
   locks_.ReleaseAll(txn);
   if (TraceLog* trace = rpc_->network()->trace()) {
-    trace->Record(rpc_->host_id(), TraceKind::kTxnAborted, txn.ToString());
+    trace->Record(rpc_->host_id(), TraceKind::kTxnAborted, txn.ToText().view());
   }
   co_return Status::Ok();
 }
@@ -248,7 +258,8 @@ Task<void> Participant::Recover() {
     for (const WriteIntent& w : record.writes) {
       // The table is empty right after a crash, so these grants are
       // immediate; timeouts only matter if two in-doubt records overlap.
-      (void)co_await locks_.Acquire(record.txn, DataKey(w.key), LockMode::kExclusive,
+      const std::string data_key = DataKey(w.key);
+      (void)co_await locks_.Acquire(record.txn, data_key, LockMode::kExclusive,
                                     kLockWaitTimeout);
     }
     Spawn(ResolveInDoubt(std::move(record)));

@@ -87,6 +87,13 @@ class Participant {
                                     TraceContext ctx = TraceContext());
   Task<Status> Lock(TxnId txn, std::string key, LockMode mode,
                     TraceContext ctx = TraceContext());
+  // TxnRead and Lock on a page named by its DataKey, which must stay valid
+  // until the returned task completes: callers that keep their page keys
+  // (the representative's per-suite keys) skip building them per request.
+  Task<Result<std::string>> ReadPage(TxnId txn, const std::string& data_key,
+                                     TraceContext ctx = TraceContext());
+  Task<Status> LockPage(TxnId txn, const std::string& data_key, LockMode mode,
+                        TraceContext ctx = TraceContext());
   Task<Status> Prepare(TxnId txn, std::vector<WriteIntent> writes,
                        TraceContext ctx = TraceContext());
   Task<Status> Commit(TxnId txn, TraceContext ctx = TraceContext());

@@ -10,7 +10,9 @@
 #define WVOTE_SRC_TXN_TXN_ID_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
+#include <string_view>
 
 #include "src/net/message.h"
 
@@ -36,10 +38,23 @@ struct TxnId {
   // True if this transaction is older (= higher priority) than `other`.
   bool OlderThan(const TxnId& other) const { return *this < other; }
 
-  std::string ToString() const {
-    return "txn(" + std::to_string(timestamp_us) + "." + std::to_string(serial) + "@" +
-           std::to_string(coordinator) + ")";
+  // ToString()'s text in a stack buffer, for breadcrumbs that only need a
+  // view of it.
+  struct Text {
+    char buf[64];
+    int len;
+    std::string_view view() const { return std::string_view(buf, static_cast<size_t>(len)); }
+    const char* c_str() const { return buf; }
+  };
+  Text ToText() const {
+    Text text;
+    text.len = std::snprintf(text.buf, sizeof(text.buf), "txn(%lld.%llu@%d)",
+                             static_cast<long long>(timestamp_us),
+                             static_cast<unsigned long long>(serial), coordinator);
+    return text;
   }
+
+  std::string ToString() const { return std::string(ToText().view()); }
 };
 
 }  // namespace wvote

@@ -1,9 +1,10 @@
 // Per-op cost guard: heap allocations, messages and simulator events for one
-// ReadOnce and one WriteOnce on Gifford's Example 2. Counts do not depend on
-// the machine, so they pin the protocol stack's host cost where wall-clock
-// timings cannot: the allocation ceilings sit 10% above the measured
-// values, and messages and events per op must match exactly (the event
-// schedule is part of every determinism golden).
+// ReadOnce and one WriteOnce on Gifford's Example 2, and for a ReadOnce with
+// gray tolerance armed (hedged probes). Counts do not depend on the machine,
+// so they pin the protocol stack's host cost where wall-clock timings
+// cannot: the allocation ceilings sit 10% above the measured values, and
+// messages and events per op must match exactly (the event schedule is part
+// of every determinism golden).
 //
 // This binary replaces the global operator new to count allocations; the
 // replacement lives here only, so no other test or library pays for it.
@@ -87,15 +88,22 @@ namespace {
 
 constexpr int kOps = 100;
 
-// Allocation ceilings per op: the measured 27 per read and 128.05 per
-// write, plus 10% (the protocol stack before frame pooling and one-block
-// RPC envelopes paid 77 and 253.26).
-constexpr double kReadAllocCeiling = 29.7;
-constexpr double kWriteAllocCeiling = 140.9;
-// Messages and simulator events for kOps ops plus the drain; these match
-// the stack before those changes exactly.
+// Allocation ceilings per op: the measured 6 per read, 9 per hedged read
+// and 104.94 per write, plus 10%. A read's six are its four RPC
+// envelopes, the page copy the representative reads, and the trace slot the
+// participant's abort breadcrumb fills the first time round the ring. The
+// stack before recycled transaction state and lock-table entries paid 27
+// and 128.05; before frame pooling and one-block RPC envelopes, 77 and
+// 253.26.
+constexpr double kReadAllocCeiling = 6.6;
+constexpr double kHedgedReadAllocCeiling = 9.9;
+constexpr double kWriteAllocCeiling = 115.4;
+// Messages and simulator events for kOps ops plus the drain; the plain read
+// and write counts match every earlier version of the stack exactly.
 constexpr uint64_t kReadMessages = 400;
 constexpr uint64_t kReadEvents = 810;
+constexpr uint64_t kHedgedReadMessages = 600;
+constexpr uint64_t kHedgedReadEvents = 1110;
 constexpr uint64_t kWriteMessages = 1200;
 constexpr uint64_t kWriteEvents = 3110;
 
@@ -107,7 +115,7 @@ struct OpCost {
 
 class AllocGuardTest : public ::testing::Test {
  protected:
-  AllocGuardTest() {
+  void Deploy(SuiteClientOptions copts = {}) {
     const GiffordExample ex = MakeGiffordExamples()[1];  // Example 2
     ClusterOptions opts;
     opts.seed = 42;
@@ -118,7 +126,7 @@ class AllocGuardTest : public ::testing::Test {
       cluster_->AddRepresentative(rep.host_name);
     }
     EXPECT_TRUE(cluster_->CreateSuite(ex.config, "initial contents").ok());
-    client_ = cluster_->AddClient("client", ex.config);
+    client_ = cluster_->AddClient("client", ex.config, copts);
     const HostId client_host = cluster_->net().FindHost("client")->id();
     for (const auto& [host, rtt] : ex.client_rtt) {
       cluster_->net().SetSymmetricLink(client_host, cluster_->net().FindHost(host)->id(),
@@ -152,28 +160,51 @@ class AllocGuardTest : public ::testing::Test {
     return cost;
   }
 
+  // kOps ReadOnce calls; returns their cost.
+  OpCost MeasureReads(const char* label) {
+    bool all_ok = true;
+    const OpCost cost = Measure([&] {
+      for (int i = 0; i < kOps; ++i) {
+        all_ok &= cluster_->RunTask(client_->ReadOnce()).ok();
+      }
+    });
+    EXPECT_TRUE(all_ok);
+    std::printf("%s: %.2f allocs/op, %llu messages, %llu events over %d ops\n", label,
+                static_cast<double>(cost.allocs) / kOps,
+                static_cast<unsigned long long>(cost.messages),
+                static_cast<unsigned long long>(cost.events), kOps);
+    return cost;
+  }
+
   std::unique_ptr<Cluster> cluster_;
   SuiteClient* client_ = nullptr;
 };
 
 TEST_F(AllocGuardTest, ReadOnce) {
-  bool all_ok = true;
-  const OpCost cost = Measure([&] {
-    for (int i = 0; i < kOps; ++i) {
-      all_ok &= cluster_->RunTask(client_->ReadOnce()).ok();
-    }
-  });
-  ASSERT_TRUE(all_ok);
-  const double allocs_per_op = static_cast<double>(cost.allocs) / kOps;
-  std::printf("ReadOnce: %.2f allocs/op, %llu messages, %llu events over %d ops\n",
-              allocs_per_op, static_cast<unsigned long long>(cost.messages),
-              static_cast<unsigned long long>(cost.events), kOps);
-  EXPECT_LE(allocs_per_op, kReadAllocCeiling);
+  Deploy();
+  const OpCost cost = MeasureReads("ReadOnce");
+  EXPECT_LE(static_cast<double>(cost.allocs) / kOps, kReadAllocCeiling);
   EXPECT_EQ(cost.messages, kReadMessages);
   EXPECT_EQ(cost.events, kReadEvents);
 }
 
+// Gray tolerance with the client's health tracker attached: every probe
+// arms a hedge backup, so the hedge path and the consumed-position set get
+// a ceiling too.
+TEST_F(AllocGuardTest, HedgedReadOnce) {
+  SuiteClientOptions copts;
+  copts.gray_tolerance = true;
+  Deploy(copts);
+  const uint64_t hedged_before = client_->stats().hedged_probes;
+  const OpCost cost = MeasureReads("HedgedReadOnce");
+  EXPECT_GE(client_->stats().hedged_probes - hedged_before, static_cast<uint64_t>(kOps));
+  EXPECT_LE(static_cast<double>(cost.allocs) / kOps, kHedgedReadAllocCeiling);
+  EXPECT_EQ(cost.messages, kHedgedReadMessages);
+  EXPECT_EQ(cost.events, kHedgedReadEvents);
+}
+
 TEST_F(AllocGuardTest, WriteOnce) {
+  Deploy();
   std::vector<std::string> payloads;
   for (int i = 0; i < kOps; ++i) {
     payloads.push_back("payload-" + std::to_string(i));

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 
 namespace wvote {
 namespace {
@@ -278,6 +279,81 @@ TEST_F(LockManagerTest, DistinctKeysDoNotConflict) {
   sim_.Run();
   EXPECT_TRUE(Granted(a));
   EXPECT_TRUE(Granted(b));
+}
+
+// A freed entry is reused for the next newly locked key. It must carry
+// nothing over from its last key: FIFO waiters, wait-die on regrant and
+// upgrades behave exactly as on a fresh entry.
+TEST_F(LockManagerTest, RecycledEntryBehavesLikeAFreshOne) {
+  // Leave one freed entry whose last key saw a holder and a queued waiter.
+  auto old_holder = Acquire(MakeTxn(300), "old", LockMode::kShared);
+  sim_.RunFor(Duration::Millis(100));
+  auto old_waiter = Acquire(MakeTxn(100), "old", LockMode::kExclusive);
+  sim_.RunFor(Duration::Millis(100));
+  ASSERT_TRUE(Pending(old_waiter));
+  locks_.ReleaseAll(MakeTxn(300));
+  sim_.RunFor(Duration::Millis(100));
+  ASSERT_TRUE(Granted(old_waiter));
+  locks_.ReleaseAll(MakeTxn(100));
+  ASSERT_EQ(locks_.num_locked_keys(), 0u);
+  ASSERT_EQ(locks_.num_free_entries(), 1u);
+
+  // FIFO wake-up and the regrant wait-die check on the recycled entry.
+  auto holder = Acquire(MakeTxn(300), "k", LockMode::kExclusive);
+  sim_.RunFor(Duration::Millis(100));
+  ASSERT_TRUE(Granted(holder));
+  EXPECT_EQ(locks_.num_free_entries(), 0u);  // "k" took the freed entry
+  EXPECT_FALSE(locks_.Holds(MakeTxn(100), "k", LockMode::kShared));
+  auto w1 = Acquire(MakeTxn(100), "k", LockMode::kExclusive);
+  auto w2 = Acquire(MakeTxn(200), "k", LockMode::kExclusive);
+  sim_.RunFor(Duration::Millis(100));
+  EXPECT_TRUE(Pending(w1));
+  EXPECT_TRUE(Pending(w2));
+  locks_.ReleaseAll(MakeTxn(300));
+  sim_.RunFor(Duration::Millis(100));
+  EXPECT_TRUE(Granted(w1));
+  ASSERT_TRUE(w2->has_value());
+  EXPECT_EQ((*w2)->code(), StatusCode::kConflict);
+  locks_.ReleaseAll(MakeTxn(100));
+  EXPECT_EQ(locks_.num_locked_keys(), 0u);
+
+  // An upgrade on the recycled entry.
+  auto s = Acquire(MakeTxn(1), "j", LockMode::kShared);
+  sim_.RunFor(Duration::Millis(100));
+  ASSERT_TRUE(Granted(s));
+  EXPECT_FALSE(locks_.Holds(MakeTxn(1), "j", LockMode::kExclusive));
+  const uint64_t upgrades = locks_.stats().upgrades;
+  auto x = Acquire(MakeTxn(1), "j", LockMode::kExclusive);
+  sim_.RunFor(Duration::Millis(100));
+  EXPECT_TRUE(Granted(x));
+  EXPECT_TRUE(locks_.Holds(MakeTxn(1), "j", LockMode::kExclusive));
+  EXPECT_EQ(locks_.stats().upgrades, upgrades + 1);
+}
+
+// The table holds only locked keys and the free list never grows past its
+// cap, however many distinct keys come and go.
+TEST_F(LockManagerTest, FreeListStaysBoundedOverAThousandKeys) {
+  constexpr int kKeys = 1000;
+  for (int i = 0; i < kKeys; ++i) {
+    (void)Acquire(MakeTxn(i + 1), "key-" + std::to_string(i), LockMode::kExclusive);
+  }
+  sim_.RunFor(Duration::Millis(100));
+  EXPECT_EQ(locks_.num_locked_keys(), static_cast<size_t>(kKeys));
+  for (int i = 0; i < kKeys; ++i) {
+    locks_.ReleaseAll(MakeTxn(i + 1));
+  }
+  EXPECT_EQ(locks_.num_locked_keys(), 0u);
+  EXPECT_EQ(locks_.num_free_entries(), LockManager::kMaxFreeEntries);
+
+  // One acquire/release cycle per key: each reuses the last freed entry.
+  for (int i = 0; i < kKeys; ++i) {
+    auto r = Acquire(MakeTxn(i + 1), "cycle-" + std::to_string(i), LockMode::kShared);
+    sim_.RunFor(Duration::Millis(1));
+    ASSERT_TRUE(Granted(r));
+    locks_.ReleaseAll(MakeTxn(i + 1));
+  }
+  EXPECT_EQ(locks_.num_locked_keys(), 0u);
+  EXPECT_EQ(locks_.num_free_entries(), LockManager::kMaxFreeEntries);
 }
 
 }  // namespace

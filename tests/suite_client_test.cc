@@ -117,6 +117,57 @@ TEST_F(SuiteClientTest, AbandonedTransactionReleasesLocksViaDestructor) {
   }
 }
 
+// A straggler probe whose lock is granted after its transaction ended is
+// released by the gather's leftover handler. The client keeps running new
+// transactions meanwhile; the straggler pins its own state, so they run on
+// other recycled states and never on the one the straggler reports to.
+TEST_F(SuiteClientTest, StragglerReleasesItsLockWhileStatesAreRecycled) {
+  SuiteClientOptions copts;
+  copts.strategy = QuorumStrategy::kBroadcast;  // probe every representative
+  Deploy(3, 2, 2, copts);
+  const HostId client_host = cluster_->net().FindHost("client")->id();
+  LockManager& slow_locks = cluster_->representative("rep-2")->participant().locks();
+
+  // rep-2's probe and reply travel slow links. The request link is fast
+  // again before the read commits, so the commit's release overtakes the
+  // probe: the probe is granted after its transaction ended, and only the
+  // late reply tells the client to release it.
+  cluster_->net().SetLink(client_host, Rep(2)->id(), LatencyModel::Fixed(Duration::Millis(300)));
+  cluster_->net().SetLink(Rep(2)->id(), client_host, LatencyModel::Fixed(Duration::Millis(300)));
+  SuiteTransaction straggler = client_->Begin();
+  ASSERT_TRUE(cluster_->RunTask(straggler.Read()).ok());
+  cluster_->net().SetLink(client_host, Rep(2)->id(), LatencyModel::Fixed(Duration::Millis(5)));
+  ASSERT_TRUE(cluster_->RunTask(straggler.Commit()).ok());
+  const TimePoint committed = cluster_->sim().Now();
+  EXPECT_EQ(slow_locks.num_locked_keys(), 0u);  // the probe is still on its way
+
+  // New transactions while the straggler is out, kept off rep-2 so any lock
+  // there is the straggler's.
+  client_->SetStrategy(QuorumStrategy::kLowestLatency);
+  bool straggler_lock_seen = false;
+  while (cluster_->sim().Now() < committed + Duration::Millis(800)) {
+    Result<std::string> r = cluster_->RunTask(client_->ReadOnce());
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    straggler_lock_seen = straggler_lock_seen || slow_locks.num_locked_keys() != 0;
+  }
+  EXPECT_TRUE(straggler_lock_seen);
+  EXPECT_EQ(slow_locks.num_locked_keys(), 0u);
+
+  // A write's X lock at rep-2 would die against a leaked S lock of the older
+  // straggler.
+  client_->SetStrategy(QuorumStrategy::kBroadcast);
+  ASSERT_TRUE(cluster_->RunTask(client_->WriteOnce("after-the-straggler", 1)).ok());
+  cluster_->sim().RunFor(Duration::Seconds(1));
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(cluster_->representative("rep-" + std::to_string(i))
+                  ->participant()
+                  .locks()
+                  .num_locked_keys(),
+              0u)
+        << "rep-" << i;
+  }
+}
+
 TEST_F(SuiteClientTest, GatherWidensPastCrashedRepresentatives) {
   SuiteClientOptions copts;
   copts.probe_timeout = Duration::Millis(200);

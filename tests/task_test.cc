@@ -302,7 +302,7 @@ TEST(JoinUntilTest, ReturnsWhenPredicateSatisfied) {
                    TimePoint* finished) -> Task<void> {
     std::function<bool(const std::vector<int>&)> enough =
         [](const std::vector<int>& r) { return r.size() >= 2; };
-    *got = co_await JoinUntil<int>(sim, std::move(tasks), std::move(enough));
+    co_await JoinUntil<int>(sim, tasks, *got, std::move(enough));
     *finished = sim->Now();
   };
   Spawn(runner(&sim, std::move(tasks), &got, &finished));
@@ -327,8 +327,8 @@ TEST(JoinUntilTest, StragglersGoToLeftover) {
     std::function<bool(const std::vector<int>&)> enough =
         [](const std::vector<int>& r) { return r.size() >= 1; };
     std::function<void(int)> leftover = [leftovers](int v) { leftovers->push_back(v); };
-    (void)co_await JoinUntil<int>(sim, std::move(tasks), std::move(enough),
-                                  std::move(leftover));
+    std::vector<int> got;
+    co_await JoinUntil<int>(sim, tasks, got, std::move(enough), std::move(leftover));
   };
   Spawn(runner(&sim, std::move(tasks), leftovers));
   sim.Run();
@@ -347,7 +347,8 @@ TEST(JoinUntilTest, CompletesWhenAllDoneEvenIfNeverSatisfied) {
   auto runner = [](Simulator* sim, std::vector<Task<int>> tasks, bool* done) -> Task<void> {
     std::function<bool(const std::vector<int>&)> never =
         [](const std::vector<int>&) { return false; };
-    std::vector<int> r = co_await JoinUntil<int>(sim, std::move(tasks), std::move(never));
+    std::vector<int> r;
+    co_await JoinUntil<int>(sim, tasks, r, std::move(never));
     EXPECT_EQ(r.size(), 1u);
     *done = true;
   };

@@ -5,6 +5,11 @@
 // sweeps the per-representative availability and prints the analytic read
 // and write availability, validated against a crash-injected simulation
 // (fraction of operations that found a quorum).
+//
+// A full-size run exits 1 if any row's simulated read availability falls
+// more than kReadGuardTolerance below the model's: a gather polls until
+// every candidate was asked, so its reads should reach the model. A --smoke
+// run is too short to estimate availability and skips the check.
 
 #include <cstdio>
 #include <vector>
@@ -18,6 +23,7 @@ using namespace wvote;  // NOLINT: bench brevity
 
 namespace {
 
+constexpr double kReadGuardTolerance = 0.03;
 
 struct VoteScheme {
   const char* name;
@@ -53,7 +59,6 @@ SimPoint SimulateAvailability(const VoteScheme& scheme, double availability) {
 
   SuiteClientOptions client_opts;
   client_opts.probe_timeout = Duration::Millis(250);
-  client_opts.max_gather_rounds = 2;
   SuiteClient* client = cluster.AddClient("client", config, client_opts);
 
   const Duration run = SmokeRun(Duration::Seconds(600), Duration::Seconds(20));
@@ -99,6 +104,7 @@ SimPoint SimulateAvailability(const VoteScheme& scheme, double availability) {
 
 int main(int argc, char** argv) {
   ParseBenchFlags(argc, argv);
+  int guard_failures = 0;
   const std::vector<VoteScheme> schemes = {
       {"read-one/write-all", {1, 1, 1, 1, 1}, 1, 5},
       {"majority", {1, 1, 1, 1, 1}, 3, 3},
@@ -124,6 +130,12 @@ int main(int argc, char** argv) {
       std::printf("%-20s %6.2f | %11.4f %11.4f | %11.4f %11.4f\n", scheme.name, p,
                   analysis.ReadAvailability(), sim.read_ok_fraction,
                   analysis.WriteAvailability(), sim.write_ok_fraction);
+      if (!g_bench_smoke &&
+          sim.read_ok_fraction < analysis.ReadAvailability() - kReadGuardTolerance) {
+        std::printf("GUARD FAILED: %s p=%.2f read(sim) %.4f is more than %.2f below the model\n",
+                    scheme.name, p, sim.read_ok_fraction, kReadGuardTolerance);
+        ++guard_failures;
+      }
     }
     PrintRule(92);
   }
@@ -131,5 +143,5 @@ int main(int argc, char** argv) {
               "majority balances the two; extra votes on one representative skew both.\n");
   WriteChromeTrace();
   WriteTimeseries();
-  return 0;
+  return guard_failures == 0 ? 0 : 1;
 }

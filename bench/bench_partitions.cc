@@ -45,9 +45,6 @@ PartitionResult RunOne(int r, int w) {
 
   SuiteClientOptions copt;
   copt.probe_timeout = Duration::Millis(250);
-  // Enough widening rounds to walk past every unreachable representative on
-  // the far side of the partition.
-  copt.max_gather_rounds = 5;
   SuiteClient* major = cluster.AddClient("client-major", config, copt);
   SuiteClient* minor = cluster.AddClient("client-minor", config, copt);
 

@@ -99,7 +99,6 @@ int main() {
   cluster.net().FindHost("srv-2")->Crash();
   SuiteClientOptions fast;
   fast.probe_timeout = Duration::Millis(300);
-  fast.max_gather_rounds = 4;
   SuiteClient* checker = cluster.AddClient("checker", room_cfg, fast);
   Result<std::string> during_outage = cluster.RunTask(checker->ReadOnce());
   std::printf("\nroom-12 readable with srv-1+srv-2 down: %s\n",

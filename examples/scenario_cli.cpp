@@ -229,7 +229,6 @@ int main(int argc, char** argv) {
   client_opts.probe_timeout = Duration::Millis(args.probe_timeout_ms);
   client_opts.data_timeout = Duration::Millis(args.data_timeout_ms);
   client_opts.gray_tolerance = args.gray_tolerance;
-  client_opts.max_gather_rounds = args.reps + 1;
 
   std::printf("scenario: %s\n", config.ToString().c_str());
   std::printf("workload: %d clients, read fraction %.2f, %ds, %zuB values, availability %.2f\n",

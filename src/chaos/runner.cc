@@ -222,7 +222,6 @@ ChaosRunOutcome RunChaosWithSchedule(const ChaosRunSpec& spec,
   SuiteClientOptions client_options;
   client_options.probe_timeout = Duration::Millis(300);
   client_options.data_timeout = Duration::Seconds(1);
-  client_options.max_gather_rounds = static_cast<int>(config.representatives.size()) + 2;
   client_options.gray_tolerance = spec.gray_tolerance;
   std::vector<SuiteClient*> clients;
   for (int c = 0; c < spec.clients; ++c) {

@@ -93,26 +93,6 @@ std::vector<QuorumCandidate> QuorumPlanner::Plan(int required_votes,
   return plan;
 }
 
-size_t QuorumPlanner::PrefixCount(const std::vector<QuorumCandidate>& plan,
-                                  int required_votes) {
-  int votes = 0;
-  for (size_t i = 0; i < plan.size(); ++i) {
-    votes += plan[i].votes;
-    if (votes >= required_votes) {
-      return i + 1;
-    }
-  }
-  return 0;
-}
-
-Duration QuorumPlanner::PrefixLatency(const std::vector<QuorumCandidate>& plan, size_t count) {
-  Duration worst = Duration::Zero();
-  for (size_t i = 0; i < count && i < plan.size(); ++i) {
-    worst = std::max(worst, plan[i].expected_latency);
-  }
-  return worst;
-}
-
 // ---------------------------------------------------------------------------
 // ProbingStrategy
 // ---------------------------------------------------------------------------
@@ -183,6 +163,96 @@ std::vector<uint16_t> ProbeOrder(size_t plan_size, std::vector<uint16_t> sampled
   std::stable_partition(order.begin(), order.end(),
                         [&health](uint16_t idx) { return !health[idx].demoted; });
   return order;
+}
+
+// ---------------------------------------------------------------------------
+// GatherMachine
+// ---------------------------------------------------------------------------
+
+void GatherMachine::Start(const std::vector<QuorumCandidate>& plan,
+                          std::vector<uint16_t> sampled, const std::vector<ProbeHealth>& health,
+                          int required_votes, bool broadcast, bool hedge) {
+  if (sampled.empty()) {
+    sampled.swap(order_);  // ProbeOrder rebuilds the order in the old buffer
+    sampled.clear();
+  }
+  order_ = ProbeOrder(plan.size(), std::move(sampled), health);
+  plan_ = &plan;
+  round_.clear();
+  won_backups_.Clear();
+  next_ = 0;
+  required_votes_ = required_votes;
+  votes_ = 0;
+  rounds_ = 0;
+  broadcast_ = broadcast;
+  hedge_ = hedge;
+  conflicted_ = false;
+}
+
+bool GatherMachine::NextRound() {
+  round_.clear();
+  if (Closed() || conflicted_) {
+    return false;
+  }
+  int planned_votes = votes_;
+  while (next_ < order_.size() && (broadcast_ || planned_votes < required_votes_)) {
+    const size_t position = next_++;
+    if (won_backups_.Contains(position)) {
+      continue;  // already credited: a backup that won an earlier race
+    }
+    round_.push_back(GatherProbe{position, kNoBackup, false});
+    planned_votes += At(position).votes;
+  }
+  if (round_.empty()) {
+    return false;  // every candidate was probed
+  }
+  if (hedge_) {
+    size_t scan = next_;
+    for (GatherProbe& probe : round_) {
+      while (scan < order_.size() && won_backups_.Contains(scan)) {
+        ++scan;
+      }
+      if (scan == order_.size()) {
+        break;
+      }
+      probe.backup = scan++;
+    }
+  }
+  ++rounds_;
+  return true;
+}
+
+void GatherMachine::Credit(HostId responder, StatusCode code) {
+  if (code == StatusCode::kConflict) {
+    conflicted_ = true;  // wait-die said die: the transaction must retry
+    return;
+  }
+  if (code != StatusCode::kOk) {
+    return;
+  }
+  size_t probe = 0;
+  const size_t position = PositionOf(responder, &probe);
+  if (round_[probe].credited) {
+    return;
+  }
+  round_[probe].credited = true;
+  if (position == round_[probe].backup) {
+    won_backups_.Insert(position);
+  }
+  votes_ += At(position).votes;
+}
+
+size_t GatherMachine::PositionOf(HostId host, size_t* probe) const {
+  for (size_t i = 0; i < round_.size(); ++i) {
+    for (size_t position : {round_[i].primary, round_[i].backup}) {
+      if (position != kNoBackup && At(position).host == host) {
+        *probe = i;
+        return position;
+      }
+    }
+  }
+  WVOTE_CHECK_MSG(false, "reply from a host the round did not probe");
+  return 0;
 }
 
 // ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 //
 // A gather of q votes completes when the slowest probed representative
 // answers, so the latency-optimal quorum takes representatives in ascending
-// expected-latency order until their votes sum to q (greedy is optimal for
-// the max-latency objective: any quorum must contain >= k members where k is
-// the greedy prefix length... see quorum_test.cc for the property check).
+// expected-latency order until their votes sum to q — a GatherMachine's
+// first round (greedy is optimal for the max-latency objective; see
+// quorum_test.cc for the property check).
 //
 // Deterministic policies (every operation probes the same preferred prefix):
 //   kLowestLatency  — ascending latency (Gifford's "cheapest representatives
@@ -37,6 +37,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/dense_bitset.h"
+#include "src/common/status.h"
 #include "src/common/time.h"
 #include "src/core/suite_config.h"
 #include "src/net/message.h"
@@ -56,7 +58,7 @@ enum class QuorumStrategy {
 const char* QuorumStrategyName(QuorumStrategy s);
 
 // Carries a user-declared constructor per the GCC 12 rule in src/sim/task.h
-// (QuorumCandidate is passed by value into probe coroutines).
+// (QuorumCandidate travels by value inside ProbeReply).
 struct QuorumCandidate {
   size_t rep_index = 0;  // index into SuiteConfig::representatives
   std::string host_name;
@@ -122,14 +124,6 @@ class QuorumPlanner {
   // ProbingStrategy, not here).
   std::vector<QuorumCandidate> Plan(int required_votes, QuorumStrategy strategy) const;
 
-  // Length of the shortest prefix of `plan` whose votes reach
-  // `required_votes`; 0 if the whole plan falls short.
-  static size_t PrefixCount(const std::vector<QuorumCandidate>& plan, int required_votes);
-
-  // Expected completion latency of probing the first `count` entries in
-  // parallel (their max expected latency).
-  static Duration PrefixLatency(const std::vector<QuorumCandidate>& plan, size_t count);
-
  private:
   std::vector<QuorumCandidate> voting_;
 };
@@ -194,12 +188,85 @@ struct ProbeHealth {
 std::vector<uint16_t> ProbeOrder(size_t plan_size, std::vector<uint16_t> sampled,
                                  const std::vector<ProbeHealth>& health);
 
+// One probe of a gather round, as probe-order positions: the primary, and
+// the hedge backup the same request goes to if the primary is slow
+// (GatherMachine::kNoBackup when the round is not hedged). `credited` is set
+// once a reply from either of them earned the probe's votes.
+struct GatherProbe {
+  size_t primary = 0;
+  size_t backup = 0;
+  bool credited = false;
+};
+
+// Gifford's poll as a pure state machine: which representatives each round
+// probes, which reply earns which votes, and when the gather stops. A driver
+// sends each round's probes, hands every reply to Credit() in completion
+// order until Closed() holds or the round's probes are all back, and then
+// asks NextRound() for more. The gather ends on one rule: the votes reach
+// the quorum, a wait-die conflict was credited, or no unprobed candidate is
+// left — so a gather reports unavailable only after probing every candidate.
+//
+// A round's primaries are the next unprobed candidates in probe order whose
+// votes close the gap (every remaining candidate when broadcasting). With
+// hedging, each primary gets the next unprobed candidate beyond the round as
+// its backup. A backup whose reply wins is credited and never probed again;
+// one that loses stays a candidate for later rounds. A probe's votes count
+// once, whichever of its two copies answers.
+class GatherMachine {
+ public:
+  static constexpr size_t kNoBackup = static_cast<size_t>(-1);
+
+  // Starts a gather over `plan`, which must outlive it. The probe order is
+  // ProbeOrder(plan.size(), sampled, health); the machine recycles its own
+  // order buffer when `sampled` is empty.
+  void Start(const std::vector<QuorumCandidate>& plan, std::vector<uint16_t> sampled,
+             const std::vector<ProbeHealth>& health, int required_votes, bool broadcast,
+             bool hedge);
+
+  // Plans the next round into round(); false once the gather is over.
+  bool NextRound();
+  const std::vector<GatherProbe>& round() const { return round_; }
+  const QuorumCandidate& At(size_t position) const { return (*plan_)[order_[position]]; }
+
+  // Credits one reply of the current round: `responder` is the host that
+  // answered (a primary or its backup), `code` the reply's status. Only OK
+  // replies earn votes; timeouts and crashes earn none.
+  void Credit(HostId responder, StatusCode code);
+  // The candidate of the current round probed at `host`.
+  const QuorumCandidate& Responder(HostId host) const {
+    size_t probe = 0;
+    return At(PositionOf(host, &probe));
+  }
+
+  // The round's closing test: the credited votes reach the quorum.
+  bool Closed() const { return votes_ >= required_votes_; }
+  bool conflicted() const { return conflicted_; }
+  int votes() const { return votes_; }
+  int rounds() const { return rounds_; }
+
+ private:
+  // The position of the round's candidate at `host`; its probe's index
+  // goes to `probe`.
+  size_t PositionOf(HostId host, size_t* probe) const;
+
+  const std::vector<QuorumCandidate>* plan_ = nullptr;
+  std::vector<uint16_t> order_;
+  std::vector<GatherProbe> round_;
+  DenseBitset<size_t> won_backups_;  // positions credited as a hedge backup
+  size_t next_ = 0;                  // first position no round has taken
+  int required_votes_ = 0;
+  int votes_ = 0;
+  int rounds_ = 0;
+  bool broadcast_ = false;
+  bool hedge_ = false;
+  bool conflicted_ = false;
+};
+
 // Memoizes ProbingStrategy per (config_version, policy) so a client builds
 // its preference order — and, for probabilistic policies, solves its quorum
 // distribution — once per configuration instead of once per operation.
-// Latencies are sampled when a config version's planner is first built;
-// call Invalidate() if link costs change out of band (reconfiguration is
-// handled automatically via config_version).
+// Latencies are sampled when a config version's planner is first built; a
+// new config_version (reconfiguration) drops every cached strategy.
 class PlanCache {
  public:
   // `link_of` as in QuorumPlanner. If `build_counter` is non-null it is
@@ -214,11 +281,11 @@ class PlanCache {
   // builds — safe for metrics gauges read at snapshot time.
   std::shared_ptr<const ProbingStrategy> Peek(QuorumStrategy policy) const;
 
-  // Drops every cached strategy (and the planner's sampled latencies).
-  void Invalidate();
-
  private:
   static constexpr size_t kNumStrategies = 4;
+
+  // Drops every cached strategy (and the planner's sampled latencies).
+  void Invalidate();
 
   HostLinkFn link_of_;
   uint64_t* build_counter_;

@@ -8,7 +8,6 @@
 
 #include "src/common/backoff.h"
 #include "src/common/check.h"
-#include "src/common/dense_bitset.h"
 #include "src/core/txn_state.h"
 #include "src/sim/join.h"
 
@@ -19,26 +18,6 @@ namespace {
 // Prefix-refresh retries per operation: how many newer configurations one
 // read or write follows before giving up.
 constexpr int kMaxConfigRetries = 3;
-
-// One version probe. It goes to `primary` at once; when `backup.host` is a
-// real host, an identical backup follows after `hedge_delay`, the first
-// reply wins, and the loser is dropped idempotently at the RPC layer. With
-// no backup (kInvalidHost) it is a plain call with no hedge timer.
-Task<ProbeOutcome> SendProbe(RpcEndpoint* rpc, QuorumCandidate primary, QuorumCandidate backup,
-                             size_t backup_position, TxnVersionReq req, Duration hedge_delay,
-                             Duration timeout, TraceContext ctx) {
-  HedgedReply<VersionResp> reply = co_await rpc->CallHedged<TxnVersionReq, VersionResp>(
-      primary.host, backup.host, std::move(req), hedge_delay, timeout, ctx);
-  const bool backup_won =
-      reply.reply.ok() && reply.responder == backup.host && backup.host != primary.host;
-  ProbeOutcome outcome(backup_won ? std::move(backup) : std::move(primary),
-                       std::move(reply.reply));
-  if (backup_won) {
-    outcome.backup_won = true;
-    outcome.backup_position = backup_position;
-  }
-  co_return std::move(outcome);
-}
 
 // How many transaction states a client keeps for reuse: one per
 // transaction in flight plus a few pinned by straggler probes.
@@ -301,10 +280,8 @@ void SuiteClient::NoteVersion(HostId host, Version version) {
   hint_version_ = std::max(hint_version_, version);
 }
 
-size_t SuiteClient::PickFastPathTarget(const std::vector<QuorumCandidate>& targets) const {
-  if (targets.empty()) {
-    return targets.size();
-  }
+size_t SuiteClient::PickFastPathTarget(const GatherMachine& machine) const {
+  const std::vector<GatherProbe>& targets = machine.round();
   // The local weak-rep cache serves for free once the quorum confirms the
   // version; don't pay for piggybacked bytes it would shadow.
   if (cache_ != nullptr && hint_version_ > 0 &&
@@ -316,7 +293,7 @@ size_t SuiteClient::PickFastPathTarget(const std::vector<QuorumCandidate>& targe
   // candidate. With no usable hint, bet on the most-preferred target.
   if (hint_version_ > 0) {
     for (size_t i = 0; i < targets.size(); ++i) {
-      const auto host = static_cast<size_t>(targets[i].host);
+      const auto host = static_cast<size_t>(machine.At(targets[i].primary).host);
       if (host < rep_version_hints_.size() && rep_version_hints_[host] >= hint_version_) {
         return i;
       }
@@ -351,18 +328,12 @@ Task<Status> SuiteClient::Gather(std::shared_ptr<SuiteTransaction::State> state,
           ProbeHealth{health_->EffectiveLatency(c.host, c.expected_latency), demoted});
     }
   }
-  // Probe position -> plan index. Probabilistic policies draw this
-  // operation's quorum from the cached distribution; deterministic policies
-  // get an empty sample and consume no randomness, so replays of
-  // pre-strategy schedules stay bit-exact. An empty sample lets ProbeOrder
-  // build the order in the state's recycled buffer.
-  std::vector<uint16_t> sampled = strategy_ref->SampleOrder(required_votes, &net_->sim()->rng());
-  if (sampled.empty()) {
-    sampled.swap(state->order);
-    sampled.clear();
-  }
-  state->order = ProbeOrder(plan.size(), std::move(sampled), health);
-  const std::vector<uint16_t>& order = state->order;
+  // Probabilistic policies draw this operation's quorum from the cached
+  // distribution; deterministic policies get an empty sample and consume no
+  // randomness, so replays of pre-strategy schedules stay bit-exact.
+  GatherMachine& machine = state->machine;
+  machine.Start(plan, strategy_ref->SampleOrder(required_votes, &net_->sim()->rng()), health,
+                required_votes, options_.strategy == QuorumStrategy::kBroadcast, tolerant);
 
   Tracer* tracer = net_->tracer();
   TraceContext gather_span;
@@ -372,167 +343,110 @@ Task<Status> SuiteClient::Gather(std::shared_ptr<SuiteTransaction::State> state,
 
   GatherResult& out = state->gather;
   out.Clear();
-  size_t next_candidate = 0;
-  // Probe-order positions already credited: primaries advance
-  // `next_candidate` past themselves; a hedge backup that won is recorded
-  // here so a widening round skips it instead of counting its votes twice.
-  DenseBitset<size_t>& consumed = state->consumed;
-  consumed.Clear();
-  int rounds_used = 0;
   bool fastpath_requested = false;
-
-  for (int round = 0; round < options_.max_gather_rounds && out.votes < required_votes;
-       ++round) {
-    // Choose this round's targets: enough fresh candidates to close the vote
-    // gap (all of them under kBroadcast).
-    std::vector<QuorumCandidate>& targets = state->targets;
-    targets.clear();
-    int planned_votes = out.votes;
-    while (next_candidate < order.size() &&
-           (options_.strategy == QuorumStrategy::kBroadcast ||
-            planned_votes < required_votes)) {
-      if (consumed.Contains(next_candidate)) {
-        ++next_candidate;
-        continue;
-      }
-      const QuorumCandidate& pick = plan[order[next_candidate]];
-      targets.push_back(pick);
-      planned_votes += pick.votes;
-      ++next_candidate;
-    }
-    if (targets.empty()) {
-      break;  // candidate list exhausted
-    }
+  Status conflict;
+  while (machine.NextRound()) {
     ++stats_.gather_rounds;
-    ++rounds_used;
-
+    const std::vector<GatherProbe>& round = machine.round();
     // Piggyback request: only in the first round (widening rounds are the
     // failure path; their members are rarely the cheapest current copy).
     const size_t fastpath_target =
-        (want_data && round == 0) ? PickFastPathTarget(targets) : targets.size();
-    fastpath_requested = fastpath_requested || fastpath_target < targets.size();
+        (want_data && machine.rounds() == 1) ? PickFastPathTarget(machine) : round.size();
+    fastpath_requested = fastpath_requested || fastpath_target < round.size();
 
-    // Hedge backups come from the unconsumed tail of the probe order, one
-    // distinct position per target; a backup that loses its race stays
-    // available as a widening candidate (its votes were never counted).
-    size_t hedge_scan = next_candidate;
-
-    std::vector<Task<ProbeOutcome>>& probes = state->probes;
-    for (size_t i = 0; i < targets.size(); ++i) {
-      QuorumCandidate& candidate = targets[i];
+    for (size_t i = 0; i < round.size(); ++i) {
+      const HostId primary = machine.At(round[i].primary).host;
       ++stats_.probes_sent;
-      ++SlotFor(probe_counts_, candidate.host);
-      state->probed.Insert(candidate.host);
-
-      QuorumCandidate backup;  // host kInvalidHost: no hedge
-      size_t backup_pos = order.size();
-      if (tolerant) {
-        while (hedge_scan < order.size() && consumed.Contains(hedge_scan)) {
-          ++hedge_scan;
-        }
-        if (hedge_scan < order.size()) {
-          backup_pos = hedge_scan++;
-        }
-      }
+      ++SlotFor(probe_counts_, primary);
+      state->probed.Insert(primary);
+      HostId backup = kInvalidHost;  // no hedge
       Duration hedge_delay;
-      if (backup_pos < order.size()) {
-        backup = plan[order[backup_pos]];
+      if (round[i].backup != GatherMachine::kNoBackup) {
+        backup = machine.At(round[i].backup).host;
         // The backup may be granted a lock server-side even when its reply
         // loses the race (or the hedge never fires — aborting an unknown
         // transaction is a no-op), so the release safety net must cover it.
-        state->probed.Insert(backup.host);
+        state->probed.Insert(backup);
         ++stats_.hedged_probes;
         // The hedge is the latency-control mechanism; the configured probe
         // timeout bounds the whole race, so the backup has room to answer.
-        hedge_delay = health_->HedgeDelay(candidate.host, options_.probe_timeout);
+        hedge_delay = health_->HedgeDelay(primary, options_.probe_timeout);
       }
       TxnVersionReq req(state->txn, config_.suite_name, mode, i == fastpath_target);
-      probes.push_back(SendProbe(rpc_, std::move(candidate), std::move(backup), backup_pos,
-                                 std::move(req), hedge_delay, options_.probe_timeout,
-                                 gather_span));
+      state->probes.push_back(rpc_->CallHedged<TxnVersionReq, VersionResp>(
+          primary, backup, std::move(req), hedge_delay, options_.probe_timeout, gather_span));
     }
 
-    const int base_votes = out.votes;
     // Named bindings, moved into the join, per the GCC 12 rule in
-    // src/sim/task.h.
-    auto enough = [base_votes, required_votes](const std::vector<ProbeOutcome>& got) {
-      int votes = base_votes;
-      for (const ProbeOutcome& o : got) {
-        if (o.result.ok()) {
-          votes += o.candidate.votes;
-        }
-      }
-      return votes >= required_votes;
+    // src/sim/task.h. The machine credits each reply as it lands.
+    auto closed = [m = &machine](const std::vector<HedgedReply<VersionResp>>& got) {
+      m->Credit(got.back().responder, got.back().reply.status().code());
+      return m->Closed();
     };
     // Stragglers acquired locks after we stopped waiting. They are already
     // in `probed`, so the transaction's end releases them; one that answers
     // after the end is released here. Holding `state` keeps the client from
     // recycling it while a straggler may still report.
-    auto leftover = [state](ProbeOutcome o) {
-      if (o.result.ok() && state->finished) {
+    auto leftover = [state](HedgedReply<VersionResp> o) {
+      if (o.reply.ok() && state->finished) {
         SuiteClient* client = state->client;
-        Spawn(ReleaseLateLocks(client->rpc_, o.candidate.host, state->txn,
+        Spawn(ReleaseLateLocks(client->rpc_, o.responder, state->txn,
                                client->options_.probe_timeout));
       }
     };
+    std::vector<HedgedReply<VersionResp>>& outcomes = state->outcomes;
+    co_await JoinUntil<HedgedReply<VersionResp>>(net_->sim(), state->probes, outcomes,
+                                                 std::move(closed), std::move(leftover));
 
-    std::vector<ProbeOutcome>& outcomes = state->outcomes;
-    co_await JoinUntil<ProbeOutcome>(net_->sim(), probes, outcomes, std::move(enough),
-                                     std::move(leftover));
-
-    for (ProbeOutcome& o : outcomes) {
-      if (o.result.ok()) {
-        if (o.backup_won) {
-          consumed.Insert(o.backup_position);
-        }
-        out.votes += o.candidate.votes;
-        out.current = std::max(out.current, o.result.value().version);
-        out.max_config_version =
-            std::max(out.max_config_version, o.result.value().config_version);
-        NoteVersion(o.candidate.host, o.result.value().version);
-        out.replies.push_back(ProbeReply(std::move(o.candidate), std::move(o.result.value())));
-      } else if (o.result.status().code() == StatusCode::kConflict) {
-        // Wait-die said die: the whole transaction must abort and retry.
-        ++stats_.conflicts;
-        if (tracer != nullptr) {
-          tracer->EndWith(gather_span, "wait-die conflict");
-        }
-        co_return o.result.status();
+    for (HedgedReply<VersionResp>& o : outcomes) {
+      if (o.reply.ok()) {
+        const VersionResp& resp = o.reply.value();
+        out.current = std::max(out.current, resp.version);
+        out.max_config_version = std::max(out.max_config_version, resp.config_version);
+        NoteVersion(o.responder, resp.version);
+        out.replies.push_back(
+            ProbeReply(machine.Responder(o.responder), std::move(o.reply.value())));
+      } else if (o.reply.status().code() == StatusCode::kConflict) {
+        conflict = o.reply.status();  // the machine ends the gather
+        break;
       }
-      // Timeouts and crashes just fail to contribute votes.
     }
   }
 
+  if (machine.conflicted()) {
+    ++stats_.conflicts;
+    if (tracer != nullptr) {
+      tracer->EndWith(gather_span, "wait-die conflict");
+    }
+    co_return conflict;
+  }
   if (out.max_config_version > config_.config_version) {
     if (tracer != nullptr) {
       tracer->EndWith(gather_span, "stale config");
     }
     co_return FailedPreconditionError("suite configuration is newer than client's");
   }
-  if (out.votes < required_votes) {
+  auto tally = [&machine, required_votes]() {
+    return std::to_string(machine.votes()) + "/" + std::to_string(required_votes);
+  };
+  if (!machine.Closed()) {
     ++stats_.unavailable;
     // The SLO layer tracks read and write availability separately; the lock
     // mode says which quorum this gather was for.
     ++(exclusive ? stats_.write_unavailable : stats_.read_unavailable);
     if (TraceLog* trace = net_->trace()) {
       trace->Record(rpc_->host_id(), TraceKind::kQuorumFailed,
-                    config_.suite_name + " " + std::to_string(out.votes) + "/" +
-                        std::to_string(required_votes));
+                    config_.suite_name + " " + tally());
     }
     if (tracer != nullptr && gather_span.valid()) {
-      tracer->EndWith(gather_span, "unavailable " + std::to_string(out.votes) + "/" +
-                                       std::to_string(required_votes));
+      tracer->EndWith(gather_span, "unavailable " + tally());
     }
-    co_return UnavailableError("gathered " + std::to_string(out.votes) + "/" +
-                               std::to_string(required_votes) + " votes for " +
-                               config_.suite_name);
+    co_return UnavailableError("gathered " + tally() + " votes for " + config_.suite_name);
   }
   if (tracer != nullptr && gather_span.valid()) {
-    tracer->EndWith(gather_span,
-                    "votes=" + std::to_string(out.votes) + "/" +
-                        std::to_string(required_votes) + " rounds=" +
-                        std::to_string(rounds_used) +
-                        (fastpath_requested ? " fastpath-requested" : ""));
+    tracer->EndWith(gather_span, "votes=" + tally() + " rounds=" +
+                                     std::to_string(machine.rounds()) +
+                                     (fastpath_requested ? " fastpath-requested" : ""));
   }
   co_return Status::Ok();
 }

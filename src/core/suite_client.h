@@ -57,18 +57,17 @@ struct SuiteClientOptions {
   // the gathered quorum proves it current; otherwise the read falls back to
   // an explicit data fetch. Never weakens strict-quorum semantics.
   bool fastpath_reads = true;
-  int max_gather_rounds = 4;    // probe-widening rounds per gather
 
   // Gray-failure tolerance. Off by default and inert until SetHealth()
   // attaches a tracker, so default runs stay schedule-identical to
   // pre-health builds (the determinism goldens depend on that). On, it arms
   // two responses together; every call still waits out the one timeout
   // configured above:
-  //  - hedged probes: version probes hedge to the next-ranked unconsumed
+  //  - hedged probes: version probes hedge to the next-ranked unprobed
   //    candidate after a p95-ish delay; the first reply wins and the loser
   //    is dropped idempotently at the RPC layer. Vote accounting stays
-  //    exact: a winning backup's plan position is marked consumed so
-  //    widening rounds never count the same representative twice.
+  //    exact: a winning backup is credited once and never probed again
+  //    (see GatherMachine).
   //  - breaker and latency demotion: a breaker-open or latency-inflated host
   //    sorts to the back of the candidate order (and deterministic plans
   //    re-rank by observed latency), but is still probed when its votes are
@@ -229,7 +228,6 @@ class SuiteClient {
   };
   struct GatherResult {
     std::vector<ProbeReply> replies;
-    int votes = 0;
     Version current = 0;
     uint64_t max_config_version = 0;
 
@@ -237,7 +235,6 @@ class SuiteClient {
     // Empties the result, keeping the replies' capacity.
     void Clear() {
       replies.clear();
-      votes = 0;
       current = 0;
       max_config_version = 0;
     }
@@ -261,17 +258,18 @@ class SuiteClient {
   // fetch, or this client's own commit) in the version-hint cache.
   void NoteVersion(HostId host, Version version);
 
-  // The probe target (index into `targets`) most likely to be both cheapest
-  // and current, judged from the version-hint cache; targets.size() when a
-  // piggyback request is not worth sending (e.g. the local weak-rep cache
-  // already holds the hinted version).
-  size_t PickFastPathTarget(const std::vector<QuorumCandidate>& targets) const;
+  // The probe of `machine`'s round (an index into round()) most likely to
+  // be both cheapest and current, judged from the version-hint cache;
+  // round().size() when a piggyback request is not worth sending (e.g. the
+  // local weak-rep cache already holds the hinted version).
+  size_t PickFastPathTarget(const GatherMachine& machine) const;
 
-  // Round-based quorum gather for the read quorum (shared locks) or, with
-  // `exclusive`, the write quorum, into `state->gather`; records every host
-  // it probes in the transaction state, and releases stragglers that answer
-  // after the transaction ended. With `want_data`, one first-round probe
-  // asks for piggybacked contents.
+  // Quorum gather for the read quorum (shared locks) or, with `exclusive`,
+  // the write quorum, into `state->gather`: drives the state's
+  // GatherMachine, sending its rounds' probes and crediting their replies.
+  // Records every host it probes in the transaction state, and releases
+  // stragglers that answer after the transaction ended. With `want_data`,
+  // one first-round probe asks for piggybacked contents.
   Task<Status> Gather(std::shared_ptr<SuiteTransaction::State> state, bool exclusive,
                       bool want_data = false);
 

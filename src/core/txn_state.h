@@ -16,23 +16,6 @@
 
 namespace wvote {
 
-// One version probe's result. User-declared constructor per the GCC 12 rule
-// in src/sim/task.h: this type travels by value through coroutine plumbing.
-struct ProbeOutcome {
-  // The candidate whose votes the reply carries: the primary, or the hedge
-  // backup when the backup answered first (and the primary on timeout).
-  QuorumCandidate candidate;
-  Result<VersionResp> result;
-  // Set when the backup won: its probe-order position, to be marked consumed
-  // so widening rounds never re-count its votes.
-  bool backup_won = false;
-  size_t backup_position = 0;
-
-  ProbeOutcome() : result(TimeoutError("unprobed")) {}
-  ProbeOutcome(QuorumCandidate c, Result<VersionResp> r)
-      : candidate(std::move(c)), result(std::move(r)) {}
-};
-
 // Per-transaction shared state. Held by the transaction handle, by in-flight
 // probe coroutines, and by straggler cleanup closures. The client recycles a
 // State once nothing but its pool holds it (SuiteClient::NewState): Reset()
@@ -64,15 +47,13 @@ struct SuiteTransaction::State {
   // awaits, and the phases are the awaits.
   TraceContext trace;
 
-  // Gather's working buffers: the health view and probe order of the plan,
-  // one round's targets, probes and outcomes, and the probe positions a
-  // winning hedge backup already credited.
+  // Gather's working buffers: the health view of the plan, the gather's
+  // policy (probe order, rounds, credited votes), and one round's probes and
+  // their replies, each naming the host that answered.
   std::vector<ProbeHealth> health;
-  std::vector<uint16_t> order;
-  std::vector<QuorumCandidate> targets;
-  std::vector<Task<ProbeOutcome>> probes;
-  std::vector<ProbeOutcome> outcomes;
-  DenseBitset<size_t> consumed;
+  GatherMachine machine;
+  std::vector<Task<HedgedReply<VersionResp>>> probes;
+  std::vector<HedgedReply<VersionResp>> outcomes;
   // The hosts a commit or abort releases.
   std::vector<HostId> release;
 

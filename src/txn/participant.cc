@@ -156,7 +156,7 @@ Task<Status> Participant::Prepare(TxnId txn, std::vector<WriteIntent> writes,
   prepared_.insert(txn);
   ++stats_.prepares_ok;
   if (options_.indoubt_resolution_timeout > Duration::Zero()) {
-    Spawn(ResolveIfStillInDoubt(record));
+    Spawn(ResolveIfStillInDoubt(txn));
   }
   if (TraceLog* trace = rpc_->network()->trace()) {
     trace->Record(rpc_->host_id(), TraceKind::kTxnPrepared, txn.ToText().view());
@@ -262,17 +262,17 @@ Task<void> Participant::Recover() {
       (void)co_await locks_.Acquire(record.txn, data_key, LockMode::kExclusive,
                                     kLockWaitTimeout);
     }
-    Spawn(ResolveInDoubt(std::move(record)));
+    Spawn(ResolveInDoubt(record.txn));
   }
 }
 
-Task<void> Participant::ResolveIfStillInDoubt(TxnRecord record) {
+Task<void> Participant::ResolveIfStillInDoubt(TxnId txn) {
   const uint64_t epoch = rpc_->host()->crash_epoch();
   co_await rpc_->sim()->Sleep(options_.indoubt_resolution_timeout);
   if (!rpc_->host()->up() || rpc_->host()->crash_epoch() != epoch) {
     co_return;  // crashed meanwhile; recovery owns in-doubt resolution now
   }
-  if (prepared_.count(record.txn) == 0 || committing_.count(record.txn) != 0) {
+  if (prepared_.count(txn) == 0 || committing_.count(txn) != 0) {
     co_return;  // phase 2 arrived (or an abort did): nothing to resolve
   }
   // Still prepared and undecided long after prepare succeeded. The usual
@@ -280,27 +280,27 @@ Task<void> Participant::ResolveIfStillInDoubt(TxnRecord record) {
   // but before delivering phase 2 (the client may already hold a success
   // for this transaction!) — ask instead of waiting for our own restart.
   ++stats_.indoubt_timer_fired;
-  co_await ResolveInDoubt(std::move(record));
+  co_await ResolveInDoubt(txn);
 }
 
-Task<void> Participant::ResolveInDoubt(TxnRecord record) {
+Task<void> Participant::ResolveInDoubt(TxnId txn) {
   for (;;) {
     if (!rpc_->host()->up()) {
       co_return;  // crashed again; next recovery restarts resolution
     }
     Result<DecisionResp> resp = co_await rpc_->Call<DecisionInquiryReq, DecisionResp>(
-        record.txn.coordinator, DecisionInquiryReq{record.txn}, options_.inquiry_interval);
+        txn.coordinator, DecisionInquiryReq{txn}, options_.inquiry_interval);
     if (resp.ok()) {
       if (TraceLog* trace = rpc_->network()->trace()) {
         trace->Record(rpc_->host_id(), TraceKind::kInDoubtResolved,
-                      record.txn.ToString() + (resp.value().decision == TxnDecision::kCommitted
+                      txn.ToString() + (resp.value().decision == TxnDecision::kCommitted
                                                    ? " -> commit"
                                                    : " -> abort"));
       }
       if (resp.value().decision == TxnDecision::kCommitted) {
-        (void)co_await Commit(record.txn);
+        (void)co_await Commit(txn);
       } else {
-        (void)co_await Abort(record.txn);
+        (void)co_await Abort(txn);
       }
       co_return;
     }

@@ -106,11 +106,12 @@ class Participant {
   // Applies a committed record's intents to the data pages (one
   // group-committed batch), then GCs it.
   Task<Status> ApplyCommitted(TxnRecord record, TraceContext ctx = TraceContext());
-  // Resolves one in-doubt prepared record by querying its coordinator.
-  Task<void> ResolveInDoubt(TxnRecord record);
+  // Resolves one in-doubt prepared transaction by querying its coordinator.
+  Task<void> ResolveInDoubt(TxnId txn);
   // Watchdog armed at prepare time: if the transaction is still undecided
-  // after options_.indoubt_resolution_timeout, resolve it by inquiry.
-  Task<void> ResolveIfStillInDoubt(TxnRecord record);
+  // after options_.indoubt_resolution_timeout, resolve it by inquiry. Holds
+  // only the id, so a prepared write pins no copy of its intents meanwhile.
+  Task<void> ResolveIfStillInDoubt(TxnId txn);
 
   RpcEndpoint* rpc_;
   StableStore* store_;

@@ -173,7 +173,6 @@ TEST_P(InvariantTest, RandomizedHistoryIsSafe) {
 
   SuiteClientOptions client_opts;
   client_opts.probe_timeout = Duration::Millis(300);
-  client_opts.max_gather_rounds = scenario.num_reps + 1;
 
   constexpr int kClients = 3;
   constexpr int kOpsPerClient = 70;
@@ -260,7 +259,6 @@ TEST_P(PartitionInvariantTest, SplitBrainNeverHappens) {
 
   SuiteClientOptions client_opts;
   client_opts.probe_timeout = Duration::Millis(300);
-  client_opts.max_gather_rounds = 6;
 
   // Clients on both sides of the partitions.
   for (int c = 0; c < 4; ++c) {

@@ -101,7 +101,6 @@ TEST_F(MultiTxnTest, FailedSuiteQuorumAbortsWholeTransaction) {
   // accounts untouched too.
   SuiteClientOptions fast;
   fast.probe_timeout = Duration::Millis(200);
-  fast.max_gather_rounds = 2;
   SuiteClient* accounts_fast = cluster_->AddClient("bank", accounts_, fast);
   SuiteClient* audit_fast = cluster_->AddClient("bank", audit_, fast);
   cluster_->net().FindHost("rep-3")->Crash();

@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
+#include <set>
 
+#include "src/analysis/gifford_examples.h"
+#include "src/chaos/runner.h"
 #include "src/sim/random.h"
 
 namespace wvote {
@@ -85,30 +89,36 @@ TEST(QuorumPlannerTest, LatencyTiesBrokenByVotes) {
   EXPECT_EQ(plan[0].host_name, "three");  // more votes per probe first
 }
 
-TEST(QuorumPlannerTest, PrefixCountFindsMinimalPrefix) {
+// A gather's first round: the primaries' count and their slowest expected
+// latency.
+std::pair<size_t, Duration> FirstRound(const std::vector<QuorumCandidate>& plan, int required) {
+  GatherMachine machine;
+  machine.Start(plan, {}, {}, required, /*broadcast=*/false, /*hedge=*/false);
+  EXPECT_TRUE(machine.NextRound());
+  Duration slowest = Duration::Zero();
+  for (const GatherProbe& probe : machine.round()) {
+    slowest = std::max(slowest, machine.At(probe.primary).expected_latency);
+  }
+  return {machine.round().size(), slowest};
+}
+
+TEST(QuorumPlannerTest, FirstRoundIsTheMinimalPrefix) {
   SuiteConfig cfg = MakeConfig({{"a", 2}, {"b", 1}, {"c", 1}}, 3, 3);
   QuorumPlanner planner(cfg, LatencyMap({{"a", Duration::Millis(1)},
                                          {"b", Duration::Millis(2)},
                                          {"c", Duration::Millis(3)}}));
   auto plan = planner.Plan(3, QuorumStrategy::kLowestLatency);
-  EXPECT_EQ(QuorumPlanner::PrefixCount(plan, 1), 1u);
-  EXPECT_EQ(QuorumPlanner::PrefixCount(plan, 3), 2u);
-  EXPECT_EQ(QuorumPlanner::PrefixCount(plan, 4), 3u);
-  EXPECT_EQ(QuorumPlanner::PrefixCount(plan, 5), 0u);  // unreachable
-}
-
-TEST(QuorumPlannerTest, PrefixLatencyIsMaxOfPrefix) {
-  SuiteConfig cfg = MakeConfig({{"a", 1}, {"b", 1}}, 1, 2);
-  QuorumPlanner planner(cfg, LatencyMap({{"a", Duration::Millis(10)},
-                                         {"b", Duration::Millis(30)}}));
-  auto plan = planner.Plan(2, QuorumStrategy::kLowestLatency);
-  EXPECT_EQ(QuorumPlanner::PrefixLatency(plan, 1), Duration::Millis(10));
-  EXPECT_EQ(QuorumPlanner::PrefixLatency(plan, 2), Duration::Millis(30));
+  EXPECT_EQ(FirstRound(plan, 1).first, 1u);
+  EXPECT_EQ(FirstRound(plan, 3).first, 2u);
+  EXPECT_EQ(FirstRound(plan, 4).first, 3u);
+  EXPECT_EQ(FirstRound(plan, 5).first, 3u);  // unreachable: every candidate
+  EXPECT_EQ(FirstRound(plan, 3).second, Duration::Millis(2));
 }
 
 // Property: for the max-latency objective, the greedy (ascending latency)
-// prefix is optimal — no subset of representatives with enough votes has a
-// smaller maximum latency. Brute-forced over random configurations.
+// prefix a gather's first round probes is optimal — no subset of
+// representatives with enough votes has a smaller maximum latency.
+// Brute-forced over random configurations.
 class GreedyOptimality : public ::testing::TestWithParam<int> {};
 
 TEST_P(GreedyOptimality, GreedyPrefixMatchesBruteForce) {
@@ -132,9 +142,7 @@ TEST_P(GreedyOptimality, GreedyPrefixMatchesBruteForce) {
 
     QuorumPlanner planner(cfg, LatencyMap(latencies));
     auto plan = planner.Plan(required, QuorumStrategy::kLowestLatency);
-    const size_t k = QuorumPlanner::PrefixCount(plan, required);
-    ASSERT_GT(k, 0u);
-    const Duration greedy = QuorumPlanner::PrefixLatency(plan, k);
+    const Duration greedy = FirstRound(plan, required).second;
 
     // Brute force: minimum over all subsets with enough votes of the
     // subset's max latency.
@@ -221,17 +229,6 @@ TEST(PlanCacheTest, ConfigVersionChangeInvalidates) {
   // The old shared plan stays valid for holders that outlive the
   // invalidation (a gather suspended mid-flight).
   EXPECT_EQ(old_plan->order.size(), 2u);
-}
-
-TEST(PlanCacheTest, ExplicitInvalidateForcesRebuild) {
-  SuiteConfig cfg = MakeConfig({{"a", 1}}, 1, 1);
-  cfg.config_version = 1;
-  uint64_t builds = 0;
-  PlanCache cache(LatencyMap({{"a", Duration::Millis(1)}}), &builds);
-  cache.Get(cfg, QuorumStrategy::kLowestLatency);
-  cache.Invalidate();
-  cache.Get(cfg, QuorumStrategy::kLowestLatency);
-  EXPECT_EQ(builds, 2u);
 }
 
 TEST(PlanCacheTest, ProbabilisticPoliciesCarryDistributions) {
@@ -401,6 +398,229 @@ TEST(ProbeOrderTest, AlwaysAPermutation) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// GatherMachine
+// ---------------------------------------------------------------------------
+
+// A plan whose host ids are the plan indices and whose latencies ascend.
+std::vector<QuorumCandidate> PlanOfVotes(const std::vector<int>& votes) {
+  std::vector<QuorumCandidate> plan;
+  for (size_t i = 0; i < votes.size(); ++i) {
+    plan.push_back(QuorumCandidate(i, "h" + std::to_string(i), static_cast<HostId>(i), votes[i],
+                                   Duration::Millis(static_cast<int64_t>(i) + 1)));
+  }
+  return plan;
+}
+
+// What the exhaustive walk knows independently of the machine.
+struct GatherReference {
+  int required = 0;
+  bool broadcast = false;
+  bool hedge = false;
+  std::vector<int> votes_of;             // by host id
+  std::set<HostId> credited;             // hosts whose OK reply counted
+  std::set<HostId> primaries;            // hosts probed as a round primary
+  std::set<HostId> won_backups;          // hosts whose backup reply won
+  bool conflict = false;
+
+  int Votes() const {
+    int sum = 0;
+    for (HostId h : credited) {
+      sum += votes_of[static_cast<size_t>(h)];
+    }
+    return sum;
+  }
+};
+
+struct GatherWalk {
+  size_t gathers = 0;  // complete gathers explored
+  size_t closed = 0;
+  size_t conflicted = 0;
+  size_t unavailable = 0;
+  size_t backup_wins = 0;
+};
+
+void ExploreRound(GatherMachine machine, GatherReference ref, GatherWalk* walk);
+
+// Every order in which the round's `pending` probes can answer, each with
+// every outcome: the primary's OK reply, the backup's (if it has one), a
+// timeout, or a wait-die conflict. The join returns once Closed() holds.
+void ExploreReplies(const GatherMachine& machine, const GatherReference& ref,
+                    std::vector<size_t> pending, GatherWalk* walk) {
+  if (machine.Closed() || pending.empty()) {
+    ExploreRound(machine, ref, walk);
+    return;
+  }
+  for (size_t k = 0; k < pending.size(); ++k) {
+    const GatherProbe probe = machine.round()[pending[k]];
+    std::vector<size_t> rest = pending;
+    rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(k));
+    for (int kind = 0; kind < 4; ++kind) {
+      const bool backup_reply = kind == 1;
+      if (backup_reply && probe.backup == GatherMachine::kNoBackup) {
+        continue;
+      }
+      GatherMachine next = machine;
+      GatherReference next_ref = ref;
+      if (kind <= 1) {
+        const QuorumCandidate& who = machine.At(backup_reply ? probe.backup : probe.primary);
+        ASSERT_EQ(next_ref.credited.count(who.host), 0u) << "a host answered twice";
+        next_ref.credited.insert(who.host);
+        if (backup_reply) {
+          next_ref.won_backups.insert(who.host);
+          ++walk->backup_wins;
+        }
+        next.Credit(who.host, StatusCode::kOk);
+        EXPECT_EQ(next.Responder(who.host).host, who.host);
+        // Each host's votes count once, even if its reply were delivered
+        // twice or both copies of a hedged probe answered.
+        GatherMachine again = next;
+        again.Credit(who.host, StatusCode::kOk);
+        EXPECT_EQ(again.votes(), next.votes());
+        if (probe.backup != GatherMachine::kNoBackup) {
+          again.Credit(machine.At(backup_reply ? probe.primary : probe.backup).host,
+                       StatusCode::kOk);
+          EXPECT_EQ(again.votes(), next.votes());
+        }
+      } else if (kind == 2) {
+        next.Credit(kInvalidHost, StatusCode::kTimeout);
+      } else {
+        next_ref.conflict = true;
+        next.Credit(machine.At(probe.primary).host, StatusCode::kConflict);
+      }
+      ASSERT_EQ(next.votes(), next_ref.Votes());
+      // Closes exactly when the credited votes reach the quorum.
+      ASSERT_EQ(next.Closed(), next_ref.Votes() >= next_ref.required);
+      ASSERT_EQ(next.conflicted(), next_ref.conflict);
+      ExploreReplies(next, next_ref, rest, walk);
+    }
+  }
+}
+
+void ExploreRound(GatherMachine machine, GatherReference ref, GatherWalk* walk) {
+  const int before = machine.rounds();
+  if (!machine.NextRound()) {
+    ++walk->gathers;
+    EXPECT_EQ(machine.rounds(), before);
+    if (ref.conflict) {
+      // A conflict ends the gather.
+      EXPECT_TRUE(machine.conflicted());
+      ++walk->conflicted;
+    } else if (ref.Votes() >= ref.required) {
+      EXPECT_TRUE(machine.Closed());
+      ++walk->closed;
+    } else {
+      // Unavailable only once every candidate was probed.
+      ++walk->unavailable;
+      for (size_t h = 0; h < ref.votes_of.size(); ++h) {
+        const auto host = static_cast<HostId>(h);
+        EXPECT_TRUE(ref.primaries.count(host) != 0 || ref.won_backups.count(host) != 0)
+            << "host " << h << " was never probed";
+      }
+    }
+    return;
+  }
+  // The machine stops as soon as the quorum closes or a conflict lands.
+  ASSERT_FALSE(machine.Closed());
+  ASSERT_FALSE(ref.conflict);
+  EXPECT_EQ(machine.rounds(), before + 1);
+
+  const std::vector<GatherProbe>& round = machine.round();
+  ASSERT_FALSE(round.empty());
+  std::set<HostId> in_round;
+  int planned = machine.votes();
+  for (size_t i = 0; i < round.size(); ++i) {
+    const HostId primary = machine.At(round[i].primary).host;
+    // Neither an earlier primary nor a winning backup is probed again.
+    EXPECT_EQ(ref.primaries.count(primary), 0u);
+    EXPECT_EQ(ref.won_backups.count(primary), 0u);
+    EXPECT_TRUE(in_round.insert(primary).second);
+    // Without broadcast a round stops adding primaries once their votes
+    // would close the gap.
+    EXPECT_TRUE(ref.broadcast || planned < ref.required);
+    planned += machine.At(round[i].primary).votes;
+  }
+  for (const GatherProbe& probe : round) {
+    EXPECT_TRUE(ref.hedge || probe.backup == GatherMachine::kNoBackup);
+    if (probe.backup != GatherMachine::kNoBackup) {
+      const HostId backup = machine.At(probe.backup).host;
+      EXPECT_EQ(ref.won_backups.count(backup), 0u);
+      EXPECT_EQ(ref.primaries.count(backup), 0u);
+      EXPECT_TRUE(in_round.insert(backup).second) << "backup doubles as another probe";
+    }
+  }
+  for (const GatherProbe& probe : round) {
+    ref.primaries.insert(machine.At(probe.primary).host);
+  }
+  std::vector<size_t> pending(round.size());
+  for (size_t i = 0; i < pending.size(); ++i) {
+    pending[i] = i;
+  }
+  ExploreReplies(machine, ref, pending, walk);
+}
+
+// Every reply order and every success/timeout/conflict pattern, over
+// Gifford's three examples and the four chaos suites, for read and write
+// quorums, hedged or not, broadcast or not, in plan order and reversed.
+TEST(GatherMachineTest, ExhaustiveOverReplyOrdersAndOutcomes) {
+  const auto started = std::chrono::steady_clock::now();
+  struct Suite {
+    std::string name;
+    std::vector<int> votes;
+    int r;
+    int w;
+  };
+  std::vector<Suite> suites;
+  for (const GiffordExample& ex : MakeGiffordExamples()) {
+    Suite suite{ex.name, {}, ex.model.read_quorum, ex.model.write_quorum};
+    for (const RepModel& rep : ex.model.reps) {
+      suite.votes.push_back(rep.votes);
+    }
+    suites.push_back(suite);
+  }
+  for (const ChaosSuiteSpec& spec : DefaultSuiteSpecs()) {
+    suites.push_back(Suite{spec.name, spec.votes, spec.read_quorum, spec.write_quorum});
+  }
+  ASSERT_EQ(suites.size(), 7u);
+
+  GatherWalk walk;
+  for (const Suite& suite : suites) {
+    const std::vector<QuorumCandidate> plan = PlanOfVotes(suite.votes);
+    std::vector<uint16_t> reversed;
+    for (size_t i = plan.size(); i > 0; --i) {
+      reversed.push_back(static_cast<uint16_t>(i - 1));
+    }
+    for (int required : {suite.r, suite.w}) {
+      for (bool hedge : {false, true}) {
+        for (bool broadcast : {false, true}) {
+          for (bool reverse : {false, true}) {
+            SCOPED_TRACE(suite.name + " q=" + std::to_string(required) +
+                         (hedge ? " hedged" : "") + (broadcast ? " broadcast" : "") +
+                         (reverse ? " reversed" : ""));
+            GatherMachine machine;
+            machine.Start(plan, reverse ? reversed : std::vector<uint16_t>{}, {}, required,
+                          broadcast, hedge);
+            GatherReference ref;
+            ref.required = required;
+            ref.broadcast = broadcast;
+            ref.hedge = hedge;
+            ref.votes_of = suite.votes;
+            ExploreRound(machine, ref, &walk);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(walk.closed, 0u);
+  EXPECT_GT(walk.conflicted, 0u);
+  EXPECT_GT(walk.unavailable, 0u);
+  EXPECT_GT(walk.backup_wins, 0u);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+  std::printf("explored %zu gathers (%zu closed, %zu conflicted, %zu unavailable) in %.2f s\n",
+              walk.gathers, walk.closed, walk.conflicted, walk.unavailable, seconds);
 }
 
 }  // namespace

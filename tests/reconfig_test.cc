@@ -77,7 +77,6 @@ TEST_F(ReconfigTest, NewMembersCarryTheSuiteAfterOldOnesDie) {
   cluster_->net().FindHost("rep-1")->Crash();
   SuiteClientOptions fast;
   fast.probe_timeout = Duration::Millis(200);
-  fast.max_gather_rounds = 5;
   SuiteClient* reader = cluster_->AddClient("reader", admin_->config(), fast);
   Result<std::string> r = cluster_->RunTask(reader->ReadOnce());
   ASSERT_TRUE(r.ok()) << r.status().ToString();

@@ -171,13 +171,29 @@ TEST_F(SuiteClientTest, StragglerReleasesItsLockWhileStatesAreRecycled) {
 TEST_F(SuiteClientTest, GatherWidensPastCrashedRepresentatives) {
   SuiteClientOptions copts;
   copts.probe_timeout = Duration::Millis(200);
-  copts.max_gather_rounds = 4;
   Deploy(5, 2, 4, copts);
   Rep(0)->Crash();
   Rep(1)->Crash();
   Result<std::string> r = cluster_->RunTask(client_->ReadOnce());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value(), "v1-contents");
+}
+
+// Gifford's poll has no round limit: with r=1 and the five representatives
+// the plan ranks first crashed (uniform links keep plan order rep-0..rep-5),
+// the gather widens one round per timeout until the sixth answers.
+TEST_F(SuiteClientTest, GatherWidensUntilCandidatesRunOut) {
+  SuiteClientOptions copts;
+  copts.probe_timeout = Duration::Millis(200);
+  Deploy(6, 1, 6, copts);
+  for (int i = 0; i < 5; ++i) {
+    Rep(i)->Crash();
+  }
+  Result<std::string> r = cluster_->RunTask(client_->ReadOnce(/*retries=*/1));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), "v1-contents");
+  EXPECT_EQ(client_->stats().gather_rounds, 6u);
+  EXPECT_EQ(client_->stats().unavailable, 0u);
 }
 
 TEST_F(SuiteClientTest, InsufficientVotesIsUnavailable) {
@@ -392,7 +408,6 @@ TEST_F(SuiteClientTest, FastPathFallsBackWhenCheapestRepIsStale) {
 TEST_F(SuiteClientTest, FastPathFallsBackWhenCheapestRepCrashed) {
   SuiteClientOptions copts;
   copts.probe_timeout = Duration::Millis(200);
-  copts.max_gather_rounds = 4;
   Deploy(3, 2, 2, copts);
   cluster_->net().SetSymmetricLink(cluster_->net().FindHost("client")->id(),
                                    cluster_->net().FindHost("rep-0")->id(),
@@ -410,7 +425,6 @@ TEST_F(SuiteClientTest, FastPathFallsBackWhenCheapestRepCrashed) {
 TEST_F(SuiteClientTest, FastPathReadsStayCurrentUnderCrashRestartCycles) {
   SuiteClientOptions copts;
   copts.probe_timeout = Duration::Millis(150);
-  copts.max_gather_rounds = 4;
   Deploy(3, 2, 2, copts);
   // rep-0 flaps for the whole test: probes aimed at it time out mid-read,
   // and its copy goes stale across every write it misses.

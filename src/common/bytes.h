@@ -10,13 +10,21 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace wvote {
 
 class BufferWriter {
  public:
-  void WriteU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+  BufferWriter() = default;
+  // Appends to `*out` instead of an owned buffer, so a caller that keeps
+  // `out` across serializations reuses its capacity.
+  explicit BufferWriter(std::string* out) : buf_(out) {}
+  BufferWriter(const BufferWriter&) = delete;
+  BufferWriter& operator=(const BufferWriter&) = delete;
+
+  void WriteU8(uint8_t v) { buf_->push_back(static_cast<char>(v)); }
 
   void WriteU32(uint32_t v) { WriteRaw(&v, sizeof(v)); }
   void WriteU64(uint64_t v) { WriteRaw(&v, sizeof(v)); }
@@ -24,21 +32,22 @@ class BufferWriter {
   void WriteDouble(double v) { WriteRaw(&v, sizeof(v)); }
   void WriteBool(bool v) { WriteU8(v ? 1 : 0); }
 
-  void WriteString(const std::string& s) {
+  void WriteString(std::string_view s) {
     WriteU32(static_cast<uint32_t>(s.size()));
-    buf_.append(s);
+    buf_->append(s);
   }
 
-  const std::string& str() const { return buf_; }
-  std::string Take() { return std::move(buf_); }
+  const std::string& str() const { return *buf_; }
+  std::string Take() { return std::move(*buf_); }
 
  private:
   void WriteRaw(const void* p, size_t n) {
     // Host is little-endian on every supported target; a big-endian port
     // would byte-swap here.
-    buf_.append(reinterpret_cast<const char*>(p), n);
+    buf_->append(reinterpret_cast<const char*>(p), n);
   }
-  std::string buf_;
+  std::string own_;
+  std::string* buf_ = &own_;
 };
 
 // Reader with explicit failure state: any read past the end (or a bad length
@@ -46,7 +55,7 @@ class BufferWriter {
 // at the end instead of after every field.
 class BufferReader {
  public:
-  explicit BufferReader(const std::string& data) : data_(data) {}
+  explicit BufferReader(std::string_view data) : data_(data) {}
 
   uint8_t ReadU8() {
     uint8_t v = 0;
@@ -75,26 +84,22 @@ class BufferReader {
   }
   bool ReadBool() { return ReadU8() != 0; }
 
-  std::string ReadString() {
+  std::string ReadString() { return std::string(ReadStringView()); }
+
+  // One length-prefixed string as a view into the data, without copying.
+  std::string_view ReadStringView() {
     const uint32_t n = ReadU32();
     if (failed_ || pos_ + n > data_.size()) {
       failed_ = true;
-      return std::string();
+      return std::string_view();
     }
-    std::string s = data_.substr(pos_, n);
+    const std::string_view s = data_.substr(pos_, n);
     pos_ += n;
     return s;
   }
 
   // Advances past one length-prefixed string without copying it.
-  void SkipString() {
-    const uint32_t n = ReadU32();
-    if (failed_ || pos_ + n > data_.size()) {
-      failed_ = true;
-      return;
-    }
-    pos_ += n;
-  }
+  void SkipString() { (void)ReadStringView(); }
 
   bool failed() const { return failed_; }
   bool AtEnd() const { return pos_ == data_.size(); }
@@ -110,7 +115,7 @@ class BufferReader {
     pos_ += n;
   }
 
-  const std::string& data_;
+  std::string_view data_;
   size_t pos_ = 0;
   bool failed_ = false;
 };

@@ -14,8 +14,11 @@
 #ifndef WVOTE_SRC_COMMON_STATUS_H_
 #define WVOTE_SRC_COMMON_STATUS_H_
 
+#include <algorithm>
 #include <cstring>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 
@@ -53,13 +56,24 @@ class [[nodiscard]] Status {
   Status(StatusCode code, const std::string& message) : code_(code) {
     SetMessage(message.c_str());
   }
+  // The concatenation of `parts`, written straight into the inline buffer:
+  // the same text and truncation as concatenating them into one string
+  // first, without the heap.
+  Status(StatusCode code, std::initializer_list<std::string_view> parts) : code_(code) {
+    size_t n = 0;
+    for (std::string_view part : parts) {
+      const size_t take = std::min(part.size(), kMaxMessage - n);
+      std::memcpy(message_ + n, part.data(), take);
+      n += take;
+    }
+    message_[n] = '\0';
+  }
 
   static Status Ok() { return Status(); }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
   std::string message() const { return message_; }
-  const char* message_c_str() const { return message_; }
 
   // "CODE: message" rendering for logs and test failure output.
   std::string ToString() const;

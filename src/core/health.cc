@@ -38,18 +38,6 @@ constexpr double kDemoteInflation = 4.0;
 
 }  // namespace
 
-const char* BreakerStateName(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "?";
-}
-
 HealthTracker::HealthTracker(Simulator* sim, std::string owner)
     : sim_(sim), owner_(std::move(owner)) {}
 

@@ -41,8 +41,6 @@ namespace wvote {
 
 enum class BreakerState { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
 
-const char* BreakerStateName(BreakerState state);
-
 class HealthTracker : public PeerHealth {
  public:
   // A peer whose breaker opened stays demoted for this long; then the

@@ -52,13 +52,12 @@ HostLink HostLinkCache::Link(const std::string& name) {
 // ---------------------------------------------------------------------------
 
 QuorumPlanner::QuorumPlanner(const SuiteConfig& config, const HostLinkFn& link_of) {
-  for (size_t i = 0; i < config.representatives.size(); ++i) {
-    const RepresentativeInfo& rep = config.representatives[i];
+  for (const RepresentativeInfo& rep : config.representatives) {
     if (rep.weak()) {
       continue;
     }
     const HostLink link = link_of(rep.host_name);
-    voting_.push_back(QuorumCandidate(i, rep.host_name, link.host, rep.votes, link.latency));
+    voting_.push_back(QuorumCandidate(rep.host_name, link.host, rep.votes, link.latency));
   }
 }
 

@@ -60,16 +60,14 @@ const char* QuorumStrategyName(QuorumStrategy s);
 // Carries a user-declared constructor per the GCC 12 rule in src/sim/task.h
 // (QuorumCandidate travels by value inside ProbeReply).
 struct QuorumCandidate {
-  size_t rep_index = 0;  // index into SuiteConfig::representatives
   std::string host_name;
   HostId host = kInvalidHost;  // resolved once, when the plan is built
   int votes = 0;
   Duration expected_latency;
 
   QuorumCandidate() = default;
-  QuorumCandidate(size_t index, std::string name, HostId id, int v, Duration latency)
-      : rep_index(index),
-        host_name(std::move(name)),
+  QuorumCandidate(std::string name, HostId id, int v, Duration latency)
+      : host_name(std::move(name)),
         host(id),
         votes(v),
         expected_latency(latency) {}

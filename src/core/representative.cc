@@ -54,7 +54,7 @@ Result<VersionedValue> RepresentativeServer::CurrentValue(const std::string& sui
   if (!bytes.ok()) {
     return bytes.status();
   }
-  return VersionedValue::Parse(bytes.value());
+  return VersionedValue::Parse(std::move(bytes.value()));
 }
 
 Result<SuiteConfig> RepresentativeServer::CurrentPrefix(const std::string& suite) const {
@@ -130,7 +130,7 @@ void RepresentativeServer::RegisterHandlers() {
           // falls back to an explicit fetch.
           Result<std::string> bytes = co_await participant_.ReadPage(req.txn, value_key, ctx);
           if (bytes.ok()) {
-            Result<VersionedValue> value = VersionedValue::Parse(bytes.value());
+            Result<VersionedValue> value = VersionedValue::Parse(std::move(bytes.value()));
             if (value.ok()) {
               // Report the version of the very bytes attached, so the
               // client's currency check covers the piggybacked copy.
@@ -158,7 +158,7 @@ void RepresentativeServer::RegisterHandlers() {
         if (!bytes.ok()) {
           co_return bytes.status();
         }
-        Result<VersionedValue> value = VersionedValue::Parse(bytes.value());
+        Result<VersionedValue> value = VersionedValue::Parse(std::move(bytes.value()));
         if (!value.ok()) {
           co_return value.status();
         }
@@ -173,7 +173,7 @@ void RepresentativeServer::RegisterHandlers() {
         if (!bytes.ok()) {
           co_return bytes.status();
         }
-        Result<VersionedValue> value = VersionedValue::Parse(bytes.value());
+        Result<VersionedValue> value = VersionedValue::Parse(std::move(bytes.value()));
         if (!value.ok()) {
           co_return value.status();
         }

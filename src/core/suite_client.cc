@@ -79,11 +79,10 @@ Task<Result<VersionedValue>> SuiteTransaction::ReadVersioned() {
   if (state->pending_write) {
     // Version of a buffered write is assigned at commit; report the read
     // version if we have one, else 0.
-    co_return VersionedValue{state->read_result ? state->read_result->version : 0,
-                             std::move(contents.value())};
+    co_return VersionedValue{state->read_version, std::move(contents.value())};
   }
-  WVOTE_CHECK(state->read_result.has_value());
-  co_return VersionedValue{state->read_result->version, std::move(contents.value())};
+  WVOTE_CHECK(state->has_read);
+  co_return VersionedValue{state->read_version, std::move(contents.value())};
 }
 
 Status SuiteTransaction::Write(std::string contents) {
@@ -565,8 +564,8 @@ Task<Result<std::string>> SuiteClient::DoRead(std::shared_ptr<SuiteTransaction::
   if (state->pending_write) {
     co_return *state->pending_write;  // read-your-writes
   }
-  if (state->read_result) {
-    co_return state->read_result->contents;  // repeated read
+  if (state->has_read) {
+    co_return state->read_contents;  // repeated read
   }
 
   Status gathered =
@@ -580,7 +579,7 @@ Task<Result<std::string>> SuiteClient::DoRead(std::shared_ptr<SuiteTransaction::
 
   if (current == 0) {
     // Never written: reads as empty.
-    state->read_result = VersionedValue{0, ""};
+    state->KeepRead(0, "");
     co_return std::string();
   }
 
@@ -588,7 +587,7 @@ Task<Result<std::string>> SuiteClient::DoRead(std::shared_ptr<SuiteTransaction::
     const std::string* cached = cache_->Lookup(config_.suite_name, current);
     if (cached != nullptr) {
       ++stats_.cache_hits;
-      state->read_result = VersionedValue{current, *cached};
+      state->KeepRead(current, *cached);
       SpawnRefreshes(gather, current, *cached);
       co_return *cached;
     }
@@ -611,8 +610,8 @@ Task<Result<std::string>> SuiteClient::DoRead(std::shared_ptr<SuiteTransaction::
           cache_->Update(config_.suite_name, current, r.resp.contents);
         }
         SpawnRefreshes(gather, current, r.resp.contents);
-        state->read_result = VersionedValue{current, std::move(r.resp.contents)};
-        co_return state->read_result->contents;
+        state->KeepRead(current, r.resp.contents);
+        co_return std::move(r.resp.contents);
       }
     }
     // Piggybacked copy stale, lost, or never requested: pay the explicit
@@ -631,7 +630,7 @@ Task<Result<std::string>> SuiteClient::DoRead(std::shared_ptr<SuiteTransaction::
     cache_->Update(config_.suite_name, current, data.value().contents);
   }
   SpawnRefreshes(gather, current, data.value().contents);
-  state->read_result = VersionedValue{current, data.value().contents};
+  state->KeepRead(current, data.value().contents);
   co_return std::move(data.value().contents);
 }
 
@@ -789,7 +788,7 @@ Task<Result<std::string>> SuiteClient::RunOnce(const char* span_name,
       co_return contents;
     }
     if (!Retryable(last)) {
-      if (tracer != nullptr) {
+      if (tracer != nullptr && root.valid()) {
         tracer->EndWith(root, last.ToString());
       }
       co_return last;
@@ -798,7 +797,7 @@ Task<Result<std::string>> SuiteClient::RunOnce(const char* span_name,
     ++stats_.retries;
     co_await net_->sim()->Sleep(JitteredBackoff(net_->sim()->rng(), i));
   }
-  if (tracer != nullptr) {
+  if (tracer != nullptr && root.valid()) {
     tracer->EndWith(root, last.ToString());
   }
   co_return last;

@@ -9,6 +9,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/dense_bitset.h"
@@ -33,7 +34,12 @@ struct SuiteTransaction::State {
   // what prevents those grants from leaking forever. Ascending, like the
   // std::set it replaced, so releases go out in host order.
   DenseBitset<HostId> probed;
-  std::optional<VersionedValue> read_result;
+  // The first read's result, which repeated reads return: its version and
+  // a copy of its contents in a buffer that keeps its capacity while the
+  // State is pooled, so the read's own contents move through to the caller.
+  bool has_read = false;
+  Version read_version = 0;
+  std::string read_contents;
   std::optional<std::string> pending_write;
   // The last gather's quorum: the read's, or the write quorum a commit
   // gathered for `pending_write` (the new version is its `current` + 1).
@@ -57,12 +63,21 @@ struct SuiteTransaction::State {
   // The hosts a commit or abort releases.
   std::vector<HostId> release;
 
+  // Records a read's result for repeated reads.
+  void KeepRead(Version version, std::string_view contents) {
+    has_read = true;
+    read_version = version;
+    read_contents.assign(contents);
+  }
+
   // Readies a pooled State for a new transaction, keeping the buffers.
   void Reset() {
     txn = TxnId();
     finished = false;
     probed.Clear();
-    read_result.reset();
+    has_read = false;
+    read_version = 0;
+    read_contents.clear();
     pending_write.reset();
     gather.Clear();
     committed_version = 0;

@@ -11,14 +11,16 @@ std::string VersionedValue::Serialize() const {
   return w.Take();
 }
 
-Result<VersionedValue> VersionedValue::Parse(const std::string& bytes) {
+Result<VersionedValue> VersionedValue::Parse(std::string bytes) {
   BufferReader r(bytes);
   VersionedValue v;
   v.version = r.ReadU64();
-  v.contents = r.ReadString();
+  const std::string_view contents = r.ReadStringView();
   if (r.failed() || !r.AtEnd()) {
     return CorruptionError("bad versioned value");
   }
+  bytes.erase(0, bytes.size() - contents.size());
+  v.contents = std::move(bytes);
   return v;
 }
 

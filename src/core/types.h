@@ -24,7 +24,9 @@ struct VersionedValue {
   VersionedValue(Version v, std::string c) : version(v), contents(std::move(c)) {}
 
   std::string Serialize() const;
-  static Result<VersionedValue> Parse(const std::string& bytes);
+  // Takes the page over: the contents keep `bytes`'s buffer, with the
+  // header dropped in place, instead of being copied out of it.
+  static Result<VersionedValue> Parse(std::string bytes);
   // Validates `bytes` exactly as Parse does but returns only the version,
   // without copying the contents.
   static Result<Version> ParseVersion(const std::string& bytes);

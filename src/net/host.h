@@ -33,7 +33,6 @@ class Host {
   // Delivered messages are routed to this handler. Only one component (the
   // RPC endpoint) may claim a host's inbox.
   void SetMessageHandler(std::function<void(Message)> handler);
-  bool has_message_handler() const { return static_cast<bool>(handler_); }
 
   // Crash: volatile state vanishes, in-flight inbound messages are dropped.
   // Restart: recovery listeners run (replay stable logs) before any new

@@ -91,7 +91,6 @@ class Network {
   // preserving each link's latency model; how the chaos nemesis flips
   // network weather mid-run without knowing the topology.
   void SetAllLinkKnobs(LinkKnobs knobs);
-  const LinkKnobs& default_link_knobs() const { return default_link_.knobs; }
 
   // Gray faults: a slow-but-alive host. The inbound multiplier stretches the
   // delivery latency of every message TOWARD `host` (a degraded NIC or an

@@ -21,20 +21,6 @@ double SumAll(const TimeSeriesStore& store, const std::vector<std::string>& name
 
 }  // namespace
 
-const char* SloKindName(SloKind kind) {
-  switch (kind) {
-    case SloKind::kAvailabilityBurn:
-      return "availability_burn";
-    case SloKind::kP99Limit:
-      return "p99_limit";
-    case SloKind::kGaugeLimit:
-      return "gauge_limit";
-    case SloKind::kCounterZero:
-      return "counter_zero";
-  }
-  return "unknown";
-}
-
 SloEngine::SloEngine(std::vector<SloRule> rules)
     : rules_(std::move(rules)), states_(rules_.size()) {}
 

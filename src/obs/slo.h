@@ -47,8 +47,6 @@ enum class SloKind {
   kCounterZero,
 };
 
-const char* SloKindName(SloKind kind);
-
 struct SloRule {
   std::string name;  // e.g. "read-availability"
   SloKind kind = SloKind::kAvailabilityBurn;

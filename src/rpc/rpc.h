@@ -8,11 +8,13 @@
 //
 // Wire format: a message's std::any payload holds an EnvelopeRef, an 8-byte
 // reference-counted pointer (small enough for std::any's inline buffer) to
-// one heap block holding the header (request/reply, call id, trace context,
-// body type) and the typed body, so each message costs one allocation. A
+// one block holding the header (request/reply, call id, trace context, body
+// type) and the typed body. Blocks come from FramePool's size classes, like
+// coroutine frames, so a steady stream of calls allocates no envelopes. A
 // duplicating link delivers the same block twice; a receiver moves the body
 // out only when it holds the last reference and copies it otherwise, so
-// both deliveries see an intact body.
+// both deliveries see an intact body, and the block returns to the pool
+// when the last reference drops.
 //
 // Failure semantics mirror a datagram network with volatile servers:
 //   * lost request or lost reply -> client timeout;
@@ -132,9 +134,10 @@ const void* RpcTypeOf() {
 }
 
 // Header of one RPC message; RpcEnvelope<Body> appends the body in the same
-// allocation. The reference count is plain (the simulator is
-// single-threaded); EnvelopeRef maintains it.
-struct RpcEnvelopeHeader {
+// pooled block (the virtual destructor hands FramePool the full size). The
+// reference count is plain (the simulator is single-threaded); EnvelopeRef
+// maintains it.
+struct RpcEnvelopeHeader : PooledFrame {
   RpcEnvelopeHeader(bool request, const void* type, uint64_t id, TraceContext ctx)
       : is_request(request), body_type(type), call_id(id), trace(ctx) {}
   virtual ~RpcEnvelopeHeader() = default;
@@ -554,7 +557,8 @@ class RpcEndpoint {
       handler_ctx = trace;
     }
     Result<Resp> result = co_await handler(from, std::move(req), handler_ctx);
-    if (tracer != nullptr) {
+    if (span.valid()) {
+      // The error text is built only for a span that records it.
       if (result.ok()) {
         tracer->End(span);
       } else {

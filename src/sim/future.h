@@ -49,7 +49,6 @@ class Future {
   Future() = default;
 
   bool valid() const { return state_ != nullptr; }
-  bool ready() const { return state_ && state_->value.has_value(); }
 
   auto operator co_await() && noexcept {
     struct Awaiter {

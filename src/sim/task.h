@@ -14,7 +14,8 @@
 // Frame memory: every RPC round trip creates and destroys several frames
 // (caller, handler, detached wrapper), so frames come from a per-thread
 // size-class free list instead of the general heap (FramePool below). The
-// shared state of Promise/Future pairs and joins comes from the same pool.
+// shared state of Promise/Future pairs and joins, and RPC envelopes, come
+// from the same pool.
 //
 // ---------------------------------------------------------------------------
 // GCC 12 COMPATIBILITY RULE — read before adding coroutine functions.

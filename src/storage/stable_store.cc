@@ -61,8 +61,16 @@ int StableStore::CommittedSlot(const Page& page) {
   return Verified(slots[1 - newer]) ? 1 - newer : -1;
 }
 
-void StableStore::TearTarget(const std::string& key) {
-  Page& page = pages_[key];
+StableStore::Page& StableStore::PageFor(std::string_view key) {
+  auto it = pages_.lower_bound(key);
+  if (it != pages_.end() && it->first == key) {
+    return it->second;
+  }
+  return pages_.emplace_hint(it, std::string(key), Page())->second;
+}
+
+void StableStore::TearTarget(std::string_view key) {
+  Page& page = PageFor(key);
   const int committed = CommittedSlot(page);
   const int target = (committed == 0) ? 1 : 0;
 
@@ -75,30 +83,45 @@ void StableStore::TearTarget(const std::string& key) {
   torn.checksum = 0;
 }
 
-void StableStore::Install(const std::string& key, std::string value) {
+void StableStore::Install(std::string_view key, std::string_view value) {
   // Recompute the target at install time: the committed slot is the untorn
   // sibling, so this lands in exactly the slot TearTarget invalidated.
-  Page& page = pages_[key];
+  Page& page = PageFor(key);
   const int committed = CommittedSlot(page);
   const int target = (committed == 0) ? 1 : 0;
   const uint64_t next_seq = (committed >= 0) ? page.slots[committed].seq + 1 : 1;
 
   Slot& slot = page.slots[target];
   slot.seq = next_seq;
-  slot.data = std::move(value);
+  slot.data.assign(value);
   slot.checksum = PageChecksum(slot.seq, slot.data);
   slot.valid = true;
 }
 
-Task<Status> StableStore::Write(std::string key, std::string value, TraceContext ctx) {
-  std::vector<std::pair<std::string, std::string>> one;
-  one.emplace_back(std::move(key), std::move(value));
-  return WriteBatch(std::move(one), ctx);
+void StableStore::FlushBatch::Stage(const PageWrite& page) {
+  for (size_t i = 0; i < pages; ++i) {
+    if (staged[i].key == page.key) {
+      staged[i].value.assign(page.value);
+      return;
+    }
+  }
+  if (pages == staged.size()) {
+    staged.emplace_back();
+  }
+  staged[pages].key.assign(page.key);
+  staged[pages].value.assign(page.value);
+  ++pages;
 }
 
-Task<Status> StableStore::WriteBatch(
-    std::vector<std::pair<std::string, std::string>> entries, TraceContext ctx) {
-  if (entries.empty()) {
+Task<Status> StableStore::Write(std::string_view key, std::string_view value,
+                                TraceContext ctx) {
+  const PageWrite page{key, value};
+  const std::span<const PageWrite> pages(&page, 1);
+  co_return co_await WriteBatch(pages, ctx);
+}
+
+Task<Status> StableStore::WriteBatch(std::span<const PageWrite> pages, TraceContext ctx) {
+  if (pages.empty()) {
     co_return Status::Ok();
   }
   if (!host_->up()) {
@@ -111,15 +134,15 @@ Task<Status> StableStore::WriteBatch(
     ++stats_.injected_write_failures;
     co_return UnavailableError("injected stable-store write failure");
   }
-  stats_.writes_started += entries.size();
+  stats_.writes_started += pages.size();
   const uint64_t epoch = host_->crash_epoch();
   TraceContext disk_span;
   if (tracer_ != nullptr) {
     disk_span = tracer_->StartChild(ctx, host_->id(), "phase.disk");
   }
 
-  for (const auto& [key, value] : entries) {
-    TearTarget(key);
+  for (const PageWrite& page : pages) {
+    TearTarget(page.key);
   }
 
   if (current_batch_ != nullptr && current_batch_->open && current_batch_->epoch == epoch) {
@@ -127,27 +150,41 @@ Task<Status> StableStore::WriteBatch(
     // single latency charge. Last staged value per key wins — writers that
     // raced into one window are adjacent in the serial order, and only the
     // final state of the window becomes durable.
-    std::shared_ptr<FlushBatch> batch = current_batch_;
-    for (auto& [key, value] : entries) {
-      batch->staged[key] = std::move(value);
+    FlushBatch* batch = current_batch_;
+    for (const PageWrite& page : pages) {
+      batch->Stage(page);
     }
-    stats_.group_commit_coalesced += entries.size();
+    stats_.group_commit_coalesced += pages.size();
+    const uint64_t batch_id = batch->batch_id;
     Promise<Status> done(sim_);
     Future<Status> woken = done.GetFuture();
     batch->waiters.push_back(std::move(done));
     Status joined = co_await std::move(woken);
     if (disk_span.valid()) {
-      tracer_->EndWith(disk_span,
-                       "batch=" + std::to_string(batch->batch_id) + " coalesced");
+      tracer_->EndWith(disk_span, "batch=" + std::to_string(batch_id) + " coalesced");
     }
     co_return joined;
   }
 
   // Leader: open a batch, pay one latency window, then flush everything
-  // that staged into it while the disk was "busy".
-  std::shared_ptr<FlushBatch> batch = std::make_shared<FlushBatch>(epoch, next_batch_id_++);
-  for (auto& [key, value] : entries) {
-    batch->staged[key] = std::move(value);
+  // that staged into it while the disk was "busy". A batch is idle once its
+  // leader has woken; a crash can leave an earlier epoch's leader asleep.
+  FlushBatch* batch = nullptr;
+  for (const std::unique_ptr<FlushBatch>& idle : batches_) {
+    if (!idle->open) {
+      batch = idle.get();
+      break;
+    }
+  }
+  if (batch == nullptr) {
+    batches_.push_back(std::make_unique<FlushBatch>());
+    batch = batches_.back().get();
+  }
+  batch->epoch = epoch;
+  batch->batch_id = next_batch_id_++;
+  batch->open = true;
+  for (const PageWrite& page : pages) {
+    batch->Stage(page);
   }
   current_batch_ = batch;
 
@@ -155,7 +192,7 @@ Task<Status> StableStore::WriteBatch(
 
   batch->open = false;
   if (current_batch_ == batch) {
-    current_batch_.reset();
+    current_batch_ = nullptr;
   }
 
   // One-shot injected power failure at the install point: consumed by the
@@ -174,28 +211,30 @@ Task<Status> StableStore::WriteBatch(
     // acknowledged, so losing the whole batch is crash-atomic. An injected
     // tear is Unavailable, not Aborted: the host is still up, so callers
     // (e.g. the phase-2 retrier) must treat the failure as retryable.
-    stats_.writes_torn += batch->staged.size();
+    stats_.writes_torn += batch->pages;
     result = injected_tear ? UnavailableError("injected torn write during flush")
                            : AbortedError("crash during stable write window");
   } else {
     ++stats_.group_commit_batches;
-    for (auto& [key, value] : batch->staged) {
-      Install(key, std::move(value));
+    for (size_t i = 0; i < batch->pages; ++i) {
+      Install(batch->staged[i].key, batch->staged[i].value);
       ++stats_.writes_completed;
     }
   }
   if (disk_span.valid()) {
     tracer_->EndWith(disk_span, "batch=" + std::to_string(batch->batch_id) + " leader pages=" +
-                                    std::to_string(batch->staged.size()) +
+                                    std::to_string(batch->pages) +
                                     (result.ok() ? "" : " torn"));
   }
+  batch->pages = 0;
   for (Promise<Status>& waiter : batch->waiters) {
     waiter.Set(result);
   }
+  batch->waiters.clear();
   co_return result;
 }
 
-Task<Result<std::string>> StableStore::Read(const std::string& key, TraceContext ctx) {
+Task<Result<std::string>> StableStore::Read(std::string_view key, TraceContext ctx) {
   if (!host_->up()) {
     co_return AbortedError("host down");
   }
@@ -209,15 +248,15 @@ Task<Result<std::string>> StableStore::Read(const std::string& key, TraceContext
   co_await sim_->Sleep(SampleLatency(read_latency_));
 
   if (disk_span.valid()) {
-    tracer_->EndWith(disk_span, "read " + key);
+    tracer_->EndWith(disk_span, "read " + std::string(key));
   }
   if (!host_->up() || host_->crash_epoch() != epoch) {
-    co_return AbortedError("crash during stable read of " + key);
+    co_return Status(StatusCode::kAborted, {"crash during stable read of ", key});
   }
   co_return ReadCommitted(key);
 }
 
-Task<Status> StableStore::Delete(std::string key, TraceContext ctx) {
+Task<Status> StableStore::Delete(std::string_view key, TraceContext ctx) {
   if (!host_->up()) {
     co_return AbortedError("host down");
   }
@@ -228,12 +267,15 @@ Task<Status> StableStore::Delete(std::string key, TraceContext ctx) {
   }
   co_await sim_->Sleep(SampleLatency(write_latency_));
   if (disk_span.valid()) {
-    tracer_->EndWith(disk_span, "delete " + key);
+    tracer_->EndWith(disk_span, "delete " + std::string(key));
   }
   if (!host_->up() || host_->crash_epoch() != epoch) {
-    co_return AbortedError("crash during stable delete of " + key);
+    co_return Status(StatusCode::kAborted, {"crash during stable delete of ", key});
   }
-  pages_.erase(key);
+  auto it = pages_.find(key);
+  if (it != pages_.end()) {
+    pages_.erase(it);
+  }
   co_return Status::Ok();
 }
 
@@ -242,24 +284,24 @@ const std::string* StableStore::CommittedData(const Page& page) {
   return committed < 0 ? nullptr : &page.slots[committed].data;
 }
 
-const std::string* StableStore::PeekCommitted(const std::string& key) const {
+const std::string* StableStore::PeekCommitted(std::string_view key) const {
   auto it = pages_.find(key);
   return it == pages_.end() ? nullptr : CommittedData(it->second);
 }
 
-Result<std::string> StableStore::ReadCommitted(const std::string& key) const {
+Result<std::string> StableStore::ReadCommitted(std::string_view key) const {
   auto it = pages_.find(key);
   if (it == pages_.end()) {
-    return NotFoundError("no page " + key);
+    return Status(StatusCode::kNotFound, {"no page ", key});
   }
   const std::string* data = CommittedData(it->second);
   if (data == nullptr) {
-    return NotFoundError("page " + key + " has no committed slot");
+    return Status(StatusCode::kNotFound, {"page ", key, " has no committed slot"});
   }
   return *data;
 }
 
-bool StableStore::Contains(const std::string& key) const {
+bool StableStore::Contains(std::string_view key) const {
   auto it = pages_.find(key);
   return it != pages_.end() && CommittedSlot(it->second) >= 0;
 }

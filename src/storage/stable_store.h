@@ -32,9 +32,12 @@
 #define WVOTE_SRC_STORAGE_STABLE_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -83,6 +86,17 @@ struct StoreFaults {
   double latency_multiplier = 1.0;
 };
 
+// One page of a batched write.
+struct PageWrite {
+  std::string_view key;
+  std::string_view value;
+};
+
+// Keys and values are passed as views. Write and WriteBatch copy them into
+// the flush batch before they first suspend, so other coroutines may reuse
+// the viewed buffers while the write waits on the disk; Read and Delete use
+// their key until they complete. Flush batches and their staged copies
+// keep their buffers for later writes.
 class StableStore {
  public:
   StableStore(Simulator* sim, Host* host, LatencyModel write_latency,
@@ -93,36 +107,37 @@ class StableStore {
   // Concurrent writes group-commit: see the header comment. A valid `ctx`
   // records a "phase.disk" child span annotated with the group-commit batch
   // id and this writer's role (leader / coalesced joiner).
-  Task<Status> Write(std::string key, std::string value, TraceContext ctx = TraceContext());
+  Task<Status> Write(std::string_view key, std::string_view value,
+                     TraceContext ctx = TraceContext());
 
   // Durable write of several pages under ONE latency charge (and, like
   // Write, joining an already-open flush instead of paying at all). All
   // pages install together or — on a crash during the window — none do.
-  Task<Status> WriteBatch(std::vector<std::pair<std::string, std::string>> entries,
-                          TraceContext ctx = TraceContext());
+  Task<Status> WriteBatch(std::span<const PageWrite> pages, TraceContext ctx = TraceContext());
 
   // Durable read with simulated disk latency. kNotFound if the page was
   // never completely written; kAborted on crash mid-read. `key` must stay
   // valid until the returned task completes.
-  Task<Result<std::string>> Read(const std::string& key, TraceContext ctx = TraceContext());
+  Task<Result<std::string>> Read(std::string_view key, TraceContext ctx = TraceContext());
 
   // Durably removes a page (log garbage collection). A crash mid-delete may
   // leave the page present; deletes must therefore be idempotent upstream.
-  Task<Status> Delete(std::string key, TraceContext ctx = TraceContext());
+  // `key` must stay valid until the returned task completes.
+  Task<Status> Delete(std::string_view key, TraceContext ctx = TraceContext());
 
   // Disk spans are attributed to this store's host; null disables (default).
   void SetTracer(Tracer* tracer) { tracer_ = tracer; }
 
   // Instant, latency-free read of the committed value; used during recovery
   // and by tests/invariant checks. Never observes torn state as a value.
-  Result<std::string> ReadCommitted(const std::string& key) const;
+  Result<std::string> ReadCommitted(std::string_view key) const;
   // ReadCommitted without the copy: the committed bytes in place, or null
   // when the page has no committed slot. The pointer is valid until the
   // page is next written or deleted. Counts torn-slot recoveries exactly
   // like ReadCommitted.
-  const std::string* PeekCommitted(const std::string& key) const;
+  const std::string* PeekCommitted(std::string_view key) const;
 
-  bool Contains(const std::string& key) const;
+  bool Contains(std::string_view key) const;
   std::vector<std::string> Keys() const;
   std::vector<std::string> KeysWithPrefix(const std::string& prefix) const;
 
@@ -148,16 +163,29 @@ class StableStore {
     Slot slots[2];
   };
 
-  // One in-flight flush: pages staged while the leader's latency window is
-  // open, plus a wake-up promise per joiner. Shared so the leader can
-  // resolve joiners that outlive `current_batch_` being replaced.
+  // Pages by key; the transparent comparator finds them by view.
+  using PageMap = std::map<std::string, Page, std::less<>>;
+
+  // One page staged into a flush: the last value staged for its key.
+  struct StagedPage {
+    std::string key;
+    std::string value;
+  };
+
+  // One flush: pages staged while the leader's latency window is open, plus
+  // a wake-up promise per joiner. The store owns its batches and reuses one
+  // once its leader has woken; `staged` and `waiters` keep their capacity.
   struct FlushBatch {
-    FlushBatch(uint64_t e, uint64_t id) : epoch(e), batch_id(id) {}
-    uint64_t epoch;     // crash epoch the batch was opened in
-    uint64_t batch_id;  // stable id for trace annotations
-    bool open = true;   // accepting joiners until the leader wakes
-    std::map<std::string, std::string> staged;  // key -> last value staged
-    std::vector<Promise<Status>> waiters;       // one per joiner
+    uint64_t epoch = 0;     // crash epoch the batch was opened in
+    uint64_t batch_id = 0;  // stable id for trace annotations
+    bool open = false;      // leader asleep, accepting joiners
+    std::vector<StagedPage> staged;  // [0, pages) are this flush's pages
+    size_t pages = 0;
+    std::vector<Promise<Status>> waiters;  // one per joiner
+
+    // Copies `page` in; a key staged earlier in the window keeps its slot
+    // and takes the newer value.
+    void Stage(const PageWrite& page);
   };
 
   // Whether `slot` is valid and its checksum (over seq, length and data)
@@ -171,17 +199,22 @@ class StableStore {
   // One sampled disk latency, stretched by the gray-disk multiplier.
   Duration SampleLatency(const LatencyModel& model);
 
+  // `key`'s page, created if absent.
+  Page& PageFor(std::string_view key);
   // Invalidates `key`'s target slot for the duration of a write window.
-  void TearTarget(const std::string& key);
-  // Installs `value` into `key`'s torn slot with the next sequence number.
-  void Install(const std::string& key, std::string value);
+  void TearTarget(std::string_view key);
+  // Installs `value` into `key`'s torn slot with the next sequence number,
+  // copying it into the slot's own buffer: a slot keeps its capacity, and a
+  // small page never takes over a large staging buffer.
+  void Install(std::string_view key, std::string_view value);
 
   Simulator* sim_;
   Host* host_;
   LatencyModel write_latency_;
   LatencyModel read_latency_;
-  std::map<std::string, Page> pages_;
-  std::shared_ptr<FlushBatch> current_batch_;
+  PageMap pages_;
+  std::vector<std::unique_ptr<FlushBatch>> batches_;
+  FlushBatch* current_batch_ = nullptr;  // the open batch writers join
   uint64_t next_batch_id_ = 1;
   StoreFaults faults_;
   Tracer* tracer_ = nullptr;

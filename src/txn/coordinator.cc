@@ -53,8 +53,8 @@ Coordinator::Coordinator(RpcEndpoint* rpc, StableStore* store, CoordinatorOption
       [this](HostId from, DecisionInquiryReq req,
              TraceContext ctx) -> Task<Result<DecisionResp>> {
         ++stats_.inquiries_served;
-        const std::string key = DecisionKey(req.txn);
-        Result<std::string> rec = co_await store_->Read(key, ctx);
+        const TxnId::PageKey key = req.txn.KeyWith(kDecisionPrefix);
+        Result<std::string> rec = co_await store_->Read(key.view(), ctx);
         if (rec.ok() && rec.value() == "C") {
           co_return DecisionResp{TxnDecision::kCommitted};
         }
@@ -80,11 +80,6 @@ Coordinator::Coordinator(RpcEndpoint* rpc, StableStore* store, CoordinatorOption
         // No durable commit record: presumed abort.
         co_return DecisionResp{TxnDecision::kAborted};
       });
-}
-
-std::string Coordinator::DecisionKey(const TxnId& txn) {
-  return "decision/" + std::to_string(txn.timestamp_us) + "." + std::to_string(txn.serial) +
-         "." + std::to_string(txn.coordinator);
 }
 
 TxnId Coordinator::Begin() { return BeginAt(rpc_->sim()->Now().ToMicros()); }
@@ -169,7 +164,8 @@ Task<Status> Coordinator::CommitTransaction(TxnId txn,
   // straight through, so the decision log shows up as the transaction's
   // phase.disk span. Inquiries arriving meanwhile wait for this write.
   undecided_[txn].logging_decision = true;
-  Status logged = co_await store_->Write(DecisionKey(txn), "C", ctx);
+  const TxnId::PageKey decision_key = txn.KeyWith(kDecisionPrefix);
+  Status logged = co_await store_->Write(decision_key.view(), "C", ctx);
   for (Promise<bool>& inquiry : undecided_[txn].inquiries) {
     inquiry.Set(logged.ok());
   }

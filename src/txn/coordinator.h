@@ -15,6 +15,7 @@
 
 #include <map>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "src/rpc/rpc.h"
@@ -97,7 +98,8 @@ class Coordinator {
   void RegisterMetrics(MetricsRegistry* registry);
 
  private:
-  static std::string DecisionKey(const TxnId& txn);
+  // Page key prefix of the durable commit decisions.
+  static constexpr std::string_view kDecisionPrefix = "decision/";
   Task<Status> SendPhase2(TxnId txn, std::vector<HostId> writers,
                           std::vector<HostId> read_only, TraceContext ctx);
   // Spawned wrapper around SendPhase2 for the asynchronous commit path.

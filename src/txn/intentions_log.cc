@@ -3,9 +3,23 @@
 #include "src/common/bytes.h"
 
 namespace wvote {
+namespace {
+
+// Offset of the state byte in a serialized record: after the timestamp,
+// the serial and the coordinator.
+constexpr size_t kStateOffset = sizeof(int64_t) + sizeof(uint64_t) + sizeof(uint32_t);
+
+}  // namespace
 
 std::string TxnRecord::Serialize() const {
-  BufferWriter w;
+  std::string out;
+  SerializeTo(&out);
+  return out;
+}
+
+void TxnRecord::SerializeTo(std::string* out) const {
+  out->clear();
+  BufferWriter w(out);
   w.WriteI64(txn.timestamp_us);
   w.WriteU64(txn.serial);
   w.WriteU32(static_cast<uint32_t>(txn.coordinator));
@@ -15,63 +29,76 @@ std::string TxnRecord::Serialize() const {
     w.WriteString(wi.key);
     w.WriteString(wi.value.str());
   }
-  return w.Take();
 }
 
-Result<TxnRecord> TxnRecord::Parse(const std::string& bytes) {
+Status TxnRecordView::Parse(std::string_view bytes) {
   BufferReader r(bytes);
-  TxnRecord rec;
-  rec.txn.timestamp_us = r.ReadI64();
-  rec.txn.serial = r.ReadU64();
-  rec.txn.coordinator = static_cast<HostId>(r.ReadU32());
-  rec.state = static_cast<TxnRecordState>(r.ReadU8());
+  txn.timestamp_us = r.ReadI64();
+  txn.serial = r.ReadU64();
+  txn.coordinator = static_cast<HostId>(r.ReadU32());
+  state = static_cast<TxnRecordState>(r.ReadU8());
   const uint32_t n = r.ReadU32();
+  writes.clear();
   for (uint32_t i = 0; i < n && !r.failed(); ++i) {
-    WriteIntent wi;
-    wi.key = r.ReadString();
-    wi.value = SharedPayload(r.ReadString());
-    rec.writes.push_back(std::move(wi));
+    IntentView wi;
+    wi.key = r.ReadStringView();
+    wi.value = r.ReadStringView();
+    writes.push_back(wi);
   }
   if (r.failed() || !r.AtEnd()) {
     return CorruptionError("bad txn record");
   }
-  if (rec.state != TxnRecordState::kPrepared && rec.state != TxnRecordState::kCommitted) {
+  if (state != TxnRecordState::kPrepared && state != TxnRecordState::kCommitted) {
     return CorruptionError("bad txn record state");
+  }
+  return Status::Ok();
+}
+
+Result<TxnRecord> TxnRecord::Parse(const std::string& bytes) {
+  TxnRecordView view;
+  Status st = view.Parse(bytes);
+  if (!st.ok()) {
+    return st;
+  }
+  TxnRecord rec;
+  rec.txn = view.txn;
+  rec.state = view.state;
+  for (const IntentView& wi : view.writes) {
+    rec.writes.push_back(WriteIntent(std::string(wi.key), SharedPayload(std::string(wi.value))));
   }
   return rec;
 }
 
-std::string IntentionsLog::KeyFor(const TxnId& txn) {
-  std::string key;
-  WriteKey(txn, &key);
-  return key;
-}
-
-void IntentionsLog::WriteKey(const TxnId& txn, std::string* out) {
-  out->assign("txnlog/");
-  out->append(std::to_string(txn.timestamp_us));
-  out->push_back('.');
-  out->append(std::to_string(txn.serial));
-  out->push_back('.');
-  out->append(std::to_string(txn.coordinator));
-}
-
 Task<Status> IntentionsLog::Put(const TxnRecord& record, TraceContext ctx) {
-  return store_->Write(KeyFor(record.txn), record.Serialize(), ctx);
+  const TxnId::PageKey key = record.txn.KeyWith(kKeyPrefix);
+  record.SerializeTo(&record_buf_);
+  co_return co_await store_->Write(key.view(), record_buf_, ctx);
+}
+
+Task<Status> IntentionsLog::MarkCommitted(const TxnId& txn, TraceContext ctx) {
+  const TxnId::PageKey key = txn.KeyWith(kKeyPrefix);
+  const std::string* bytes = store_->PeekCommitted(key.view());
+  if (bytes == nullptr || bytes->size() <= kStateOffset) {
+    co_return Status(StatusCode::kNotFound, {"no txn record ", key.view()});
+  }
+  record_buf_.assign(*bytes);
+  record_buf_[kStateOffset] = static_cast<char>(TxnRecordState::kCommitted);
+  co_return co_await store_->Write(key.view(), record_buf_, ctx);
 }
 
 Task<Status> IntentionsLog::Remove(const TxnId& txn, TraceContext ctx) {
-  return store_->Delete(KeyFor(txn), ctx);
+  const TxnId::PageKey key = txn.KeyWith(kKeyPrefix);
+  co_return co_await store_->Delete(key.view(), ctx);
 }
 
 std::vector<TxnRecord> IntentionsLog::RecoverAll() const {
   std::vector<TxnRecord> records;
-  for (const std::string& key : store_->KeysWithPrefix("txnlog/")) {
-    Result<std::string> bytes = store_->ReadCommitted(key);
-    if (!bytes.ok()) {
+  for (const std::string& key : store_->KeysWithPrefix(std::string(kKeyPrefix))) {
+    const std::string* bytes = store_->PeekCommitted(key);
+    if (bytes == nullptr) {
       continue;
     }
-    Result<TxnRecord> rec = TxnRecord::Parse(bytes.value());
+    Result<TxnRecord> rec = TxnRecord::Parse(*bytes);
     if (rec.ok()) {
       records.push_back(std::move(rec.value()));
     }
@@ -79,19 +106,13 @@ std::vector<TxnRecord> IntentionsLog::RecoverAll() const {
   return records;
 }
 
-bool IntentionsLog::Contains(const TxnId& txn) const {
-  WriteKey(txn, &key_scratch_);
-  return store_->Contains(key_scratch_);
-}
-
-Result<TxnRecord> IntentionsLog::Lookup(const TxnId& txn) const {
-  WriteKey(txn, &key_scratch_);
-  const std::string* bytes = store_->PeekCommitted(key_scratch_);
-  if (bytes == nullptr) {
-    // ReadCommitted words the NotFound status (absent page vs no slot).
-    return store_->ReadCommitted(key_scratch_).status();
+const TxnRecordView* IntentionsLog::View(const TxnId& txn) {
+  const TxnId::PageKey key = txn.KeyWith(kKeyPrefix);
+  const std::string* bytes = store_->PeekCommitted(key.view());
+  if (bytes == nullptr || !view_.Parse(*bytes).ok()) {
+    return nullptr;
   }
-  return TxnRecord::Parse(*bytes);
+  return &view_;
 }
 
 }  // namespace wvote

@@ -16,6 +16,7 @@
 #define WVOTE_SRC_TXN_INTENTIONS_LOG_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/status.h"
@@ -34,32 +35,55 @@ struct TxnRecord {
   std::vector<WriteIntent> writes;
 
   std::string Serialize() const;
+  // Serialize into `*out`, replacing its contents and keeping its capacity.
+  void SerializeTo(std::string* out) const;
   static Result<TxnRecord> Parse(const std::string& bytes);
+};
+
+// One write intent of a serialized record, viewed in place.
+struct IntentView {
+  std::string_view key;
+  std::string_view value;
+};
+
+// A serialized record parsed in place: the header fields, and the intents
+// as views into the bytes. Parsing again reuses `writes`' capacity.
+struct TxnRecordView {
+  TxnId txn;
+  TxnRecordState state = TxnRecordState::kPrepared;
+  std::vector<IntentView> writes;
+
+  Status Parse(std::string_view bytes);
 };
 
 class IntentionsLog {
  public:
+  // Every record's page key starts with this.
+  static constexpr std::string_view kKeyPrefix = "txnlog/";
+
   explicit IntentionsLog(StableStore* store) : store_(store) {}
 
   // `ctx` flows into the underlying stable-store write ("phase.disk" span).
   Task<Status> Put(const TxnRecord& record, TraceContext ctx = TraceContext());
+  // Rewrites `txn`'s record as committed: its stored bytes with the state
+  // byte flipped, which is what Put of the parsed record would write.
+  // NotFound if `txn` has no record.
+  Task<Status> MarkCommitted(const TxnId& txn, TraceContext ctx = TraceContext());
   Task<Status> Remove(const TxnId& txn, TraceContext ctx = TraceContext());
 
   // Latency-free committed-state scan for crash recovery.
   std::vector<TxnRecord> RecoverAll() const;
-  Result<TxnRecord> Lookup(const TxnId& txn) const;
-  // Whether `txn` has a committed record; cheaper than a failing Lookup,
-  // which builds a NotFound message.
-  bool Contains(const TxnId& txn) const;
-
-  static std::string KeyFor(const TxnId& txn);
+  // `txn`'s committed record parsed in place, or null if it has none or it
+  // does not parse. The views hold until the record is next written or
+  // removed; the next View call reuses the returned object.
+  const TxnRecordView* View(const TxnId& txn);
 
  private:
-  // KeyFor into `out`, reusing its capacity.
-  static void WriteKey(const TxnId& txn, std::string* out);
-
   StableStore* store_;
-  mutable std::string key_scratch_;  // Contains' and Lookup's key buffer
+  // Put's and MarkCommitted's serialized record. The store copies a write
+  // before it first suspends, so one buffer serves every concurrent put.
+  std::string record_buf_;
+  TxnRecordView view_;
 };
 
 }  // namespace wvote

@@ -171,8 +171,8 @@ Task<Status> LockManager::Acquire(TxnId txn, const std::string& key, LockMode mo
   // holder — or the holder is committing (see SetWaitPolicy).
   if (MustDie(entry, txn, mode)) {
     ++stats_.dies;
-    co_return ConflictError("wait-die: " + txn.ToString() +
-                            " younger than a conflicting holder on " + key);
+    co_return Status(StatusCode::kConflict, {"wait-die: ", txn.ToText().view(),
+                                             " younger than a conflicting holder on ", key});
   }
 
   // We are about to park: open the lock-wait span (grants and dies above
@@ -247,7 +247,8 @@ void LockManager::WakeWaiters(const std::string& key) {
       // close a deadlock cycle that the admission-time check permitted.
       if (MustDie(entry, front.txn, front.mode)) {
         ++stats_.dies;
-        front.wakeup.Set(ConflictError("wait-die on regrant: " + front.txn.ToString()));
+        front.wakeup.Set(
+            Status(StatusCode::kConflict, {"wait-die on regrant: ", front.txn.ToText().view()}));
         entry.waiters.pop_front();
         continue;
       }

@@ -138,8 +138,13 @@ Task<Status> Participant::Prepare(TxnId txn, std::vector<WriteIntent> writes,
   // The client must already hold exclusive locks on every key it intends to
   // write; a crash since then cleared them, in which case serializability is
   // no longer guaranteed and we must vote no.
+  if (page_keys_.empty()) {
+    page_keys_.resize(1);
+  }
+  std::string& data_key = page_keys_.front();
   for (const WriteIntent& w : writes) {
-    if (!locks_.Holds(txn, DataKey(w.key), LockMode::kExclusive)) {
+    data_key.assign(kDataPrefix).append(w.key);
+    if (!locks_.Holds(txn, data_key, LockMode::kExclusive)) {
       ++stats_.prepares_refused;
       co_return AbortedError("prepare without exclusive lock on " + w.key);
     }
@@ -175,8 +180,7 @@ Task<Status> Participant::Commit(TxnId txn, TraceContext ctx) {
   while (committing_.count(txn) != 0) {
     co_await rpc_->sim()->Sleep(Duration::Millis(1));
   }
-  Result<TxnRecord> record = log_.Lookup(txn);
-  if (!record.ok()) {
+  if (log_.View(txn) == nullptr) {
     // Record already applied and garbage-collected (duplicate commit), or
     // this was a read-only participant. Commit is idempotent.
     locks_.ReleaseAll(txn);
@@ -185,13 +189,13 @@ Task<Status> Participant::Commit(TxnId txn, TraceContext ctx) {
   // The decision is known from here on: younger lock requesters may queue
   // behind this transaction's short apply/release tail instead of dying.
   committing_.insert(txn);
-  record.value().state = TxnRecordState::kCommitted;
-  Status st = co_await log_.Put(record.value(), ctx);
+  Status st = co_await log_.MarkCommitted(txn, ctx);
   if (!st.ok()) {
     committing_.erase(txn);
     co_return st;
   }
-  st = co_await ApplyCommitted(std::move(record.value()), ctx);
+  // The committed record was just installed, so it parses.
+  st = co_await ApplyCommitted(txn, log_.View(txn)->writes, ctx);
   committing_.erase(txn);
   if (!st.ok()) {
     co_return st;
@@ -206,9 +210,8 @@ Task<Status> Participant::Commit(TxnId txn, TraceContext ctx) {
 }
 
 Task<Status> Participant::Abort(TxnId txn, TraceContext ctx) {
-  // Most aborts are read-only releases with no record: probe first so they
-  // skip Lookup's NotFound status.
-  if (log_.Contains(txn) && log_.Lookup(txn).ok()) {
+  // Most aborts are read-only releases with no record to remove.
+  if (log_.View(txn) != nullptr) {
     Status st = co_await log_.Remove(txn, ctx);
     if (!st.ok()) {
       co_return st;
@@ -223,20 +226,24 @@ Task<Status> Participant::Abort(TxnId txn, TraceContext ctx) {
   co_return Status::Ok();
 }
 
-Task<Status> Participant::ApplyCommitted(TxnRecord record, TraceContext ctx) {
+Task<Status> Participant::ApplyCommitted(TxnId txn, std::span<const IntentView> writes,
+                                         TraceContext ctx) {
   // All of the transaction's pages install under one group-committed flush
   // (one latency charge) — and the batch is all-or-nothing across a crash,
   // so recovery re-applies from the intact committed record either way.
-  std::vector<std::pair<std::string, std::string>> entries;
-  entries.reserve(record.writes.size());
-  for (const WriteIntent& w : record.writes) {
-    entries.emplace_back(DataKey(w.key), w.value.str());
+  if (page_keys_.size() < writes.size()) {
+    page_keys_.resize(writes.size());
   }
-  Status st = co_await store_->WriteBatch(std::move(entries), ctx);
+  pages_.clear();
+  for (size_t i = 0; i < writes.size(); ++i) {
+    page_keys_[i].assign(kDataPrefix).append(writes[i].key);
+    pages_.push_back(PageWrite{page_keys_[i], writes[i].value});
+  }
+  Status st = co_await store_->WriteBatch(pages_, ctx);
   if (!st.ok()) {
     co_return st;  // crash mid-apply; recovery will re-apply
   }
-  co_return co_await log_.Remove(record.txn, ctx);
+  co_return co_await log_.Remove(txn, ctx);
 }
 
 Task<void> Participant::Recover() {
@@ -247,7 +254,11 @@ Task<void> Participant::Recover() {
   for (TxnRecord& record : log_.RecoverAll()) {
     if (record.state == TxnRecordState::kCommitted) {
       ++stats_.recovered_committed;
-      Status st = co_await ApplyCommitted(std::move(record));
+      std::vector<IntentView> writes;
+      for (const WriteIntent& w : record.writes) {
+        writes.push_back(IntentView{w.key, w.value.str()});
+      }
+      Status st = co_await ApplyCommitted(record.txn, writes);
       (void)st;  // a crash during recovery just means recovering again later
       continue;
     }

@@ -13,7 +13,10 @@
 #define WVOTE_SRC_TXN_PARTICIPANT_H_
 
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/rpc/rpc.h"
 #include "src/storage/stable_store.h"
@@ -74,7 +77,7 @@ class Participant {
   void RegisterMetrics(MetricsRegistry* registry);
 
   // Key of the durable page backing application object `key`.
-  static std::string DataKey(const std::string& key) { return "data/" + key; }
+  static std::string DataKey(const std::string& key) { return std::string(kDataPrefix) + key; }
 
   // Latency-free committed read; the voting layer uses this for version
   // inquiries that do not take locks.
@@ -104,14 +107,18 @@ class Participant {
   Task<void> Recover();
 
   // Applies a committed record's intents to the data pages (one
-  // group-committed batch), then GCs it.
-  Task<Status> ApplyCommitted(TxnRecord record, TraceContext ctx = TraceContext());
+  // group-committed batch), then GCs the record. `writes` need stay valid
+  // only until the call first suspends.
+  Task<Status> ApplyCommitted(TxnId txn, std::span<const IntentView> writes,
+                              TraceContext ctx = TraceContext());
   // Resolves one in-doubt prepared transaction by querying its coordinator.
   Task<void> ResolveInDoubt(TxnId txn);
   // Watchdog armed at prepare time: if the transaction is still undecided
   // after options_.indoubt_resolution_timeout, resolve it by inquiry. Holds
   // only the id, so a prepared write pins no copy of its intents meanwhile.
   Task<void> ResolveIfStillInDoubt(TxnId txn);
+
+  static constexpr std::string_view kDataPrefix = "data/";
 
   RpcEndpoint* rpc_;
   StableStore* store_;
@@ -126,6 +133,11 @@ class Participant {
   // writes, so the lock manager lets younger requesters wait on them
   // instead of dying (see LockManager::SetWaitPolicy).
   std::set<TxnId> committing_;
+  // Page keys and the page list a prepare or an apply builds: used before
+  // the work first suspends (the store copies writes at once), so they
+  // serve every transaction and keep their capacity.
+  std::vector<std::string> page_keys_;
+  std::vector<PageWrite> pages_;
   ParticipantStats stats_;
 };
 

@@ -9,11 +9,14 @@
 #ifndef WVOTE_SRC_TXN_TXN_ID_H_
 #define WVOTE_SRC_TXN_TXN_ID_H_
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <string_view>
 
+#include "src/common/check.h"
 #include "src/net/message.h"
 
 namespace wvote {
@@ -55,6 +58,28 @@ struct TxnId {
   }
 
   std::string ToString() const { return std::string(ToText().view()); }
+
+  // "<prefix><timestamp>.<serial>.<coordinator>" in a stack buffer: the
+  // stable-storage page key of a per-transaction record (an intentions-log
+  // record, a coordinator's decision). `prefix` is at most 16 bytes.
+  struct PageKey {
+    char buf[80];
+    size_t len;
+    std::string_view view() const { return std::string_view(buf, len); }
+  };
+  PageKey KeyWith(std::string_view prefix) const {
+    WVOTE_CHECK(prefix.size() <= 16);
+    PageKey key;
+    char* const end = key.buf + sizeof(key.buf);
+    char* p = std::copy(prefix.begin(), prefix.end(), key.buf);
+    p = std::to_chars(p, end, timestamp_us).ptr;
+    *p++ = '.';
+    p = std::to_chars(p, end, serial).ptr;
+    *p++ = '.';
+    p = std::to_chars(p, end, coordinator).ptr;
+    key.len = static_cast<size_t>(p - key.buf);
+    return key;
+  }
 };
 
 }  // namespace wvote

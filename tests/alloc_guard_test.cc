@@ -1,16 +1,19 @@
 // Per-op cost guard: heap allocations, messages and simulator events for one
-// ReadOnce and one WriteOnce on Gifford's Example 2, and for a ReadOnce with
-// gray tolerance armed (hedged probes). Counts do not depend on the machine,
-// so they pin the protocol stack's host cost where wall-clock timings
-// cannot: the allocation ceilings sit 10% above the measured values, and
-// messages and events per op must match exactly (the event schedule is part
-// of every determinism golden).
+// ReadOnce and one WriteOnce on Gifford's Example 2, for a ReadOnce of
+// values longer than std::string's inline buffer, for a ReadOnce with gray
+// tolerance armed (hedged probes), and for a WriteOnce that dies under
+// wait-die. Counts do not depend on the machine, so they pin the protocol
+// stack's host cost where wall-clock timings cannot: the allocation
+// ceilings sit 10% above the measured values, and messages and events per
+// op must match exactly (the event schedule is part of every determinism
+// golden).
 //
 // This binary replaces the global operator new to count allocations; the
 // replacement lives here only, so no other test or library pays for it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -88,17 +91,25 @@ namespace {
 
 constexpr int kOps = 100;
 
-// Allocation ceilings per op: the measured 6 per read, 9 per hedged read
-// and 102.89 per write, plus 10%. A read's six are its four RPC
-// envelopes, the page copy the representative reads, and the trace slot the
-// participant's abort breadcrumb fills the first time round the ring. A
-// write paid 104.9 while each participant's in-doubt watchdog held a copy of
-// the prepared record. The stack before recycled transaction state and
-// lock-table entries paid 27 and 128.05; before frame pooling and one-block
-// RPC envelopes, 77 and 253.26.
-constexpr double kReadAllocCeiling = 6.6;
-constexpr double kHedgedReadAllocCeiling = 9.9;
-constexpr double kWriteAllocCeiling = 113.2;
+// Allocation ceilings per op: the measured 2 per read, 3 per hedged read,
+// 35.89 per write and 4 per conflicted write, plus 10%. RPC envelopes come
+// from the frame pool, so a read's two are the page copy the representative
+// reads and the trace slot the participant's abort breadcrumb fills the
+// first time round the ring; a hedged read adds one more breadcrumb slot.
+// The write's are mostly 2PC bookkeeping: the client's per-host intent map,
+// the coordinator's vectors and joins, the participants' prepared and
+// committing sets and intentions-log pages, its never-deleted decision
+// page, trace slots, and frame pool growth from in-doubt watchdogs that
+// sleep past the drain. Before
+// pooled envelopes and a log and store that reuse their storage, a read paid
+// 6 (8 with 64-byte values), a write 102.89 and a conflicted write 18; before
+// recycled transaction state and lock-table entries, a read and a write paid
+// 27 and 128.05; before frame pooling and one-block RPC envelopes, 77 and
+// 253.26.
+constexpr double kReadAllocCeiling = 2.2;
+constexpr double kHedgedReadAllocCeiling = 3.3;
+constexpr double kWriteAllocCeiling = 39.5;
+constexpr double kConflictAllocCeiling = 4.4;
 // Messages and simulator events for kOps ops plus the drain; the plain read
 // and write counts match every earlier version of the stack exactly.
 constexpr uint64_t kReadMessages = 400;
@@ -107,6 +118,8 @@ constexpr uint64_t kHedgedReadMessages = 600;
 constexpr uint64_t kHedgedReadEvents = 1110;
 constexpr uint64_t kWriteMessages = 1200;
 constexpr uint64_t kWriteEvents = 3110;
+constexpr uint64_t kConflictMessages = 800;
+constexpr uint64_t kConflictEvents = 1510;
 
 struct OpCost {
   uint64_t allocs = 0;
@@ -116,7 +129,13 @@ struct OpCost {
 
 class AllocGuardTest : public ::testing::Test {
  protected:
-  void Deploy(SuiteClientOptions copts = {}) {
+  // Deploys Example 2 and warms it up with writes of `value_bytes`-byte
+  // values. The warm-up ends the way the measured window runs: alternating
+  // writes and reads fill the plan cache, version hints and the frame and
+  // event pools, then back-to-back reads reach the steady state of a run of
+  // reads (a read-only commit's abort fan-out still in flight when the next
+  // read starts).
+  void Deploy(SuiteClientOptions copts = {}, size_t value_bytes = 0) {
     const GiffordExample ex = MakeGiffordExamples()[1];  // Example 2
     ClusterOptions opts;
     opts.seed = 42;
@@ -133,9 +152,13 @@ class AllocGuardTest : public ::testing::Test {
       cluster_->net().SetSymmetricLink(client_host, cluster_->net().FindHost(host)->id(),
                                        LatencyModel::Fixed(rtt / 2));
     }
-    // Warm-up: plan cache, version hints, frame and event pools.
     for (int i = 0; i < 5; ++i) {
-      EXPECT_TRUE(cluster_->RunTask(client_->WriteOnce("warm-" + std::to_string(i))).ok());
+      std::string value = "warm-" + std::to_string(i);
+      value.resize(std::max(value.size(), value_bytes), '.');
+      EXPECT_TRUE(cluster_->RunTask(client_->WriteOnce(std::move(value))).ok());
+      EXPECT_TRUE(cluster_->RunTask(client_->ReadOnce()).ok());
+    }
+    for (int i = 0; i < 5; ++i) {
       EXPECT_TRUE(cluster_->RunTask(client_->ReadOnce()).ok());
     }
     Drain();
@@ -189,6 +212,23 @@ TEST_F(AllocGuardTest, ReadOnce) {
   EXPECT_EQ(cost.events, kReadEvents);
 }
 
+// Values longer than std::string's inline buffer: the piggybacked contents
+// move from the page copy the representative reads through to the caller,
+// so a 64-byte value costs a read exactly what a 6-byte one does.
+TEST_F(AllocGuardTest, ReadOnceLongValue) {
+  Deploy({}, 64);
+  const OpCost long_cost = MeasureReads("ReadOnce, 64-byte values");
+  const Result<std::string> read = cluster_->RunTask(client_->ReadOnce());
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read.value().size(), 64u);
+  Deploy();
+  const OpCost short_cost = MeasureReads("ReadOnce, 6-byte values");
+  EXPECT_EQ(long_cost.allocs, short_cost.allocs);
+  EXPECT_LE(static_cast<double>(long_cost.allocs) / kOps, kReadAllocCeiling);
+  EXPECT_EQ(long_cost.messages, kReadMessages);
+  EXPECT_EQ(long_cost.events, kReadEvents);
+}
+
 // Gray tolerance with the client's health tracker attached: every probe
 // arms a hedge backup, so the hedge path and the consumed-position set get
 // a ceiling too.
@@ -224,6 +264,42 @@ TEST_F(AllocGuardTest, WriteOnce) {
   EXPECT_LE(allocs_per_op, kWriteAllocCeiling);
   EXPECT_EQ(cost.messages, kWriteMessages);
   EXPECT_EQ(cost.events, kWriteEvents);
+}
+
+// Wait-die under contention: an older transaction holds the shared locks of
+// a read, and every WriteOnce (one attempt each) is younger, so it dies at
+// the representative the reader locked. Guards the conflict path: the die
+// status the lock manager builds, its reply, and the abort that releases
+// the writer's other probe.
+TEST_F(AllocGuardTest, ConflictedWriteOnce) {
+  Deploy();
+  SuiteTransaction holder = client_->Begin();
+  ASSERT_TRUE(cluster_->RunTask(holder.Read()).ok());
+  const auto younger_write = [&] {
+    return cluster_->RunTask(client_->WriteOnce("younger", /*retries=*/1)).code();
+  };
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(younger_write(), StatusCode::kConflict);
+  }
+  Drain();
+  const uint64_t conflicts_before = client_->stats().conflicts;
+  bool all_died = true;
+  const OpCost cost = Measure([&] {
+    for (int i = 0; i < kOps; ++i) {
+      all_died &= younger_write() == StatusCode::kConflict;
+    }
+  });
+  EXPECT_TRUE(all_died);
+  EXPECT_EQ(client_->stats().conflicts - conflicts_before, static_cast<uint64_t>(kOps));
+  const double allocs_per_op = static_cast<double>(cost.allocs) / kOps;
+  std::printf("ConflictedWriteOnce: %.2f allocs/op, %llu messages, %llu events over %d ops\n",
+              allocs_per_op, static_cast<unsigned long long>(cost.messages),
+              static_cast<unsigned long long>(cost.events), kOps);
+  EXPECT_LE(allocs_per_op, kConflictAllocCeiling);
+  EXPECT_EQ(cost.messages, kConflictMessages);
+  EXPECT_EQ(cost.events, kConflictEvents);
+  Spawn(holder.Abort());
+  Drain();
 }
 
 }  // namespace

@@ -93,16 +93,17 @@ TEST_F(IntentionsLogTest, PutLookupRemove) {
   rec.writes.push_back(WriteIntent("k", "v"));
   Put(rec);
 
-  Result<TxnRecord> found = log_.Lookup(rec.txn);
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(found.value().writes[0].key, "k");
+  const TxnRecordView* found = log_.View(rec.txn);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->writes[0].key, "k");
+  EXPECT_EQ(found->writes[0].value, "v");
 
   auto remover = [](IntentionsLog* log, TxnId txn) -> Task<void> {
     EXPECT_TRUE((co_await log->Remove(txn)).ok());
   };
   Spawn(remover(&log_, rec.txn));
   sim_.Run();
-  EXPECT_FALSE(log_.Lookup(rec.txn).ok());
+  EXPECT_EQ(log_.View(rec.txn), nullptr);
 }
 
 TEST_F(IntentionsLogTest, PutOverwritesState) {
@@ -112,7 +113,30 @@ TEST_F(IntentionsLogTest, PutOverwritesState) {
   Put(rec);
   rec.state = TxnRecordState::kCommitted;
   Put(rec);
-  EXPECT_EQ(log_.Lookup(rec.txn).value().state, TxnRecordState::kCommitted);
+  EXPECT_EQ(log_.View(rec.txn)->state, TxnRecordState::kCommitted);
+}
+
+// MarkCommitted rewrites the stored bytes with the state flipped: exactly
+// what putting the parsed record back as committed would write.
+TEST_F(IntentionsLogTest, MarkCommittedMatchesPutOfCommittedRecord) {
+  TxnRecord rec;
+  rec.txn = MakeTxn(5);
+  rec.state = TxnRecordState::kPrepared;
+  rec.writes.push_back(WriteIntent("k", "a value longer than the inline buffer"));
+  Put(rec);
+  auto marker = [](IntentionsLog* log, TxnId txn) -> Task<void> {
+    EXPECT_TRUE((co_await log->MarkCommitted(txn)).ok());
+  };
+  Spawn(marker(&log_, rec.txn));
+  sim_.Run();
+  rec.state = TxnRecordState::kCommitted;
+  EXPECT_EQ(store_.ReadCommitted("txnlog/5.1.3").value(), rec.Serialize());
+
+  auto missing = [](IntentionsLog* log) -> Task<void> {
+    EXPECT_EQ((co_await log->MarkCommitted(MakeTxn(6))).code(), StatusCode::kNotFound);
+  };
+  Spawn(missing(&log_));
+  sim_.Run();
 }
 
 TEST_F(IntentionsLogTest, RecoverAllFindsEveryRecord) {
@@ -135,8 +159,12 @@ TEST_F(IntentionsLogTest, RecoverAllIgnoresForeignKeys) {
 }
 
 TEST_F(IntentionsLogTest, DistinctTxnsGetDistinctKeys) {
-  EXPECT_NE(IntentionsLog::KeyFor(MakeTxn(1, 2)), IntentionsLog::KeyFor(MakeTxn(1, 3)));
-  EXPECT_NE(IntentionsLog::KeyFor(MakeTxn(1)), IntentionsLog::KeyFor(MakeTxn(2)));
+  auto key = [](const TxnId& txn) {
+    return std::string(txn.KeyWith(IntentionsLog::kKeyPrefix).view());
+  };
+  EXPECT_EQ(key(MakeTxn(1, 2)), "txnlog/1.1.2");
+  EXPECT_NE(key(MakeTxn(1, 2)), key(MakeTxn(1, 3)));
+  EXPECT_NE(key(MakeTxn(1)), key(MakeTxn(2)));
 }
 
 }  // namespace

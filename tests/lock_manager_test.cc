@@ -102,6 +102,42 @@ TEST_F(LockManagerTest, YoungerDiesOnConflict) {
   EXPECT_EQ(locks_.stats().dies, 1u);
 }
 
+// The die texts are written straight into Status's inline buffer. They
+// must read exactly like the string concatenations they replaced (chaos
+// artifacts pin them), including the truncation at Status::kMaxMessage.
+TEST_F(LockManagerTest, DieTextMatchesConcatenationByteForByte) {
+  const std::string long_key(120, 'k');
+  for (const std::string& key : {std::string("k"), long_key}) {
+    auto old = Acquire(MakeTxn(100), key, LockMode::kExclusive);
+    auto young = Acquire(MakeTxn(200, 7), key, LockMode::kExclusive);
+    sim_.Run();
+    ASSERT_TRUE(Granted(old));
+    ASSERT_TRUE(young->has_value());
+    const Status concatenated = ConflictError("wait-die: " + MakeTxn(200, 7).ToString() +
+                                              " younger than a conflicting holder on " + key);
+    EXPECT_EQ((*young)->code(), StatusCode::kConflict);
+    EXPECT_EQ((*young)->message(), concatenated.message());
+    if (key == long_key) {
+      EXPECT_EQ((*young)->message().size(), Status::kMaxMessage);
+    }
+  }
+
+  // On regrant: two older waiters queue behind a holder; the release grants
+  // the oldest, and the other is now younger than it and dies.
+  auto holder = Acquire(MakeTxn(100), "r", LockMode::kExclusive);
+  auto oldest = Acquire(MakeTxn(50), "r", LockMode::kExclusive);
+  auto older = Acquire(MakeTxn(70), "r", LockMode::kExclusive);
+  sim_.RunFor(Duration::Millis(100));
+  ASSERT_TRUE(Granted(holder));
+  locks_.ReleaseAll(MakeTxn(100));
+  sim_.RunFor(Duration::Millis(100));
+  EXPECT_TRUE(Granted(oldest));
+  ASSERT_TRUE(older->has_value());
+  EXPECT_EQ((*older)->code(), StatusCode::kConflict);
+  EXPECT_EQ((*older)->message(),
+            ConflictError("wait-die on regrant: " + MakeTxn(70).ToString()).message());
+}
+
 TEST_F(LockManagerTest, RequestersWaitOnCourtesyHolderInsteadOfDying) {
   // A courtesy transaction (background refresh) carries the sentinel
   // timestamp: every client is younger, but since a courtesy holder locks a

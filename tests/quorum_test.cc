@@ -408,7 +408,7 @@ TEST(ProbeOrderTest, AlwaysAPermutation) {
 std::vector<QuorumCandidate> PlanOfVotes(const std::vector<int>& votes) {
   std::vector<QuorumCandidate> plan;
   for (size_t i = 0; i < votes.size(); ++i) {
-    plan.push_back(QuorumCandidate(i, "h" + std::to_string(i), static_cast<HostId>(i), votes[i],
+    plan.push_back(QuorumCandidate("h" + std::to_string(i), static_cast<HostId>(i), votes[i],
                                    Duration::Millis(static_cast<int64_t>(i) + 1)));
   }
   return plan;

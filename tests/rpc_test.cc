@@ -513,6 +513,68 @@ TEST_F(RpcTest, DuplicatedRequestReachesHandlerTwiceWithIntactBody) {
   EXPECT_EQ(*seen, (std::vector<std::string>{text, text}));
 }
 
+// Envelopes are pooled blocks. On a duplicating link both deliveries share
+// one envelope: each sees an intact body, and the block goes back to the
+// pool only when the last reference drops. The pool hands out parked blocks
+// last-in first-out, so a probe allocation of the envelope's size class
+// shows whether the envelope's block is parked.
+TEST(RpcEnvelopeTest, DuplicatedEnvelopeReturnsToPoolAfterLastReference) {
+  using Envelope = internal::RpcEnvelope<EchoReq>;
+  auto parked = [](const void* block) {
+    void* probe = internal::FramePool::Allocate(sizeof(Envelope));
+    internal::FramePool::Deallocate(probe, sizeof(Envelope));
+    return probe == block;
+  };
+  Simulator sim(1);
+  Network net(&sim);
+  LinkKnobs knobs;
+  knobs.dup_probability = 1.0;
+  net.SetDefaultLink(LatencyModel::Fixed(Duration::Millis(5)), knobs);
+  Host* from = net.AddHost("from");
+  Host* to = net.AddHost("to");
+  const std::string text(64, 'q');
+  std::vector<const void*> blocks;
+  std::vector<std::string> bodies;
+  std::vector<bool> parked_during;
+  to->SetMessageHandler([&](Message msg) {
+    auto* env = std::any_cast<internal::EnvelopeRef>(&msg.payload);
+    ASSERT_NE(env, nullptr);
+    const void* block = env->operator->();
+    blocks.push_back(block);
+    parked_during.push_back(parked(block));
+    bodies.push_back(env->TakeBody<EchoReq>().text);
+  });
+  net.Send(from->id(), to->id(),
+           internal::MakeEnvelope<EchoReq>(true, 1, TraceContext(), EchoReq(text)));
+  sim.Run();
+  EXPECT_EQ(net.stats().duplicated, 1u);
+  ASSERT_EQ(blocks.size(), 2u);
+  EXPECT_EQ(blocks[0], blocks[1]) << "both deliveries share one envelope";
+  EXPECT_EQ(bodies, (std::vector<std::string>{text, text}));
+  EXPECT_EQ(parked_during, (std::vector<bool>{false, false}))
+      << "the block stays live while either delivery still references it";
+  EXPECT_TRUE(parked(blocks[1])) << "the last reference returned the block to the pool";
+}
+
+#ifdef WVOTE_FRAME_POOL_POISON
+// Negative control for the sanitizer build: pooling must not hide a
+// use-after-free from AddressSanitizer. A parked envelope block is
+// poisoned, so reading it through a dangling pointer is reported.
+TEST(RpcEnvelopeDeathTest, TouchingAParkedEnvelopeIsReported) {
+  auto touch_parked = [] {
+    const internal::RpcEnvelopeHeader* header = nullptr;
+    {
+      internal::EnvelopeRef ref =
+          internal::MakeEnvelope<EchoReq>(true, 7, TraceContext(), EchoReq("x"));
+      header = ref.operator->();
+    }
+    const volatile uint64_t call_id = header->call_id;
+    (void)call_id;
+  };
+  EXPECT_DEATH(touch_parked(), "use-after-poison");
+}
+#endif
+
 TEST_F(RpcTest, StatsDistinguishOutcomes) {
   (void)Call<EchoReq, EchoResp>(EchoReq("a"), Duration::Seconds(1));
   (void)Call<SlowReq, EchoResp>(SlowReq(5000), Duration::Millis(10));

@@ -40,10 +40,9 @@ class StableStoreTest : public ::testing::Test {
                                 std::shared_ptr<Result<std::string>> out) {
     *out = co_await store->Read(std::move(key));
   }
-  static Task<void> CaptureWriteBatch(StableStore* store,
-                                      std::vector<std::pair<std::string, std::string>> entries,
+  static Task<void> CaptureWriteBatch(StableStore* store, std::vector<PageWrite> pages,
                                       std::shared_ptr<Status> out) {
-    *out = co_await store->WriteBatch(std::move(entries));
+    *out = co_await store->WriteBatch(pages);
   }
 
   Simulator sim_;
@@ -263,8 +262,7 @@ TEST_F(StableStoreTest, CrashTearsTheWholeBatch) {
 }
 
 TEST_F(StableStoreTest, WriteBatchInstallsAllEntriesWithOneCharge) {
-  std::vector<std::pair<std::string, std::string>> entries = {
-      {"x", "1"}, {"y", "2"}, {"z", "3"}};
+  std::vector<PageWrite> entries = {{"x", "1"}, {"y", "2"}, {"z", "3"}};
   auto status = std::make_shared<Status>(InternalError("pending"));
   Spawn(CaptureWriteBatch(&store_, std::move(entries), status));
   sim_.Run();
@@ -279,8 +277,7 @@ TEST_F(StableStoreTest, WriteBatchInstallsAllEntriesWithOneCharge) {
 
 TEST_F(StableStoreTest, CrashDuringWriteBatchLosesAllOrNothing) {
   ASSERT_TRUE(RunWrite("x", "old").ok());
-  std::vector<std::pair<std::string, std::string>> entries = {
-      {"x", "new"}, {"w", "fresh"}};
+  std::vector<PageWrite> entries = {{"x", "new"}, {"w", "fresh"}};
   auto status = std::make_shared<Status>(InternalError("pending"));
   Spawn(CaptureWriteBatch(&store_, std::move(entries), status));
   sim_.Schedule(Duration::Millis(5), [this] { host_->Crash(); });

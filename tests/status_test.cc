@@ -33,6 +33,17 @@ TEST(StatusTest, LongMessagesTruncateSafely) {
   EXPECT_EQ(st.message(), long_message.substr(0, Status::kMaxMessage));
 }
 
+TEST(StatusTest, PartsReadLikeTheirConcatenation) {
+  const std::string middle(100, 'm');
+  Status st(StatusCode::kConflict, {"head ", middle, " tail", " after the limit"});
+  const Status concatenated =
+      ConflictError("head " + middle + " tail" + " after the limit");
+  EXPECT_EQ(st.code(), StatusCode::kConflict);
+  EXPECT_EQ(st.message(), concatenated.message());
+  EXPECT_EQ(st.message().size(), Status::kMaxMessage);
+  EXPECT_EQ(Status(StatusCode::kNotFound, {"no page ", "k"}).message(), "no page k");
+}
+
 TEST(StatusTest, EqualityComparesCodeOnly) {
   EXPECT_EQ(TimeoutError("a"), TimeoutError("b"));
   EXPECT_FALSE(TimeoutError("a") == AbortedError("a"));

@@ -27,10 +27,6 @@ class BaselineAnalysis {
   // Primary copy: everything rides on one designated replica.
   static double PrimaryCopyAvailability(const SuiteModel& model, size_t primary_index);
   static Duration PrimaryCopyLatency(const SuiteModel& model, size_t primary_index);
-
-  // Unreplicated single copy.
-  static double UnreplicatedAvailability(const RepModel& rep) { return rep.availability; }
-  static Duration UnreplicatedLatency(const RepModel& rep) { return rep.latency; }
 };
 
 }  // namespace wvote

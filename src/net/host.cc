@@ -42,7 +42,7 @@ void Host::Restart() {
 }
 
 void Host::Deliver(Message msg) {
-  if (!up_ || !handler_) {
+  if (!handler_) {
     return;
   }
   handler_(std::move(msg));

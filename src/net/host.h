@@ -51,6 +51,7 @@ class Host {
 
  private:
   friend class Network;
+  // The network calls this only after checking that the host is up.
   void Deliver(Message msg);
   void SetTraceLog(TraceLog* trace) { trace_ = trace; }
 

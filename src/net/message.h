@@ -1,17 +1,19 @@
 // Wire message for the simulated network.
 //
 // Payloads are std::any: the RPC layer (src/rpc) is the only producer and
-// consumer and unpacks them into typed request/response structs. approx_bytes
-// lets higher layers attribute a wire size for traffic accounting without the
-// simulator serializing anything.
+// consumer in the protocol stack and unpacks them into typed request/response
+// structs. A message carries only what a receiver reads: the sender and the
+// payload. Wire sizes are counted in NetworkStats when the message is sent.
+//
+// A duplicating link delivers a copy of the Message, so the payload's own
+// copy constructor decides what two deliveries share. An RPC payload is a
+// counted reference to one envelope, so its copy shares the body.
 
 #ifndef WVOTE_SRC_NET_MESSAGE_H_
 #define WVOTE_SRC_NET_MESSAGE_H_
 
 #include <any>
 #include <cstdint>
-#include <memory>
-#include <utility>
 
 namespace wvote {
 
@@ -21,37 +23,8 @@ inline constexpr HostId kInvalidHost = -1;
 
 struct Message {
   HostId from = kInvalidHost;
-  HostId to = kInvalidHost;
-  uint64_t id = 0;  // unique per network, for tracing
-  size_t approx_bytes = 0;
   std::any payload;
 };
-
-// Payload wrapper for a message the network delivers more than once (a
-// duplicating link). Instead of deep-copying the std::any at send time, both
-// in-flight copies share one body; the network unwraps at delivery, and only
-// a copy that is not the last holder of the body pays for a deep copy. A
-// duplicate whose sibling was dropped (destination crashed mid-flight) is
-// delivered by move, copying nothing.
-struct SharedDupPayload {
-  std::shared_ptr<std::any> body;
-};
-
-// Replaces a SharedDupPayload wrapper with the body it carries; messages
-// with ordinary payloads pass through untouched. Called by the network just
-// before Host::Deliver, so payload consumers only ever see the plain type.
-inline void UnwrapSharedPayload(Message& msg) {
-  auto* shared = std::any_cast<SharedDupPayload>(&msg.payload);
-  if (shared == nullptr) {
-    return;
-  }
-  std::shared_ptr<std::any> body = std::move(shared->body);
-  if (body.use_count() == 1) {
-    msg.payload = std::move(*body);
-  } else {
-    msg.payload = *body;
-  }
-}
 
 }  // namespace wvote
 

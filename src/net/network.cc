@@ -117,11 +117,6 @@ void Network::SetHostGrayOutbound(HostId host, double multiplier) {
   }
 }
 
-void Network::ClearGrayFaults() {
-  gray_inbound_.clear();
-  gray_outbound_.clear();
-}
-
 double Network::GrayMultiplier(HostId from, HostId to) const {
   double mult = 1.0;
   auto out = gray_outbound_.find(from);
@@ -204,9 +199,6 @@ void Network::Send(HostId from, HostId to, std::any payload, size_t approx_bytes
 
   Message msg;
   msg.from = from;
-  msg.to = to;
-  msg.id = next_message_id_++;
-  msg.approx_bytes = approx_bytes;
   msg.payload = std::move(payload);
 
   if (from == to) {
@@ -228,14 +220,11 @@ void Network::Send(HostId from, HostId to, std::any payload, size_t approx_bytes
   }
   if (knobs.dup_probability > 0.0 && sim_->rng().NextBernoulli(knobs.dup_probability)) {
     // Deliver a second copy with its own latency sample; the copies race
-    // and may reorder, exactly as duplicated datagrams do. The copies share
-    // one payload body instead of deep-copying the std::any here; delivery
-    // unwraps, and at most one of the two pays for a copy then.
+    // and may reorder, exactly as duplicated datagrams do. Copying an RPC
+    // payload only counts one more reference to its envelope, so the two
+    // deliveries share one body; any other payload is copied here.
     ++stats_.duplicated;
-    auto body = std::make_shared<std::any>(std::move(msg.payload));
-    Message copy = msg;  // payload already moved out; field copy is cheap
-    copy.payload = SharedDupPayload{body};
-    msg.payload = SharedDupPayload{std::move(body)};
+    Message copy = msg;
     Duration dup_delay = link.latency.Sample(sim_->rng());
     if (gray != 1.0) {
       dup_delay = Duration::Micros(
@@ -258,11 +247,16 @@ Network::DeliveryBatch* Network::AcquireBatch() {
   }
   DeliveryBatch* batch = free_batches_.back();
   free_batches_.pop_back();
-  batch->msgs.clear();  // keeps capacity
   return batch;
 }
 
-void Network::RecycleBatch(DeliveryBatch* batch) { free_batches_.push_back(batch); }
+void Network::RecycleBatch(DeliveryBatch* batch) {
+  // Releases the payloads of messages dropped at a crashed destination now,
+  // not when the batch is next reused: a duplicate's surviving copy then
+  // holds the last reference to a shared RPC body and takes it by move.
+  batch->msgs.clear();  // keeps capacity
+  free_batches_.push_back(batch);
+}
 
 void Network::ScheduleDelivery(Host* dst, Message msg, Duration delay) {
   const TimePoint at = sim_->Now() + delay;
@@ -294,7 +288,6 @@ void Network::ScheduleDelivery(Host* dst, Message msg, Duration delay) {
         continue;
       }
       ++stats_.messages_delivered;
-      UnwrapSharedPayload(m);
       dst->Deliver(std::move(m));
     }
     RecycleBatch(batch);

@@ -102,7 +102,6 @@ class Network {
   // stays exempt, like every other wire fault.
   void SetHostGrayInbound(HostId host, double multiplier);
   void SetHostGrayOutbound(HostId host, double multiplier);
-  void ClearGrayFaults();
   // Combined stretch a message from->to would suffer right now.
   double GrayMultiplier(HostId from, HostId to) const;
 
@@ -167,7 +166,6 @@ class Network {
   std::map<HostId, double> gray_inbound_;   // absent == 1.0
   std::map<HostId, double> gray_outbound_;  // absent == 1.0
   std::vector<int> partition_group_;  // empty: fully connected
-  uint64_t next_message_id_ = 1;
   TraceLog* trace_ = nullptr;
   Tracer* tracer_ = nullptr;
   NetworkStats stats_;

@@ -10,11 +10,14 @@
 // reference-counted pointer (small enough for std::any's inline buffer) to
 // one block holding the header (request/reply, call id, trace context, body
 // type) and the typed body. Blocks come from FramePool's size classes, like
-// coroutine frames, so a steady stream of calls allocates no envelopes. A
-// duplicating link delivers the same block twice; a receiver moves the body
-// out only when it holds the last reference and copies it otherwise, so
-// both deliveries see an intact body, and the block returns to the pool
-// when the last reference drops.
+// coroutine frames, so a steady stream of calls allocates no envelopes.
+// The envelope's count is the only thing that shares a duplicated datagram:
+// a duplicating link copies the message, which copies the EnvelopeRef, so
+// both deliveries reference one block. A receiver moves the body out only
+// when it holds the last reference and copies it otherwise, so both
+// deliveries see an intact body (and a copy whose sibling was dropped at a
+// crashed host takes it by move), and the block returns to the pool when
+// the last reference drops.
 //
 // Failure semantics mirror a datagram network with volatile servers:
 //   * lost request or lost reply -> client timeout;

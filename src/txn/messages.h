@@ -51,23 +51,6 @@ struct LockReq {
   static constexpr const char* kRpcName = "LockReq";
 };
 
-// S-lock `key` and return its committed value.
-struct TxnReadReq {
-  TxnId txn;
-  std::string key;
-
-  TxnReadReq() = default;
-  TxnReadReq(TxnId t, std::string k) : txn(t), key(std::move(k)) {}
-  static constexpr const char* kRpcName = "TxnReadReq";
-};
-struct TxnReadResp {
-  std::string value;
-
-  TxnReadResp() = default;
-  explicit TxnReadResp(std::string v) : value(std::move(v)) {}
-  size_t ApproxBytes() const { return 64 + value.size(); }
-};
-
 // Phase 1: persist the transaction's write intents. The participant votes
 // yes by replying OK; any other outcome is a no-vote.
 struct PrepareReq {

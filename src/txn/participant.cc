@@ -71,14 +71,6 @@ void Participant::RegisterHandlers() {
         }
         co_return Ack{};
       });
-  rpc_->HandleTraced<TxnReadReq, TxnReadResp>(
-      [this](HostId from, TxnReadReq req, TraceContext ctx) -> Task<Result<TxnReadResp>> {
-        Result<std::string> value = co_await TxnRead(req.txn, std::move(req.key), ctx);
-        if (!value.ok()) {
-          co_return value.status();
-        }
-        co_return TxnReadResp{std::move(value.value())};
-      });
   rpc_->HandleTraced<PrepareReq, Ack>(
       [this](HostId from, PrepareReq req, TraceContext ctx) -> Task<Result<Ack>> {
         Status st = co_await Prepare(req.txn, std::move(req.writes), ctx);
@@ -112,11 +104,6 @@ Result<std::string> Participant::PeekCommitted(const std::string& key) const {
 Task<Status> Participant::Lock(TxnId txn, std::string key, LockMode mode, TraceContext ctx) {
   const std::string data_key = DataKey(key);
   co_return co_await LockPage(txn, data_key, mode, ctx);
-}
-
-Task<Result<std::string>> Participant::TxnRead(TxnId txn, std::string key, TraceContext ctx) {
-  const std::string data_key = DataKey(key);
-  co_return co_await ReadPage(txn, data_key, ctx);
 }
 
 Task<Status> Participant::LockPage(TxnId txn, const std::string& data_key, LockMode mode,

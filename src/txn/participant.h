@@ -86,13 +86,12 @@ class Participant {
   // Local (same-host) transactional operations, used when a client or a
   // suite component is co-resident with the representative. A valid `ctx`
   // parents the lock-wait and disk child spans this work records.
-  Task<Result<std::string>> TxnRead(TxnId txn, std::string key,
-                                    TraceContext ctx = TraceContext());
   Task<Status> Lock(TxnId txn, std::string key, LockMode mode,
                     TraceContext ctx = TraceContext());
-  // TxnRead and Lock on a page named by its DataKey, which must stay valid
-  // until the returned task completes: callers that keep their page keys
-  // (the representative's per-suite keys) skip building them per request.
+  // An S-locked read, and Lock, on a page named by its DataKey, which must
+  // stay valid until the returned task completes: callers that keep their
+  // page keys (the representative's per-suite keys) skip building them per
+  // request.
   Task<Result<std::string>> ReadPage(TxnId txn, const std::string& data_key,
                                      TraceContext ctx = TraceContext());
   Task<Status> LockPage(TxnId txn, const std::string& data_key, LockMode mode,

@@ -1,12 +1,12 @@
 // Per-op cost guard: heap allocations, messages and simulator events for one
 // ReadOnce and one WriteOnce on Gifford's Example 2, for a ReadOnce of
 // values longer than std::string's inline buffer, for a ReadOnce with gray
-// tolerance armed (hedged probes), and for a WriteOnce that dies under
-// wait-die. Counts do not depend on the machine, so they pin the protocol
-// stack's host cost where wall-clock timings cannot: the allocation
-// ceilings sit 10% above the measured values, and messages and events per
-// op must match exactly (the event schedule is part of every determinism
-// golden).
+// tolerance armed (hedged probes), for a ReadOnce over links that duplicate
+// every datagram, and for a WriteOnce that dies under wait-die. Counts do
+// not depend on the machine, so they pin the protocol stack's host cost
+// where wall-clock timings cannot: the allocation ceilings sit 10% above
+// the measured values, and messages and events per op must match exactly
+// (the event schedule is part of every determinism golden).
 //
 // This binary replaces the global operator new to count allocations; the
 // replacement lives here only, so no other test or library pays for it.
@@ -91,23 +91,29 @@ namespace {
 
 constexpr int kOps = 100;
 
-// Allocation ceilings per op: the measured 2 per read, 3 per hedged read,
-// 35.89 per write and 4 per conflicted write, plus 10%. RPC envelopes come
-// from the frame pool, so a read's two are the page copy the representative
-// reads and the trace slot the participant's abort breadcrumb fills the
-// first time round the ring; a hedged read adds one more breadcrumb slot.
-// The write's are mostly 2PC bookkeeping: the client's per-host intent map,
-// the coordinator's vectors and joins, the participants' prepared and
-// committing sets and intentions-log pages, its never-deleted decision
-// page, trace slots, and frame pool growth from in-doubt watchdogs that
-// sleep past the drain. Before
-// pooled envelopes and a log and store that reuse their storage, a read paid
-// 6 (8 with 64-byte values), a write 102.89 and a conflicted write 18; before
-// recycled transaction state and lock-table entries, a read and a write paid
-// 27 and 128.05; before frame pooling and one-block RPC envelopes, 77 and
-// 253.26.
+// Allocation ceilings per op: the measured 2 per read, 3 per hedged read, 4
+// per read over duplicating links, 35.89 per write and 4 per conflicted
+// write, plus 10%. RPC envelopes come from the frame pool, so a read's two
+// are the page copy the representative reads and the trace slot the
+// participant's abort breadcrumb fills the first time round the ring; a
+// hedged read adds one more breadcrumb slot. Over duplicating links both
+// copies of a datagram share one envelope, and every request is handled
+// twice, so a read pays its two twice. The write's are mostly 2PC
+// bookkeeping: the client's per-host intent map, the coordinator's vectors
+// and joins, the participants' prepared and committing sets and
+// intentions-log pages, its never-deleted decision page, trace slots, and
+// frame pool growth from in-doubt watchdogs that sleep past the drain.
+// Before pooled envelopes and a log and store that reuse their storage, a
+// read paid 6 (8 with 64-byte values), a write 102.89 and a conflicted write
+// 18; before recycled transaction state and lock-table entries, a read and a
+// write paid 27 and 128.05; before frame pooling and one-block RPC
+// envelopes, 77 and 253.26. Before the envelope's count alone shared a
+// duplicated datagram, a read over duplicating links paid 22: each copy
+// carried a shared_ptr to the boxed std::any, too large for the copy's own
+// std::any to hold inline.
 constexpr double kReadAllocCeiling = 2.2;
 constexpr double kHedgedReadAllocCeiling = 3.3;
+constexpr double kDuplicatedReadAllocCeiling = 4.4;
 constexpr double kWriteAllocCeiling = 39.5;
 constexpr double kConflictAllocCeiling = 4.4;
 // Messages and simulator events for kOps ops plus the drain; the plain read
@@ -116,6 +122,8 @@ constexpr uint64_t kReadMessages = 400;
 constexpr uint64_t kReadEvents = 810;
 constexpr uint64_t kHedgedReadMessages = 600;
 constexpr uint64_t kHedgedReadEvents = 1110;
+constexpr uint64_t kDuplicatedReadMessages = 600;
+constexpr uint64_t kDuplicatedReadEvents = 910;
 constexpr uint64_t kWriteMessages = 1200;
 constexpr uint64_t kWriteEvents = 3110;
 constexpr uint64_t kConflictMessages = 800;
@@ -242,6 +250,26 @@ TEST_F(AllocGuardTest, HedgedReadOnce) {
   EXPECT_LE(static_cast<double>(cost.allocs) / kOps, kHedgedReadAllocCeiling);
   EXPECT_EQ(cost.messages, kHedgedReadMessages);
   EXPECT_EQ(cost.events, kHedgedReadEvents);
+}
+
+// Every link duplicates every datagram: both copies of a request or reply
+// share one envelope through its reference count, so a duplicate allocates
+// no box for its payload.
+TEST_F(AllocGuardTest, DuplicatedReadOnce) {
+  Deploy();
+  LinkKnobs knobs;
+  knobs.dup_probability = 1.0;
+  cluster_->net().SetAllLinkKnobs(knobs);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(cluster_->RunTask(client_->ReadOnce()).ok());
+  }
+  Drain();
+  const uint64_t duplicated_before = cluster_->net().stats().duplicated;
+  const OpCost cost = MeasureReads("DuplicatedReadOnce");
+  EXPECT_EQ(cluster_->net().stats().duplicated - duplicated_before, cost.messages);
+  EXPECT_LE(static_cast<double>(cost.allocs) / kOps, kDuplicatedReadAllocCeiling);
+  EXPECT_EQ(cost.messages, kDuplicatedReadMessages);
+  EXPECT_EQ(cost.events, kDuplicatedReadEvents);
 }
 
 TEST_F(AllocGuardTest, WriteOnce) {

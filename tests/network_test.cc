@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -148,12 +149,24 @@ TEST_F(NetworkTest, DuplicatingLinkDeliversTwiceAndCounts) {
   knobs.dup_probability = 1.0;
   net_.SetDefaultLink(LatencyModel::Fixed(Duration::Millis(1)), knobs);
   int delivered = 0;
-  b_->SetMessageHandler([&](Message) { ++delivered; });
+  std::map<std::string, int> copies;
+  b_->SetMessageHandler([&](Message msg) {
+    ++delivered;
+    ++copies[std::any_cast<std::string>(msg.payload)];
+  });
+  // Longer than std::string's inline buffer, so each copy owns its bytes.
+  const std::string prefix(40, 'p');
   for (int i = 0; i < 100; ++i) {
-    net_.Send(a_->id(), b_->id(), std::string("x"));
+    net_.Send(a_->id(), b_->id(), prefix + std::to_string(i));
   }
   sim_.Run();
   EXPECT_EQ(delivered, 200);
+  // A raw payload is copied when the link duplicates it: both deliveries
+  // arrive intact.
+  ASSERT_EQ(copies.size(), 100u);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(copies[prefix + std::to_string(i)], 2) << i;
+  }
   EXPECT_EQ(net_.stats().duplicated, 100u);
   // Duplicates are extra deliveries, not extra sends.
   EXPECT_EQ(net_.stats().messages_sent, 100u);

@@ -491,26 +491,76 @@ TEST_F(RpcTest, HedgedRepliesLandingTogetherResolveOnce) {
   EXPECT_EQ(backup.stats().requests_handled, 1u);
 }
 
+// A request body that counts how often it is copied.
+struct CopyCountedReq {
+  static inline int copies = 0;
+  std::string text;
+  CopyCountedReq() = default;
+  explicit CopyCountedReq(std::string t) : text(std::move(t)) {}
+  CopyCountedReq(const CopyCountedReq& other) : text(other.text) { ++copies; }
+  CopyCountedReq(CopyCountedReq&&) = default;
+  CopyCountedReq& operator=(const CopyCountedReq& other) {
+    text = other.text;
+    ++copies;
+    return *this;
+  }
+  CopyCountedReq& operator=(CopyCountedReq&&) = default;
+};
+
 TEST_F(RpcTest, DuplicatedRequestReachesHandlerTwiceWithIntactBody) {
   // Both copies of a duplicated request share one envelope; the first
   // delivery must copy the body rather than move it out from under the
-  // second. The text is longer than any small-string buffer, so a moved-from
-  // copy would arrive empty.
+  // second, and the second, holding the last reference, takes it by move.
+  // The text is longer than any small-string buffer, so a moved-from copy
+  // would arrive empty.
   LinkKnobs knobs;
   knobs.dup_probability = 1.0;
   net_.SetDefaultLink(LatencyModel::Fixed(Duration::Millis(5)), knobs);
   const std::string text(64, 'q');
   auto seen = std::make_shared<std::vector<std::string>>();
-  server_->Handle<TaggedSlowReq, EchoResp>(
-      [seen](HostId, TaggedSlowReq req) -> Task<Result<EchoResp>> {
-        seen->push_back(req.tag);
-        co_return EchoResp(req.tag);
+  server_->Handle<CopyCountedReq, EchoResp>(
+      [seen](HostId, CopyCountedReq req) -> Task<Result<EchoResp>> {
+        seen->push_back(req.text);
+        co_return EchoResp(req.text);
       });
+  CopyCountedReq::copies = 0;
   Result<EchoResp> r =
-      Call<TaggedSlowReq, EchoResp>(TaggedSlowReq(0, text), Duration::Seconds(1));
+      Call<CopyCountedReq, EchoResp>(CopyCountedReq(text), Duration::Seconds(1));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().text, text);
   EXPECT_EQ(*seen, (std::vector<std::string>{text, text}));
+  EXPECT_EQ(CopyCountedReq::copies, 1);
+}
+
+// One copy of a duplicated request reaches its destination while it is
+// down and is dropped there. The drop releases that copy's reference, so
+// the surviving copy holds the last one and its handler gets the body by
+// move: the duplicate costs no body copy at all.
+TEST_F(RpcTest, DuplicateSurvivingACrashedDestinationTakesTheBodyByMove) {
+  LinkKnobs knobs;
+  knobs.dup_probability = 1.0;
+  // The spike lands on the original only, so the duplicate (5 ms) arrives
+  // while the server is down and the original (55 ms) after it restarts.
+  knobs.delay_spike_probability = 1.0;
+  knobs.delay_spike = Duration::Millis(50);
+  net_.SetDefaultLink(LatencyModel::Fixed(Duration::Millis(5)), knobs);
+  auto seen = std::make_shared<std::vector<std::string>>();
+  server_->Handle<CopyCountedReq, EchoResp>(
+      [seen](HostId, CopyCountedReq req) -> Task<Result<EchoResp>> {
+        seen->push_back(req.text);
+        co_return EchoResp(req.text);
+      });
+  server_host_->Crash();
+  sim_.Schedule(Duration::Millis(20), [this] { server_host_->Restart(); });
+  const std::string text(64, 'm');
+  CopyCountedReq::copies = 0;
+  Result<EchoResp> r =
+      Call<CopyCountedReq, EchoResp>(CopyCountedReq(text), Duration::Seconds(1));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value().text, text);
+  EXPECT_EQ(net_.stats().dropped_dest_down, 1u);
+  EXPECT_EQ(*seen, (std::vector<std::string>{text}));
+  EXPECT_EQ(CopyCountedReq::copies, 0);
 }
 
 // Envelopes are pooled blocks. On a duplicating link both deliveries share

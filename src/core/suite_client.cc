@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <set>
 #include <utility>
 
@@ -36,6 +35,23 @@ Task<void> SendRefresh(RpcEndpoint* rpc, HostId host, std::string suite, Version
   req.version = version;
   req.contents = std::move(contents);
   (void)co_await rpc->Call<RefreshReq, RefreshResp>(host, std::move(req), timeout);
+}
+
+// `host`'s intents in `writes`, which is kept in ascending host order; an
+// entry is added when `host` has none yet.
+WriteIntents& IntentsAt(std::vector<WriterIntents>& writes, HostId host) {
+  auto it = std::lower_bound(writes.begin(), writes.end(), host,
+                             [](const WriterIntents& w, HostId h) { return w.host < h; });
+  if (it == writes.end() || it->host != host) {
+    it = writes.insert(it, WriterIntents{host, {}});
+  }
+  return it->intents;
+}
+
+bool HasIntents(const std::vector<WriterIntents>& writes, HostId host) {
+  auto it = std::lower_bound(writes.begin(), writes.end(), host,
+                             [](const WriterIntents& w, HostId h) { return w.host < h; });
+  return it != writes.end() && it->host == host;
 }
 
 // Conflicts, aborts and timeouts are worth a fresh attempt; anything else
@@ -113,6 +129,7 @@ SuiteClient::SuiteClient(Network* net, RpcEndpoint* rpc, Coordinator* coordinato
       rpc_(rpc),
       coordinator_(coordinator),
       config_(std::move(config)),
+      value_key_(SuiteValueKey(config_.suite_name)),
       options_(std::move(options)),
       plan_cache_([this](const std::string& name) { return links_.Link(name); },
                   &stats_.plan_builds),
@@ -634,12 +651,12 @@ Task<Result<std::string>> SuiteClient::DoRead(std::shared_ptr<SuiteTransaction::
   co_return std::move(data.value().contents);
 }
 
-Task<Status> SuiteClient::DoCommit(States states,
-                                   std::map<HostId, std::vector<WriteIntent>> writes) {
+Task<Status> SuiteClient::DoCommit(States states) {
   SuiteTransaction::State& first = *states.front();
   if (first.finished) {
     co_return FailedPreconditionError("transaction already finished");
   }
+  std::vector<WriterIntents>& writes = first.intents;
 
   // A write quorum for every written suite. The gathers share one TxnId, so
   // wait-die also resolves lock conflicts across suites.
@@ -660,8 +677,7 @@ Task<Status> SuiteClient::DoCommit(States states,
         VersionedValue{state->gather.current + 1, *state->pending_write}.Serialize());
     client->stats_.commit_bytes_serialized += payload.size();
     for (const ProbeReply& r : state->gather.replies) {
-      writes[r.candidate.host].push_back(
-          WriteIntent(SuiteValueKey(client->config_.suite_name), payload));
+      IntentsAt(writes, r.candidate.host).push_back(WriteIntent(client->value_key_, payload));
     }
   }
 
@@ -672,15 +688,15 @@ Task<Status> SuiteClient::DoCommit(States states,
   for (const std::shared_ptr<SuiteTransaction::State>& state : states) {
     state->finished = true;
     state->probed.ForEach([&](HostId host) {
-      if (writes.count(host) == 0 &&
+      if (!HasIntents(writes, host) &&
           std::find(read_only.begin(), read_only.end(), host) == read_only.end()) {
         read_only.push_back(host);
       }
     });
   }
   const bool wrote = !writes.empty();
-  Status st = co_await first.client->coordinator_->CommitTransaction(
-      first.txn, std::move(writes), read_only, first.trace);
+  Status st = co_await first.client->coordinator_->CommitTransaction(first.txn, writes,
+                                                                     read_only, first.trace);
 
   for (const std::shared_ptr<SuiteTransaction::State>& state : states) {
     SuiteClient* client = state->client;
@@ -938,12 +954,13 @@ Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
   const SharedPayload prefix_bytes(new_config.Serialize());
   const SharedPayload value_bytes(VersionedValue{next, contents}.Serialize());
   stats_.commit_bytes_serialized += prefix_bytes.size() + value_bytes.size();
-  std::map<HostId, std::vector<WriteIntent>> writes;
-  for (HostId host : targets) {
-    writes[host] = {WriteIntent{SuitePrefixKey(config_.suite_name), prefix_bytes},
-                    WriteIntent{SuiteValueKey(config_.suite_name), value_bytes}};
+  for (HostId host : targets) {  // ascending, as CommitTransaction wants
+    state->intents.push_back(
+        WriterIntents{host,
+                      {WriteIntent(SuitePrefixKey(config_.suite_name), prefix_bytes),
+                       WriteIntent(value_key_, value_bytes)}});
   }
-  Status st = co_await DoCommit({&state, 1}, std::move(writes));
+  Status st = co_await DoCommit({&state, 1});
   if (st.ok()) {
     if (TraceLog* trace = net_->trace()) {
       trace->Record(rpc_->host_id(), TraceKind::kReconfigured, new_config.ToString());

@@ -27,7 +27,6 @@
 #ifndef WVOTE_SRC_CORE_SUITE_CLIENT_H_
 #define WVOTE_SRC_CORE_SUITE_CLIENT_H_
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -292,12 +291,12 @@ class SuiteClient {
 
   // The one commit path of every suite transaction. Gathers a write quorum
   // for each state with a pending write (following newer configurations),
-  // then runs one two-phase commit over those intents plus `writes` and
-  // releases every other probed host. On success each written suite's
-  // client records the new version; on failure every lock is released.
-  // `states` must outlive the returned task.
-  static Task<Status> DoCommit(States states,
-                               std::map<HostId, std::vector<WriteIntent>> writes = {});
+  // then runs one two-phase commit over those intents plus any the first
+  // state already holds (a reconfiguration's) and releases every other
+  // probed host. On success each written suite's client records the new
+  // version; on failure every lock is released. `states` must outlive the
+  // returned task.
+  static Task<Status> DoCommit(States states);
   // The one abort path: releases every probed host of every state. Reads
   // `states` only before its first suspension, so a destructor may pass
   // its own members.
@@ -314,6 +313,8 @@ class SuiteClient {
   RpcEndpoint* rpc_;
   Coordinator* coordinator_;
   SuiteConfig config_;
+  // SuiteValueKey(config_.suite_name), which no reconfiguration changes.
+  const std::string value_key_;
   SuiteClientOptions options_;
   WeakRepresentative* cache_ = nullptr;
   HealthTracker* health_ = nullptr;

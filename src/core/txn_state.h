@@ -62,6 +62,10 @@ struct SuiteTransaction::State {
   std::vector<HedgedReply<VersionResp>> outcomes;
   // The hosts a commit or abort releases.
   std::vector<HostId> release;
+  // A commit's writes, one entry per writer in ascending host order: the
+  // first state of a transaction holds every suite's. The coordinator moves
+  // each entry's intents into its PrepareReq; the vector keeps its capacity.
+  std::vector<WriterIntents> intents;
 
   // Records a read's result for repeated reads.
   void KeepRead(Version version, std::string_view contents) {
@@ -80,6 +84,7 @@ struct SuiteTransaction::State {
     read_contents.clear();
     pending_write.reset();
     gather.Clear();
+    intents.clear();
     committed_version = 0;
     trace = TraceContext();
   }

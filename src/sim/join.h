@@ -1,18 +1,20 @@
-// Concurrency combinators for Tasks.
+// The one concurrency combinator for Tasks.
 //
-// JoinAll runs a batch of tasks concurrently and returns every result.
-// JoinUntil returns as soon as a predicate over the results-so-far is
-// satisfied — the primitive under quorum gathering, where a caller polls all
-// representatives but proceeds once enough votes have answered. Tasks still
-// in flight keep running detached; their late results are delivered to the
-// optional `leftover` callback (weighted voting uses this to release locks
-// that stragglers were granted after their transaction ended).
+// JoinUntil runs a batch of tasks concurrently and returns as soon as a
+// predicate over the results-so-far is satisfied — the primitive under
+// quorum gathering, where a caller polls all representatives but proceeds
+// once enough votes have answered. Tasks still in flight keep running
+// detached; their late results are delivered to the optional `leftover`
+// callback (weighted voting uses this to release locks that stragglers were
+// granted after their transaction ended). With the NeverEnough predicate it
+// awaits every task (the 2PC coordinator's prepare, commit and abort
+// fan-outs).
 //
 // JoinUntil works in caller-owned vectors, so a caller that keeps them from
-// one join to the next (the suite client's recycled transaction state) runs
-// its steady-state joins without heap allocation: the join's own bookkeeping
-// comes from FramePool, and the callbacks are stored by type, not behind a
-// std::function.
+// one join to the next (the suite client's recycled transaction state, the
+// coordinator's fan-out free list) runs its steady-state joins without heap
+// allocation: the join's own bookkeeping comes from FramePool, and the
+// callbacks are stored by type, not behind a std::function.
 
 #ifndef WVOTE_SRC_SIM_JOIN_H_
 #define WVOTE_SRC_SIM_JOIN_H_
@@ -61,15 +63,8 @@ Task<void> JoinRunOne(std::shared_ptr<State> state, Task<T> task) {
   }
 }
 
-// JoinAll's predicate and JoinUntil's default straggler handler. Both carry
-// user-declared constructors per the GCC 12 rule in src/sim/task.h.
-struct NeverEnough {
-  NeverEnough() {}
-  template <typename V>
-  bool operator()(const V&) const {
-    return false;
-  }
-};
+// JoinUntil's default straggler handler. It carries a user-declared
+// constructor per the GCC 12 rule in src/sim/task.h.
 struct DropLeftover {
   DropLeftover() {}
   template <typename V>
@@ -77,6 +72,16 @@ struct DropLeftover {
 };
 
 }  // namespace internal
+
+// The predicate of a join that awaits every task. Like DropLeftover, it
+// carries a user-declared constructor per the GCC 12 rule.
+struct NeverEnough {
+  NeverEnough() {}
+  template <typename V>
+  bool operator()(const V&) const {
+    return false;
+  }
+};
 
 // Starts every task in `tasks` (leaving the vector empty, its capacity kept)
 // and waits until `enough(results)` holds after a completion, or every task
@@ -104,15 +109,6 @@ Task<void> JoinUntil(Simulator* sim, std::vector<Task<T>>& tasks, std::vector<T>
   // `done` is only set together with `satisfied`, after which stragglers
   // hand their results to `leftover` and never touch `results` again.
   co_await state->done.GetFuture();
-}
-
-// Awaits every task; results are in completion order.
-template <typename T>
-Task<std::vector<T>> JoinAll(Simulator* sim, std::vector<Task<T>> tasks) {
-  std::vector<T> results;
-  results.reserve(tasks.size());
-  co_await JoinUntil<T>(sim, tasks, results, internal::NeverEnough());
-  co_return std::move(results);
 }
 
 }  // namespace wvote

@@ -1,6 +1,6 @@
 #include "src/txn/coordinator.h"
 
-#include <cstdio>
+#include <algorithm>
 #include <utility>
 
 #include "src/sim/join.h"
@@ -15,6 +15,14 @@ using HostAck = std::pair<HostId, Result<Ack>>;
 // a background retrier.
 constexpr Duration kRpcTimeout = Duration::Seconds(5);
 constexpr int kCommitRetries = 3;
+
+// One prepare or abort at `host`, its reply tagged with the host so that
+// every fan-out joins into the same scratch type.
+template <typename Req>
+Task<HostAck> CallAt(RpcEndpoint* rpc, HostId host, Req req, TraceContext ctx) {
+  Result<Ack> ack = co_await rpc->Call<Req, Ack>(host, std::move(req), kRpcTimeout, ctx);
+  co_return HostAck{host, std::move(ack)};
+}
 
 // Drives one participant's commit with bounded retries, tagging the result
 // with the participant so completion-order joins stay correlated.
@@ -61,21 +69,20 @@ Coordinator::Coordinator(RpcEndpoint* rpc, StableStore* store, CoordinatorOption
         if (!rec.ok() && rec.status().code() == StatusCode::kAborted) {
           co_return rec.status();  // we crashed mid-read; caller retries
         }
-        auto it = undecided_.find(req.txn);
-        if (it != undecided_.end()) {
-          if (it->second.logging_decision) {
+        if (Undecided* undecided = FindUndecided(req.txn)) {
+          if (undecided->logging_decision) {
             // The commit record is being written: its outcome, not the
             // absent record, is the answer.
             Promise<bool> logged(rpc_->sim());
             Future<bool> outcome = logged.GetFuture();
-            it->second.inquiries.push_back(std::move(logged));
+            undecided->inquiries.push_back(std::move(logged));
             const bool committed = co_await std::move(outcome);
             co_return DecisionResp{committed ? TxnDecision::kCommitted
                                              : TxnDecision::kAborted};
           }
           // Still in phase 1. The participant will act on the abort
           // answered below, so it binds: the commit is never logged.
-          it->second.doomed = true;
+          undecided->doomed = true;
         }
         // No durable commit record: presumed abort.
         co_return DecisionResp{TxnDecision::kAborted};
@@ -93,18 +100,44 @@ TxnId Coordinator::BeginAt(int64_t timestamp_us) {
   return txn;
 }
 
-Task<Status> Coordinator::CommitTransaction(TxnId txn,
-                                            std::map<HostId, std::vector<WriteIntent>> writes,
+std::unique_ptr<Coordinator::FanOut> Coordinator::BorrowFanOut() {
+  if (idle_fanouts_.empty()) {
+    return std::make_unique<FanOut>();
+  }
+  std::unique_ptr<FanOut> fan = std::move(idle_fanouts_.back());
+  idle_fanouts_.pop_back();
+  return fan;
+}
+
+void Coordinator::ReturnFanOut(std::unique_ptr<FanOut> fan) {
+  fan->writers.clear();
+  fan->read_only.clear();
+  fan->acks.clear();
+  idle_fanouts_.push_back(std::move(fan));
+}
+
+Coordinator::Undecided* Coordinator::FindUndecided(const TxnId& txn) {
+  auto it = std::find_if(undecided_.begin(), undecided_.end(),
+                         [&](const Undecided& u) { return u.txn == txn; });
+  return it == undecided_.end() ? nullptr : &*it;
+}
+
+Coordinator::Undecided& Coordinator::UndecidedFor(const TxnId& txn) {
+  if (Undecided* undecided = FindUndecided(txn)) {
+    return *undecided;
+  }
+  return undecided_.emplace_back(txn);
+}
+
+void Coordinator::EraseUndecided(const TxnId& txn) {
+  std::erase_if(undecided_, [&](const Undecided& u) { return u.txn == txn; });
+}
+
+Task<Status> Coordinator::CommitTransaction(TxnId txn, std::span<WriterIntents> writes,
                                             std::span<const HostId> read_only_participants,
                                             TraceContext ctx) {
   Tracer* tracer = rpc_->network()->tracer();
-  std::vector<HostId> writers;
-  writers.reserve(writes.size());
-  for (const auto& [host, intents] : writes) {
-    writers.push_back(host);
-  }
-
-  if (writers.empty()) {
+  if (writes.empty()) {
     // Read-only transaction: nothing to prepare; release locks without
     // waiting for acknowledgements (the client's result does not depend on
     // them, and waiting would add a round trip to every read).
@@ -114,48 +147,50 @@ Task<Status> Coordinator::CommitTransaction(TxnId txn,
     ++stats_.committed;
     co_return Status::Ok();
   }
+  std::unique_ptr<FanOut> fan = BorrowFanOut();
+  for (const WriterIntents& w : writes) {
+    fan->writers.push_back(w.host);
+  }
+  fan->read_only.assign(read_only_participants.begin(), read_only_participants.end());
 
   // Phase 1: prepare at every writer in parallel. From here until the
   // decision is durable, inquiries about `txn` consult undecided_.
-  undecided_.try_emplace(txn);
+  UndecidedFor(txn);
   TraceContext prepare_span;
   if (tracer != nullptr) {
     prepare_span = tracer->StartChild(ctx, rpc_->host_id(), "phase.prepare");
     if (prepare_span.valid()) {
-      tracer->Annotate(prepare_span, "writers=" + std::to_string(writers.size()));
+      tracer->Annotate(prepare_span, "writers=" + std::to_string(writes.size()));
     }
   }
-  std::vector<Task<Result<Ack>>> prepares;
-  prepares.reserve(writers.size());
-  for (auto& [host, intents] : writes) {
-    prepares.push_back(rpc_->Call<PrepareReq, Ack>(host, PrepareReq{txn, std::move(intents)},
-                                                   kRpcTimeout, prepare_span));
+  for (WriterIntents& w : writes) {
+    fan->calls.push_back(
+        CallAt(rpc_, w.host, PrepareReq(txn, std::move(w.intents)), prepare_span));
   }
-  std::vector<Result<Ack>> votes =
-      co_await JoinAll<Result<Ack>>(rpc_->sim(), std::move(prepares));
+  co_await JoinUntil<HostAck>(rpc_->sim(), fan->calls, fan->acks, NeverEnough());
 
   Status failure = Status::Ok();
-  for (const Result<Ack>& vote : votes) {
+  for (const auto& [host, vote] : fan->acks) {
     if (!vote.ok()) {
       failure = vote.status();
       break;
     }
   }
-  if (votes.size() != writers.size() && failure.ok()) {
+  if (fan->acks.size() != fan->writers.size() && failure.ok()) {
     failure = InternalError("missing prepare votes");
   }
-  if (failure.ok() && undecided_[txn].doomed) {
+  if (failure.ok() && UndecidedFor(txn).doomed) {
     failure = AbortedError("an in-doubt inquiry was answered abort");
   }
   if (tracer != nullptr) {
     tracer->EndWith(prepare_span, failure.ok() ? "all voted yes" : "no-vote");
   }
   if (!failure.ok()) {
-    std::vector<HostId> everyone = writers;
-    everyone.insert(everyone.end(), read_only_participants.begin(),
-                    read_only_participants.end());
-    undecided_.erase(txn);
+    std::vector<HostId>& everyone = fan->writers;
+    everyone.insert(everyone.end(), fan->read_only.begin(), fan->read_only.end());
+    EraseUndecided(txn);
     co_await AbortTransaction(txn, everyone, ctx);
+    ReturnFanOut(std::move(fan));
     ++stats_.aborted;
     co_return AbortedError("prepare failed: " + failure.ToString());
   }
@@ -163,16 +198,17 @@ Task<Status> Coordinator::CommitTransaction(TxnId txn,
   // Decision point: durably log commit before telling anyone. The ctx flows
   // straight through, so the decision log shows up as the transaction's
   // phase.disk span. Inquiries arriving meanwhile wait for this write.
-  undecided_[txn].logging_decision = true;
+  UndecidedFor(txn).logging_decision = true;
   const TxnId::PageKey decision_key = txn.KeyWith(kDecisionPrefix);
   Status logged = co_await store_->Write(decision_key.view(), "C", ctx);
-  for (Promise<bool>& inquiry : undecided_[txn].inquiries) {
+  for (Promise<bool>& inquiry : UndecidedFor(txn).inquiries) {
     inquiry.Set(logged.ok());
   }
-  undecided_.erase(txn);
+  EraseUndecided(txn);
   if (!logged.ok()) {
     // Crash while logging: no participant will ever see a commit record, so
     // presumed abort resolves every prepared branch consistently.
+    ReturnFanOut(std::move(fan));
     ++stats_.aborted;
     co_return AbortedError("coordinator failed to log decision");
   }
@@ -188,10 +224,8 @@ Task<Status> Coordinator::CommitTransaction(TxnId txn,
     if (tracer != nullptr) {
       ack_span = tracer->StartChild(ctx, rpc_->host_id(), "phase.commit_ack");
     }
-    Status phase2 = co_await SendPhase2(
-        txn, std::move(writers),
-        std::vector<HostId>(read_only_participants.begin(), read_only_participants.end()),
-        ack_span);
+    Status phase2 = co_await SendPhase2(txn, *fan, ack_span);
+    ReturnFanOut(std::move(fan));
     if (tracer != nullptr) {
       tracer->EndWith(ack_span, "sync");
     }
@@ -213,15 +247,12 @@ Task<Status> Coordinator::CommitTransaction(TxnId txn,
     tracer->EndWith(ack_span, "async: deferred to background fan-out");
   }
   ++stats_.async_phase2_spawned;
-  Spawn(RunPhase2InBackground(
-      txn, std::move(writers),
-      std::vector<HostId>(read_only_participants.begin(), read_only_participants.end()), ctx));
+  Spawn(RunPhase2InBackground(txn, std::move(fan), ctx));
   ++stats_.committed;
   co_return Status::Ok();
 }
 
-Task<void> Coordinator::RunPhase2InBackground(TxnId txn, std::vector<HostId> writers,
-                                              std::vector<HostId> read_only,
+Task<void> Coordinator::RunPhase2InBackground(TxnId txn, std::unique_ptr<FanOut> fan,
                                               TraceContext ctx) {
   Tracer* tracer = rpc_->network()->tracer();
   TraceContext span;
@@ -229,18 +260,23 @@ Task<void> Coordinator::RunPhase2InBackground(TxnId txn, std::vector<HostId> wri
     span = tracer->StartChild(ctx, rpc_->host_id(), "phase2.background");
     if (span.valid()) {
       tracer->Annotate(span, "txn=" + txn.ToString() +
-                                 " writers=" + std::to_string(writers.size()));
+                                 " writers=" + std::to_string(fan->writers.size()));
     }
   }
-  Status st = co_await SendPhase2(txn, std::move(writers), std::move(read_only), span);
+  Status st = co_await SendPhase2(txn, *fan, span);
+  ReturnFanOut(std::move(fan));
   if (st.ok()) {
     ++stats_.async_phase2_completed;
     // Completion event with the owning txn id: the write's observability
     // does not end at the client ack — tests assert causality on this.
     if (TraceLog* trace = rpc_->network()->trace()) {
-      char detail[80];
-      std::snprintf(detail, sizeof(detail), "%s fanout", txn.ToText().c_str());
-      trace->Record(rpc_->host_id(), TraceKind::kPhase2Completed, detail);
+      constexpr std::string_view kSuffix = " fanout";
+      const TxnId::Text text = txn.ToText();
+      char detail[sizeof(text.buf) + kSuffix.size()];
+      char* p = std::copy_n(text.buf, text.len, detail);
+      p = std::copy(kSuffix.begin(), kSuffix.end(), p);
+      trace->Record(rpc_->host_id(), TraceKind::kPhase2Completed,
+                    std::string_view(detail, static_cast<size_t>(p - detail)));
     }
   }
   if (tracer != nullptr) {
@@ -250,21 +286,18 @@ Task<void> Coordinator::RunPhase2InBackground(TxnId txn, std::vector<HostId> wri
   // the decision record (recovery inquiry or in-doubt watchdog).
 }
 
-Task<Status> Coordinator::SendPhase2(TxnId txn, std::vector<HostId> writers,
-                                     std::vector<HostId> read_only, TraceContext ctx) {
+Task<Status> Coordinator::SendPhase2(TxnId txn, FanOut& fan, TraceContext ctx) {
   const uint64_t epoch = rpc_->host()->crash_epoch();
   // Read-only participants only hold locks; an abort releases them and is
   // indistinguishable from a commit for them.
-  for (HostId host : read_only) {
+  for (HostId host : fan.read_only) {
     Spawn(SendAbortTo(rpc_, host, txn, ctx));
   }
 
-  std::vector<Task<HostAck>> commits;
-  commits.reserve(writers.size());
-  for (HostId host : writers) {
-    commits.push_back(CallCommitAt(rpc_, host, txn, ctx));
+  for (HostId host : fan.writers) {
+    fan.calls.push_back(CallCommitAt(rpc_, host, txn, ctx));
   }
-  std::vector<HostAck> acks = co_await JoinAll<HostAck>(rpc_->sim(), std::move(commits));
+  co_await JoinUntil<HostAck>(rpc_->sim(), fan.calls, fan.acks, NeverEnough());
 
   // Only our own crash ends the drive — check the epoch rather than trusting
   // the status code, because a live participant whose store write failed
@@ -275,7 +308,7 @@ Task<Status> Coordinator::SendPhase2(TxnId txn, std::vector<HostId> writers,
   }
   // Any participant that still hasn't acked gets a background retrier; it
   // will also converge on its own via recovery + decision inquiry.
-  for (auto& [host, ack] : acks) {
+  for (const auto& [host, ack] : fan.acks) {
     if (!ack.ok()) {
       Spawn(RetryCommitForever(txn, host, ctx));
     }
@@ -324,12 +357,12 @@ Task<void> Coordinator::RetryCommitForever(TxnId txn, HostId participant, TraceC
 
 Task<void> Coordinator::AbortTransaction(TxnId txn, std::span<const HostId> participants,
                                          TraceContext ctx) {
-  std::vector<Task<Result<Ack>>> aborts;
-  aborts.reserve(participants.size());
+  std::unique_ptr<FanOut> fan = BorrowFanOut();
   for (HostId host : participants) {
-    aborts.push_back(rpc_->Call<AbortReq, Ack>(host, AbortReq{txn}, kRpcTimeout, ctx));
+    fan->calls.push_back(CallAt(rpc_, host, AbortReq(txn), ctx));
   }
-  (void)co_await JoinAll<Result<Ack>>(rpc_->sim(), std::move(aborts));
+  co_await JoinUntil<HostAck>(rpc_->sim(), fan->calls, fan->acks, NeverEnough());
+  ReturnFanOut(std::move(fan));
 }
 
 }  // namespace wvote

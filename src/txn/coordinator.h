@@ -13,9 +13,10 @@
 #ifndef WVOTE_SRC_TXN_COORDINATOR_H_
 #define WVOTE_SRC_TXN_COORDINATOR_H_
 
-#include <map>
+#include <memory>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/rpc/rpc.h"
@@ -55,6 +56,12 @@ struct CoordinatorStats {
   void RegisterWith(MetricsRegistry* registry, const MetricLabels& labels = {});
 };
 
+// One writer's share of a transaction's writes.
+struct WriterIntents {
+  HostId host = kInvalidHost;
+  WriteIntents intents;
+};
+
 class Coordinator {
  public:
   Coordinator(RpcEndpoint* rpc, StableStore* store, CoordinatorOptions options = {});
@@ -74,10 +81,10 @@ class Coordinator {
   // handed to a background retrier). A valid `ctx` records phase.prepare /
   // phase.disk / phase.commit_ack child spans, and the background phase-2
   // fan-out and retriers continue the same trace after the client's ack.
-  // `read_only_participants` must outlive the returned task; a read-only
-  // commit reads it only before its first suspension.
-  Task<Status> CommitTransaction(TxnId txn,
-                                 std::map<HostId, std::vector<WriteIntent>> writes,
+  // `writes` holds one entry per writer in ascending host order, the order
+  // the PrepareReqs go out in; the commit moves every entry's intents into
+  // its request. Both spans are read only before the first suspension.
+  Task<Status> CommitTransaction(TxnId txn, std::span<WriterIntents> writes,
                                  std::span<const HostId> read_only_participants,
                                  TraceContext ctx = TraceContext());
 
@@ -97,27 +104,57 @@ class Coordinator {
   // Registers this coordinator's counters, labeled by host name.
   void RegisterMetrics(MetricsRegistry* registry);
 
+  // Fan-out scratch on the free list, waiting for the next fan-out.
+  size_t idle_fanouts() const { return idle_fanouts_.size(); }
+
  private:
+  using HostAck = std::pair<HostId, Result<Ack>>;
+
+  // The working vectors of one fan-out: the hosts a commit addresses, the
+  // calls of its prepare, phase-2 or abort fan-out and their replies, each
+  // tagged with its host. A fan-out borrows one from idle_fanouts_ and hands
+  // it back after its join, so steady-state fan-outs allocate nothing. A
+  // frame destroyed mid-fan-out deletes its scratch instead: stragglers of
+  // an unfinished join may still hold it, and the coordinator may be gone.
+  struct FanOut {
+    std::vector<HostId> writers;
+    std::vector<HostId> read_only;
+    std::vector<Task<HostAck>> calls;
+    std::vector<HostAck> acks;
+  };
+  std::unique_ptr<FanOut> BorrowFanOut();
+  void ReturnFanOut(std::unique_ptr<FanOut> fan);
+
   // Page key prefix of the durable commit decisions.
   static constexpr std::string_view kDecisionPrefix = "decision/";
-  Task<Status> SendPhase2(TxnId txn, std::vector<HostId> writers,
-                          std::vector<HostId> read_only, TraceContext ctx);
-  // Spawned wrapper around SendPhase2 for the asynchronous commit path.
-  Task<void> RunPhase2InBackground(TxnId txn, std::vector<HostId> writers,
-                                   std::vector<HostId> read_only, TraceContext ctx);
+  // Commits at `fan.writers` and releases `fan.read_only`.
+  Task<Status> SendPhase2(TxnId txn, FanOut& fan, TraceContext ctx);
+  // Spawned wrapper around SendPhase2 for the asynchronous commit path;
+  // hands `fan` back when the fan-out is done.
+  Task<void> RunPhase2InBackground(TxnId txn, std::unique_ptr<FanOut> fan, TraceContext ctx);
   Task<void> RetryCommitForever(TxnId txn, HostId participant, TraceContext ctx);
 
   // A transaction between the start of phase 1 and its durable decision.
   struct Undecided {
+    TxnId txn;
     bool doomed = false;            // an inquiry was answered abort
     bool logging_decision = false;  // the commit record is being written
     std::vector<Promise<bool>> inquiries;  // waiting for that write
+
+    explicit Undecided(TxnId t) : txn(t) {}
   };
+  // `txn`'s entry, or nullptr; UndecidedFor adds it when missing.
+  Undecided* FindUndecided(const TxnId& txn);
+  Undecided& UndecidedFor(const TxnId& txn);
+  void EraseUndecided(const TxnId& txn);
 
   RpcEndpoint* rpc_;
   StableStore* store_;
   CoordinatorOptions options_;
-  std::map<TxnId, Undecided> undecided_;
+  // The few transactions of this host between phase 1 and their decision,
+  // in a vector that keeps its capacity.
+  std::vector<Undecided> undecided_;
+  std::vector<std::unique_ptr<FanOut>> idle_fanouts_;
   uint64_t next_serial_ = 1;
   CoordinatorStats stats_;
 };

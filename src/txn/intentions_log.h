@@ -32,7 +32,7 @@ enum class TxnRecordState : uint8_t { kPrepared = 1, kCommitted = 2 };
 struct TxnRecord {
   TxnId txn;
   TxnRecordState state = TxnRecordState::kPrepared;
-  std::vector<WriteIntent> writes;
+  WriteIntents writes;
 
   std::string Serialize() const;
   // Serialize into `*out`, replacing its contents and keeping its capacity.

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/common/payload.h"
+#include "src/sim/task.h"
 #include "src/txn/lock_manager.h"
 #include "src/txn/txn_id.h"
 
@@ -39,6 +40,13 @@ struct WriteIntent {
   WriteIntent(std::string k, SharedPayload v) : key(std::move(k)), value(std::move(v)) {}
 };
 
+// One participant's intents. The storage comes from FramePool's size
+// classes (PoolAllocator): every write builds one list per writer, moves it
+// through its PrepareReq into the intentions-log record and drops it once
+// the record is durable, so steady-state writes reuse parked blocks instead
+// of paying a heap allocation per writer.
+using WriteIntents = std::vector<WriteIntent, internal::PoolAllocator<WriteIntent>>;
+
 // Acquire a lock at the participant on behalf of `txn` (strict 2PL: released
 // only at commit/abort).
 struct LockReq {
@@ -55,10 +63,10 @@ struct LockReq {
 // yes by replying OK; any other outcome is a no-vote.
 struct PrepareReq {
   TxnId txn;
-  std::vector<WriteIntent> writes;
+  WriteIntents writes;
 
   PrepareReq() = default;
-  PrepareReq(TxnId t, std::vector<WriteIntent> w) : txn(t), writes(std::move(w)) {}
+  PrepareReq(TxnId t, WriteIntents w) : txn(t), writes(std::move(w)) {}
   static constexpr const char* kRpcName = "PrepareReq";
   size_t ApproxBytes() const {
     size_t n = 64;

@@ -54,12 +54,12 @@ Participant::Participant(RpcEndpoint* rpc, StableStore* store, ParticipantOption
   // Orphan locks are expired lazily, at the moment a new acquire runs into
   // them; prepared transactions are exempt until their 2PC outcome arrives.
   locks_.SetLeasePolicy(options_.lock_lease,
-                        [this](const TxnId& txn) { return prepared_.count(txn) != 0; });
+                        [this](const TxnId& txn) { return prepared_.contains(txn); });
   // Younger lock requesters may wait on a transaction in its commit tail
   // (decision known, apply/release imminent) instead of dying: with phase 2
   // off the client's critical path the previous write's locks are routinely
   // still draining when the next transaction's probes arrive.
-  locks_.SetWaitPolicy([this](const TxnId& txn) { return committing_.count(txn) != 0; });
+  locks_.SetWaitPolicy([this](const TxnId& txn) { return committing_.contains(txn); });
 }
 
 void Participant::RegisterHandlers() {
@@ -120,7 +120,7 @@ Task<Result<std::string>> Participant::ReadPage(TxnId txn, const std::string& da
   co_return co_await store_->Read(data_key, ctx);
 }
 
-Task<Status> Participant::Prepare(TxnId txn, std::vector<WriteIntent> writes,
+Task<Status> Participant::Prepare(TxnId txn, WriteIntents writes,
                                   TraceContext ctx) {
   // The client must already hold exclusive locks on every key it intends to
   // write; a crash since then cleared them, in which case serializability is
@@ -164,7 +164,7 @@ Task<Status> Participant::Commit(TxnId txn, TraceContext ctx) {
   // transaction's pages over a LATER transaction's committed writes. Wait
   // for the in-flight commit; the lookup below then resolves the duplicate
   // through the idempotent already-applied path.
-  while (committing_.count(txn) != 0) {
+  while (committing_.contains(txn)) {
     co_await rpc_->sim()->Sleep(Duration::Millis(1));
   }
   if (log_.View(txn) == nullptr) {
@@ -270,7 +270,7 @@ Task<void> Participant::ResolveIfStillInDoubt(TxnId txn) {
   if (!rpc_->host()->up() || rpc_->host()->crash_epoch() != epoch) {
     co_return;  // crashed meanwhile; recovery owns in-doubt resolution now
   }
-  if (prepared_.count(txn) == 0 || committing_.count(txn) != 0) {
+  if (!prepared_.contains(txn) || committing_.contains(txn)) {
     co_return;  // phase 2 arrived (or an abort did): nothing to resolve
   }
   // Still prepared and undecided long after prepare succeeded. The usual

@@ -12,7 +12,7 @@
 #ifndef WVOTE_SRC_TXN_PARTICIPANT_H_
 #define WVOTE_SRC_TXN_PARTICIPANT_H_
 
-#include <set>
+#include <algorithm>
 #include <span>
 #include <string>
 #include <string_view>
@@ -96,7 +96,7 @@ class Participant {
                                      TraceContext ctx = TraceContext());
   Task<Status> LockPage(TxnId txn, const std::string& data_key, LockMode mode,
                         TraceContext ctx = TraceContext());
-  Task<Status> Prepare(TxnId txn, std::vector<WriteIntent> writes,
+  Task<Status> Prepare(TxnId txn, WriteIntents writes,
                        TraceContext ctx = TraceContext());
   Task<Status> Commit(TxnId txn, TraceContext ctx = TraceContext());
   Task<Status> Abort(TxnId txn, TraceContext ctx = TraceContext());
@@ -119,6 +119,32 @@ class Participant {
 
   static constexpr std::string_view kDataPrefix = "data/";
 
+  // A set of transactions as a sorted vector that keeps its capacity, so a
+  // steady stream of prepares and commits inserts and erases without heap
+  // allocation. It holds the few transactions in flight at one host.
+  class TxnSet {
+   public:
+    bool contains(const TxnId& txn) const {
+      return std::binary_search(txns_.begin(), txns_.end(), txn);
+    }
+    void insert(const TxnId& txn) {
+      auto it = std::lower_bound(txns_.begin(), txns_.end(), txn);
+      if (it == txns_.end() || *it != txn) {
+        txns_.insert(it, txn);
+      }
+    }
+    void erase(const TxnId& txn) {
+      auto it = std::lower_bound(txns_.begin(), txns_.end(), txn);
+      if (it != txns_.end() && *it == txn) {
+        txns_.erase(it);
+      }
+    }
+    void clear() { txns_.clear(); }
+
+   private:
+    std::vector<TxnId> txns_;
+  };
+
   RpcEndpoint* rpc_;
   StableStore* store_;
   ParticipantOptions options_;
@@ -126,12 +152,12 @@ class Participant {
   IntentionsLog log_;
   // Transactions currently prepared here (volatile mirror of the durable
   // log); their locks are exempt from lease expiry.
-  std::set<TxnId> prepared_;
+  TxnSet prepared_;
   // Transactions whose commit decision has reached this participant and are
   // in the apply/release tail. Their locks release within a few disk
   // writes, so the lock manager lets younger requesters wait on them
   // instead of dying (see LockManager::SetWaitPolicy).
-  std::set<TxnId> committing_;
+  TxnSet committing_;
   // Page keys and the page list a prepare or an apply builds: used before
   // the work first suspends (the store copies writes at once), so they
   // serve every transaction and keep their capacity.

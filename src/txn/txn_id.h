@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <string_view>
 
@@ -41,8 +40,9 @@ struct TxnId {
   // True if this transaction is older (= higher priority) than `other`.
   bool OlderThan(const TxnId& other) const { return *this < other; }
 
-  // ToString()'s text in a stack buffer, for breadcrumbs that only need a
-  // view of it.
+  // ToString()'s text, "txn(<timestamp>.<serial>@<coordinator>)", in a
+  // NUL-terminated stack buffer, for breadcrumbs that only need a view of
+  // it. The longest text (every field at its widest) is 58 bytes.
   struct Text {
     char buf[64];
     int len;
@@ -51,9 +51,16 @@ struct TxnId {
   };
   Text ToText() const {
     Text text;
-    text.len = std::snprintf(text.buf, sizeof(text.buf), "txn(%lld.%llu@%d)",
-                             static_cast<long long>(timestamp_us),
-                             static_cast<unsigned long long>(serial), coordinator);
+    char* const end = text.buf + sizeof(text.buf);
+    char* p = std::copy_n("txn(", 4, text.buf);
+    p = std::to_chars(p, end, timestamp_us).ptr;
+    *p++ = '.';
+    p = std::to_chars(p, end, serial).ptr;
+    *p++ = '@';
+    p = std::to_chars(p, end, coordinator).ptr;
+    *p++ = ')';
+    *p = '\0';
+    text.len = static_cast<int>(p - text.buf);
     return text;
   }
 

@@ -2,7 +2,8 @@
 // ReadOnce and one WriteOnce on Gifford's Example 2, for a ReadOnce of
 // values longer than std::string's inline buffer, for a ReadOnce with gray
 // tolerance armed (hedged probes), for a ReadOnce over links that duplicate
-// every datagram, and for a WriteOnce that dies under wait-die. Counts do
+// every datagram, for a WriteOnce that dies under wait-die, and for a
+// transaction that writes two suites at once. Counts do
 // not depend on the machine, so they pin the protocol stack's host cost
 // where wall-clock timings cannot: the allocation ceilings sit 10% above
 // the measured values, and messages and events per op must match exactly
@@ -24,6 +25,7 @@
 
 #include "src/analysis/gifford_examples.h"
 #include "src/core/cluster.h"
+#include "src/core/multi_txn.h"
 
 namespace {
 
@@ -92,17 +94,21 @@ namespace {
 constexpr int kOps = 100;
 
 // Allocation ceilings per op: the measured 2 per read, 3 per hedged read, 4
-// per read over duplicating links, 35.89 per write and 4 per conflicted
-// write, plus 10%. RPC envelopes come from the frame pool, so a read's two
-// are the page copy the representative reads and the trace slot the
-// participant's abort breadcrumb fills the first time round the ring; a
-// hedged read adds one more breadcrumb slot. Over duplicating links both
-// copies of a datagram share one envelope, and every request is handled
-// twice, so a read pays its two twice. The write's are mostly 2PC
-// bookkeeping: the client's per-host intent map, the coordinator's vectors
-// and joins, the participants' prepared and committing sets and
-// intentions-log pages, its never-deleted decision page, trace slots, and
-// frame pool growth from in-doubt watchdogs that sleep past the drain.
+// per read over duplicating links, 21.95 per write, 2 per conflicted write
+// and 26.39 per two-suite write, plus 10%. (The frame pool is per thread,
+// so a case run after the others finds blocks they parked: in the full
+// binary the writes count 21.89 and 24.92.) RPC envelopes come from the
+// frame pool, so a read's two are the page copy the representative reads
+// and the trace slot the participant's abort breadcrumb fills the first
+// time round the ring; a hedged read adds one more breadcrumb slot. Over
+// duplicating links both copies of a datagram share one envelope, and every
+// request is handled twice, so a read pays its two twice. The 2PC layer
+// allocates nothing of its own: a write pays for the participants'
+// intentions-log pages, the never-deleted decision page, its serialized
+// value, trace slots, and frame pool growth from in-doubt watchdogs that
+// sleep past the drain; a conflicted write pays only the two abort
+// breadcrumbs' trace slots. Before recycled 2PC fan-outs, flat participant
+// sets and pooled intent lists, a write paid 35.89 and a conflicted write 4.
 // Before pooled envelopes and a log and store that reuse their storage, a
 // read paid 6 (8 with 64-byte values), a write 102.89 and a conflicted write
 // 18; before recycled transaction state and lock-table entries, a read and a
@@ -114,8 +120,9 @@ constexpr int kOps = 100;
 constexpr double kReadAllocCeiling = 2.2;
 constexpr double kHedgedReadAllocCeiling = 3.3;
 constexpr double kDuplicatedReadAllocCeiling = 4.4;
-constexpr double kWriteAllocCeiling = 39.5;
-constexpr double kConflictAllocCeiling = 4.4;
+constexpr double kWriteAllocCeiling = 24.2;
+constexpr double kConflictAllocCeiling = 2.2;
+constexpr double kMultiSuiteWriteAllocCeiling = 29.1;
 // Messages and simulator events for kOps ops plus the drain; the plain read
 // and write counts match every earlier version of the stack exactly.
 constexpr uint64_t kReadMessages = 400;
@@ -128,6 +135,8 @@ constexpr uint64_t kWriteMessages = 1200;
 constexpr uint64_t kWriteEvents = 3110;
 constexpr uint64_t kConflictMessages = 800;
 constexpr uint64_t kConflictEvents = 1510;
+constexpr uint64_t kMultiSuiteWriteMessages = 1600;
+constexpr uint64_t kMultiSuiteWriteEvents = 3854;
 
 struct OpCost {
   uint64_t allocs = 0;
@@ -328,6 +337,48 @@ TEST_F(AllocGuardTest, ConflictedWriteOnce) {
   EXPECT_EQ(cost.events, kConflictEvents);
   Spawn(holder.Abort());
   Drain();
+}
+
+// One MultiSuiteTransaction writes Example 2's suite and a second suite on
+// the same representatives: two write-quorum gathers under one TxnId, then
+// one two-phase commit in which every writer holds an intent per suite.
+// Guards the client's per-host intent lists, which merge the suites.
+TEST_F(AllocGuardTest, MultiSuiteWriteOnce) {
+  Deploy();
+  SuiteConfig second = MakeGiffordExamples()[1].config;
+  second.suite_name = "example2-second";
+  ASSERT_TRUE(cluster_->CreateSuite(second, "second contents").ok());
+  SuiteClient* second_client = cluster_->AddClient("client", second);
+  Coordinator* coordinator = cluster_->coordinator_of("client");
+  const auto write_both = [&](const std::string& value) {
+    MultiSuiteTransaction txn(coordinator);
+    EXPECT_TRUE(txn.Write(client_, value).ok());
+    EXPECT_TRUE(txn.Write(second_client, value).ok());
+    return cluster_->RunTask(txn.Commit()).ok();
+  };
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(write_both("warm-" + std::to_string(i)));
+  }
+  Drain();
+  std::vector<std::string> payloads;
+  for (int i = 0; i < kOps; ++i) {
+    payloads.push_back("payload-" + std::to_string(i));
+  }
+  bool all_ok = true;
+  const OpCost cost = Measure([&] {
+    for (int i = 0; i < kOps; ++i) {
+      all_ok &= write_both(payloads[static_cast<size_t>(i)]);
+    }
+  });
+  ASSERT_TRUE(all_ok);
+  EXPECT_EQ(cluster_->RunTask(second_client->ReadOnce()).value(), payloads.back());
+  const double allocs_per_op = static_cast<double>(cost.allocs) / kOps;
+  std::printf("MultiSuiteWriteOnce: %.2f allocs/op, %llu messages, %llu events over %d ops\n",
+              allocs_per_op, static_cast<unsigned long long>(cost.messages),
+              static_cast<unsigned long long>(cost.events), kOps);
+  EXPECT_LE(allocs_per_op, kMultiSuiteWriteAllocCeiling);
+  EXPECT_EQ(cost.messages, kMultiSuiteWriteMessages);
+  EXPECT_EQ(cost.events, kMultiSuiteWriteEvents);
 }
 
 }  // namespace

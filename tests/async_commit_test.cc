@@ -18,6 +18,16 @@
 namespace wvote {
 namespace {
 
+// The coordinator's writer list for per-host intents, in ascending host
+// order.
+std::vector<WriterIntents> Writers(std::map<HostId, WriteIntents> writes) {
+  std::vector<WriterIntents> writers;
+  for (auto& [host, intents] : writes) {
+    writers.push_back(WriterIntents{host, std::move(intents)});
+  }
+  return writers;
+}
+
 struct Node {
   Host* host = nullptr;
   std::unique_ptr<RpcEndpoint> rpc;
@@ -75,12 +85,13 @@ class AsyncCommitTest : public ::testing::Test {
   // Spawns CommitTransaction without running the simulator, so tests can
   // observe the exact moment the client ack arrives.
   std::shared_ptr<std::optional<Status>> SpawnCommit(
-      TxnId txn, std::map<HostId, std::vector<WriteIntent>> writes) {
+      TxnId txn, std::map<HostId, WriteIntents> writes) {
     auto out = std::make_shared<std::optional<Status>>();
     auto runner = [](Coordinator* coord, TxnId txn,
-                     std::map<HostId, std::vector<WriteIntent>> writes,
+                     std::map<HostId, WriteIntents> writes,
                      std::shared_ptr<std::optional<Status>> out) -> Task<void> {
-      *out = co_await coord->CommitTransaction(txn, std::move(writes), {});
+      std::vector<WriterIntents> writers = Writers(std::move(writes));
+      *out = co_await coord->CommitTransaction(txn, writers, {});
     };
     Spawn(runner(coordinator_.get(), txn, std::move(writes), out));
     return out;
@@ -126,7 +137,7 @@ TEST_F(AsyncCommitTest, ClientAckPrecedesPhase2Delivery) {
   TxnId txn = coordinator_->Begin();
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
 
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "v")};
   auto out = SpawnCommit(txn, std::move(writes));
 
@@ -162,7 +173,7 @@ TEST_F(AsyncCommitTest, SyncModePaysTheThirdRoundTrip) {
   TxnId txn = coordinator_->Begin();
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
 
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "v")};
   auto out = SpawnCommit(txn, std::move(writes));
 
@@ -195,7 +206,7 @@ TEST_F(AsyncCommitTest, CoordinatorCrashAfterAckConvergesViaWatchdog) {
   ArmPhaseCrash(&sim_, &trace_log_, client_host_, TraceKind::kDecisionLogged,
                 /*downtime=*/Duration::Millis(100), &fault_stats);
 
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "survives")};
   auto out = SpawnCommit(txn, std::move(writes));
   sim_.RunFor(Duration::Millis(30));
@@ -222,7 +233,7 @@ TEST_F(AsyncCommitTest, ParticipantDownDuringPhase2ConvergesOnRestart) {
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
   ASSERT_TRUE(LockAt(1, txn, "x").ok());
 
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "v")};
   writes[Hid(1)] = {WriteIntent("x", "v")};
   auto out = SpawnCommit(txn, std::move(writes));
@@ -254,7 +265,7 @@ TEST_F(AsyncCommitTest, RetrierRecordsCompletionForTheOwningTxn) {
   // transaction and the participant it converged.
   TxnId txn = coordinator_->Begin();
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "v")};
   auto out = SpawnCommit(txn, std::move(writes));
   sim_.Schedule(Duration::Millis(15), [this] { nodes_[0]->host->Crash(); });
@@ -283,7 +294,7 @@ TEST_F(AsyncCommitTest, AckedWritesAreNeverLostOrReorderedUnderFaults) {
     TxnId txn = coordinator_->Begin();
     ASSERT_TRUE(LockAt(0, txn, "x").ok()) << "write " << i;
     const std::string value = "v" + std::to_string(i);
-    std::map<HostId, std::vector<WriteIntent>> writes;
+    std::map<HostId, WriteIntents> writes;
     writes[Hid(0)] = {WriteIntent("x", value)};
     auto out = SpawnCommit(txn, std::move(writes));
     if (i == 3) {
@@ -314,7 +325,7 @@ TEST_F(AsyncCommitTest, InquiryDuringPhaseOneMakesTheAbortBinding) {
   ASSERT_TRUE(LockAt(1, txn, "x").ok());
   CrashAfterYesVote(0, Duration::Millis(1));
 
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "v")};
   writes[Hid(1)] = {WriteIntent("x", "v")};
   auto out = SpawnCommit(txn, std::move(writes));
@@ -341,7 +352,7 @@ TEST_F(AsyncCommitTest, InquiryDuringDecisionWriteGetsItsOutcome) {
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
   CrashAfterYesVote(0, Duration::Millis(1));
 
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "v")};
   auto out = SpawnCommit(txn, std::move(writes));
   sim_.RunFor(Duration::Seconds(30));
@@ -358,7 +369,7 @@ TEST_F(AsyncCommitTest, WatchdogLeavesDecidedTransactionsAlone) {
   // timer observes a decided transaction and stands down.
   TxnId txn = coordinator_->Begin();
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "v")};
   auto out = SpawnCommit(txn, std::move(writes));
   sim_.RunFor(Duration::Seconds(60));

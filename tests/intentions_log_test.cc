@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include "src/net/network.h"
 
 namespace wvote {
@@ -165,6 +170,38 @@ TEST_F(IntentionsLogTest, DistinctTxnsGetDistinctKeys) {
   EXPECT_EQ(key(MakeTxn(1, 2)), "txnlog/1.1.2");
   EXPECT_NE(key(MakeTxn(1, 2)), key(MakeTxn(1, 3)));
   EXPECT_NE(key(MakeTxn(1)), key(MakeTxn(2)));
+}
+
+// ToText formats with std::to_chars; its bytes must be what the printf
+// format it replaced wrote, at every field's extremes.
+TEST(TxnIdTest, ToTextMatchesPrintfFormat) {
+  auto printf_text = [](const TxnId& txn) {
+    char buf[64];
+    const int len = std::snprintf(buf, sizeof(buf), "txn(%lld.%llu@%d)",
+                                  static_cast<long long>(txn.timestamp_us),
+                                  static_cast<unsigned long long>(txn.serial), txn.coordinator);
+    return std::string(buf, static_cast<size_t>(len));
+  };
+  const int64_t timestamps[] = {TxnId::kCourtesyTimestamp, 0, 12345,
+                                std::numeric_limits<int64_t>::min(),
+                                std::numeric_limits<int64_t>::max()};
+  const uint64_t serials[] = {0, 1, std::numeric_limits<uint64_t>::max()};
+  const HostId coordinators[] = {kInvalidHost, 0, 3, std::numeric_limits<HostId>::max(),
+                                 std::numeric_limits<HostId>::min()};
+  for (int64_t ts : timestamps) {
+    for (uint64_t serial : serials) {
+      for (HostId coordinator : coordinators) {
+        TxnId txn;
+        txn.timestamp_us = ts;
+        txn.serial = serial;
+        txn.coordinator = coordinator;
+        const TxnId::Text text = txn.ToText();
+        EXPECT_EQ(text.view(), printf_text(txn));
+        EXPECT_EQ(std::strlen(text.c_str()), text.view().size());
+        EXPECT_EQ(txn.ToString(), printf_text(txn));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -82,7 +82,7 @@ TEST_F(LockLeaseTest, PreparedTransactionLocksAreExempt) {
   TxnId txn = MakeTxn(100);
   ASSERT_TRUE(AcquireNow(txn, "k", LockMode::kExclusive).ok());
   auto preparer = [](Participant* p, TxnId txn) -> Task<void> {
-    std::vector<WriteIntent> writes;
+    WriteIntents writes;
     writes.push_back(WriteIntent("k", "prepared value"));
     EXPECT_TRUE((co_await p->Prepare(txn, std::move(writes))).ok());
   };
@@ -101,7 +101,7 @@ TEST_F(LockLeaseTest, ExemptionEndsWithCommit) {
   TxnId txn = MakeTxn(100);
   ASSERT_TRUE(AcquireNow(txn, "k", LockMode::kExclusive).ok());
   auto prepare_and_commit = [](Participant* p, TxnId txn) -> Task<void> {
-    std::vector<WriteIntent> writes;
+    WriteIntents writes;
     writes.push_back(WriteIntent("k", "v"));
     EXPECT_TRUE((co_await p->Prepare(txn, std::move(writes))).ok());
     EXPECT_TRUE((co_await p->Commit(txn)).ok());

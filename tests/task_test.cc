@@ -1,4 +1,4 @@
-// Coroutine machinery tests: Task, Future/Promise, Sleep, Spawn, JoinAll,
+// Coroutine machinery tests: Task, Future/Promise, Sleep, Spawn,
 // JoinUntil. These pin down the exact semantics the protocol code relies on
 // (lazy start, symmetric completion, first-set-wins futures, deterministic
 // resumption through the event queue).
@@ -253,7 +253,7 @@ TEST(FutureTest, IsSetReflectsState) {
   EXPECT_TRUE(promise.IsSet());
 }
 
-TEST(JoinAllTest, CollectsAllResults) {
+TEST(JoinUntilTest, NeverEnoughCollectsAllResults) {
   Simulator sim(1);
   auto delayed = [](Simulator* sim, int value, int ms) -> Task<int> {
     co_await sim->Sleep(Duration::Millis(ms));
@@ -264,26 +264,28 @@ TEST(JoinAllTest, CollectsAllResults) {
   tasks.push_back(delayed(&sim, 2, 10));
   tasks.push_back(delayed(&sim, 3, 20));
   std::vector<int> out;
-  auto runner = [](Simulator* sim, std::vector<Task<int>> tasks,
+  auto runner = [](Simulator* sim, std::vector<Task<int>>* tasks,
                    std::vector<int>* out) -> Task<void> {
-    *out = co_await JoinAll<int>(sim, std::move(tasks));
+    co_await JoinUntil<int>(sim, *tasks, *out, NeverEnough());
   };
-  Spawn(runner(&sim, std::move(tasks), &out));
+  Spawn(runner(&sim, &tasks, &out));
   sim.Run();
   EXPECT_EQ(out, (std::vector<int>{2, 3, 1}));  // completion order
+  EXPECT_TRUE(tasks.empty());
 }
 
-TEST(JoinAllTest, EmptyInputCompletesImmediately) {
+TEST(JoinUntilTest, EmptyInputCompletesImmediately) {
   Simulator sim(1);
   bool done = false;
   auto runner = [](Simulator* sim, bool* done) -> Task<void> {
-    std::vector<int> r = co_await JoinAll<int>(sim, {});
+    std::vector<Task<int>> tasks;
+    std::vector<int> r = {1};
+    co_await JoinUntil<int>(sim, tasks, r, NeverEnough());
     EXPECT_TRUE(r.empty());
     *done = true;
   };
   Spawn(runner(&sim, &done));
-  sim.Run();
-  EXPECT_TRUE(done);
+  EXPECT_TRUE(done);  // no simulator event needed
 }
 
 TEST(JoinUntilTest, ReturnsWhenPredicateSatisfied) {

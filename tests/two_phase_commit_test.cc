@@ -13,6 +13,16 @@
 namespace wvote {
 namespace {
 
+// The coordinator's writer list for per-host intents, in ascending host
+// order.
+std::vector<WriterIntents> Writers(std::map<HostId, WriteIntents> writes) {
+  std::vector<WriterIntents> writers;
+  for (auto& [host, intents] : writes) {
+    writers.push_back(WriterIntents{host, std::move(intents)});
+  }
+  return writers;
+}
+
 struct Node {
   Host* host = nullptr;
   std::unique_ptr<RpcEndpoint> rpc;
@@ -25,14 +35,7 @@ class TwoPhaseCommitTest : public ::testing::Test {
   TwoPhaseCommitTest() : sim_(1), net_(&sim_) {
     net_.SetDefaultLink(LatencyModel::Fixed(Duration::Millis(5)));
     for (int i = 0; i < 3; ++i) {
-      auto node = std::make_unique<Node>();
-      node->host = net_.AddHost("p" + std::to_string(i));
-      node->rpc = std::make_unique<RpcEndpoint>(&net_, node->host);
-      node->store = std::make_unique<StableStore>(&sim_, node->host,
-                                                  LatencyModel::Fixed(Duration::Millis(2)),
-                                                  LatencyModel::Fixed(Duration::Millis(1)));
-      node->participant = std::make_unique<Participant>(node->rpc.get(), node->store.get());
-      nodes_.push_back(std::move(node));
+      AddNode("p" + std::to_string(i), Duration::Millis(2));
     }
     client_host_ = net_.AddHost("client");
     client_rpc_ = std::make_unique<RpcEndpoint>(&net_, client_host_);
@@ -46,6 +49,20 @@ class TwoPhaseCommitTest : public ::testing::Test {
     copts.sync_phase2 = true;
     coordinator_ =
         std::make_unique<Coordinator>(client_rpc_.get(), client_store_.get(), copts);
+  }
+
+  // Adds a participant whose disk writes take `disk_write`; returns its
+  // index.
+  int AddNode(const std::string& name, Duration disk_write) {
+    auto node = std::make_unique<Node>();
+    node->host = net_.AddHost(name);
+    node->rpc = std::make_unique<RpcEndpoint>(&net_, node->host);
+    node->store = std::make_unique<StableStore>(&sim_, node->host,
+                                                LatencyModel::Fixed(disk_write),
+                                                LatencyModel::Fixed(Duration::Millis(1)));
+    node->participant = std::make_unique<Participant>(node->rpc.get(), node->store.get());
+    nodes_.push_back(std::move(node));
+    return static_cast<int>(nodes_.size()) - 1;
   }
 
   // Locks `key` exclusively at participant `i` on behalf of txn.
@@ -63,16 +80,26 @@ class TwoPhaseCommitTest : public ::testing::Test {
     return out->has_value() ? **out : InternalError("lock still pending");
   }
 
-  Status Commit2PC(TxnId txn, std::map<HostId, std::vector<WriteIntent>> writes,
-                   std::vector<HostId> read_only = {}) {
+  // Spawns a commit without running the simulator; its outcome lands in
+  // the returned slot.
+  std::shared_ptr<std::optional<Status>> SpawnCommit(
+      TxnId txn, std::map<HostId, WriteIntents> writes,
+      std::vector<HostId> read_only = {}) {
     auto out = std::make_shared<std::optional<Status>>();
     auto runner = [](Coordinator* coord, TxnId txn,
-                     std::map<HostId, std::vector<WriteIntent>> writes,
+                     std::map<HostId, WriteIntents> writes,
                      std::vector<HostId> ro,
                      std::shared_ptr<std::optional<Status>> out) -> Task<void> {
-      *out = co_await coord->CommitTransaction(txn, std::move(writes), std::move(ro));
+      std::vector<WriterIntents> writers = Writers(std::move(writes));
+      *out = co_await coord->CommitTransaction(txn, writers, ro);
     };
     Spawn(runner(coordinator_.get(), txn, std::move(writes), std::move(read_only), out));
+    return out;
+  }
+
+  Status Commit2PC(TxnId txn, std::map<HostId, WriteIntents> writes,
+                   std::vector<HostId> read_only = {}) {
+    auto out = SpawnCommit(txn, std::move(writes), std::move(read_only));
     sim_.RunFor(Duration::Seconds(60));
     return out->has_value() ? **out : InternalError("commit still pending");
   }
@@ -99,7 +126,7 @@ TEST_F(TwoPhaseCommitTest, CommitInstallsAtEveryWriter) {
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
   ASSERT_TRUE(LockAt(1, txn, "x").ok());
 
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "committed-value")};
   writes[Hid(1)] = {WriteIntent("x", "committed-value")};
   ASSERT_TRUE(Commit2PC(txn, std::move(writes)).ok());
@@ -113,7 +140,7 @@ TEST_F(TwoPhaseCommitTest, CommitInstallsAtEveryWriter) {
 TEST_F(TwoPhaseCommitTest, CommitReleasesLocks) {
   TxnId txn = coordinator_->Begin();
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "v")};
   ASSERT_TRUE(Commit2PC(txn, std::move(writes)).ok());
   EXPECT_EQ(P(0).locks().num_locked_keys(), 0u);
@@ -122,7 +149,7 @@ TEST_F(TwoPhaseCommitTest, CommitReleasesLocks) {
 TEST_F(TwoPhaseCommitTest, PrepareWithoutLockVotesNo) {
   TxnId txn = coordinator_->Begin();
   // No lock acquired at participant 0: its Prepare must refuse.
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "v")};
   Status st = Commit2PC(txn, std::move(writes));
   EXPECT_EQ(st.code(), StatusCode::kAborted);
@@ -133,7 +160,7 @@ TEST_F(TwoPhaseCommitTest, PrepareWithoutLockVotesNo) {
 TEST_F(TwoPhaseCommitTest, OneNoVoteAbortsEverywhere) {
   TxnId txn = coordinator_->Begin();
   ASSERT_TRUE(LockAt(0, txn, "x").ok());  // participant 1 not locked
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "v")};
   writes[Hid(1)] = {WriteIntent("x", "v")};
   Status st = Commit2PC(txn, std::move(writes));
@@ -158,7 +185,7 @@ TEST_F(TwoPhaseCommitTest, DownParticipantAbortsCommit) {
   TxnId txn = coordinator_->Begin();
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
   nodes_[0]->host->Crash();
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "v")};
   Status st = Commit2PC(txn, std::move(writes));
   EXPECT_EQ(st.code(), StatusCode::kAborted);
@@ -176,13 +203,14 @@ TEST_F(TwoPhaseCommitTest, ParticipantCrashAfterPrepareRecoversToCommit) {
   // 5ms-away commit message arrives).
   sim_.Schedule(Duration::Millis(9), [this] { nodes_[0]->host->Crash(); });
 
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "recovered")};
   auto out = std::make_shared<std::optional<Status>>();
   auto runner = [](Coordinator* coord, TxnId txn,
-                   std::map<HostId, std::vector<WriteIntent>> writes,
+                   std::map<HostId, WriteIntents> writes,
                    std::shared_ptr<std::optional<Status>> out) -> Task<void> {
-    *out = co_await coord->CommitTransaction(txn, std::move(writes), {});
+    std::vector<WriterIntents> writers = Writers(std::move(writes));
+    *out = co_await coord->CommitTransaction(txn, writers, {});
   };
   Spawn(runner(coordinator_.get(), txn, std::move(writes), out));
   sim_.RunFor(Duration::Seconds(2));
@@ -202,7 +230,7 @@ TEST_F(TwoPhaseCommitTest, PresumedAbortWhenCoordinatorNeverDecided) {
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
 
   auto preparer = [](Participant* p, TxnId txn) -> Task<void> {
-    std::vector<WriteIntent> writes;
+    WriteIntents writes;
     writes.push_back(WriteIntent("x", "should-not-survive"));
     EXPECT_TRUE((co_await p->Prepare(txn, std::move(writes))).ok());
   };
@@ -221,7 +249,7 @@ TEST_F(TwoPhaseCommitTest, PresumedAbortWhenCoordinatorNeverDecided) {
 TEST_F(TwoPhaseCommitTest, CommitIsIdempotent) {
   TxnId txn = coordinator_->Begin();
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "once")};
   ASSERT_TRUE(Commit2PC(txn, std::move(writes)).ok());
 
@@ -245,7 +273,7 @@ TEST_F(TwoPhaseCommitTest, ConcurrentDuplicateCommitAppliesOnlyOnce) {
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
 
   auto send = [](RpcEndpoint* rpc, HostId to, TxnId txn,
-                 std::vector<WriteIntent> writes) -> Task<void> {
+                 WriteIntents writes) -> Task<void> {
     if (!writes.empty()) {
       Result<Ack> p = co_await rpc->Call<PrepareReq, Ack>(
           to, PrepareReq(txn, std::move(writes)), Duration::Seconds(5));
@@ -276,7 +304,7 @@ TEST_F(TwoPhaseCommitTest, CrashDuringApplyReappliesOnRecovery) {
   // committed record survives and recovery finishes the apply.
   TxnId txn = coordinator_->Begin();
   ASSERT_TRUE(LockAt(0, txn, "big").ok());
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("big", std::string(1000, 'z'))};
 
   // Timeline: lock done by ~10ms (RunFor in LockAt). Prepare: 5ms hop + 2ms
@@ -284,9 +312,10 @@ TEST_F(TwoPhaseCommitTest, CrashDuringApplyReappliesOnRecovery) {
   // Crash in the middle of the apply window.
   auto out = std::make_shared<std::optional<Status>>();
   auto runner = [](Coordinator* coord, TxnId txn,
-                   std::map<HostId, std::vector<WriteIntent>> writes,
+                   std::map<HostId, WriteIntents> writes,
                    std::shared_ptr<std::optional<Status>> out) -> Task<void> {
-    *out = co_await coord->CommitTransaction(txn, std::move(writes), {});
+    std::vector<WriterIntents> writers = Writers(std::move(writes));
+    *out = co_await coord->CommitTransaction(txn, writers, {});
   };
   Spawn(runner(coordinator_.get(), txn, std::move(writes), out));
   sim_.Schedule(Duration::Millis(20), [this] { nodes_[0]->host->Crash(); });
@@ -300,7 +329,7 @@ TEST_F(TwoPhaseCommitTest, CrashDuringApplyReappliesOnRecovery) {
 TEST_F(TwoPhaseCommitTest, DecisionInquiryAnswersFromDurableLog) {
   TxnId txn = coordinator_->Begin();
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "v")};
   ASSERT_TRUE(Commit2PC(txn, std::move(writes)).ok());
 
@@ -332,13 +361,14 @@ TEST_F(TwoPhaseCommitTest, CoordinatorCrashBeforeDecisionAbortsViaPresumption) {
   TxnId txn = coordinator_->Begin();
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
 
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "never")};
   auto out = std::make_shared<std::optional<Status>>();
   auto runner = [](Coordinator* coord, TxnId txn,
-                   std::map<HostId, std::vector<WriteIntent>> writes,
+                   std::map<HostId, WriteIntents> writes,
                    std::shared_ptr<std::optional<Status>> out) -> Task<void> {
-    *out = co_await coord->CommitTransaction(txn, std::move(writes), {});
+    std::vector<WriterIntents> writers = Writers(std::move(writes));
+    *out = co_await coord->CommitTransaction(txn, writers, {});
   };
   Spawn(runner(coordinator_.get(), txn, std::move(writes), out));
   // Prepare lands at ~12ms (5ms hop + 2ms log + 5ms back). Crash the
@@ -364,13 +394,14 @@ TEST_F(TwoPhaseCommitTest, CoordinatorCrashAfterDecisionCommitsViaInquiry) {
   TxnId txn = coordinator_->Begin();
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
 
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("x", "decided")};
   auto out = std::make_shared<std::optional<Status>>();
   auto runner = [](Coordinator* coord, TxnId txn,
-                   std::map<HostId, std::vector<WriteIntent>> writes,
+                   std::map<HostId, WriteIntents> writes,
                    std::shared_ptr<std::optional<Status>> out) -> Task<void> {
-    *out = co_await coord->CommitTransaction(txn, std::move(writes), {});
+    std::vector<WriterIntents> writers = Writers(std::move(writes));
+    *out = co_await coord->CommitTransaction(txn, writers, {});
   };
   Spawn(runner(coordinator_.get(), txn, std::move(writes), out));
   // Decision write finishes ~14ms; the commit message to the participant is
@@ -395,7 +426,7 @@ TEST_F(TwoPhaseCommitTest, InDoubtParticipantBlocksConflictingAccessUntilResolve
   TxnId txn = coordinator_->Begin();
   ASSERT_TRUE(LockAt(0, txn, "x").ok());
   auto preparer = [](Participant* p, TxnId txn) -> Task<void> {
-    std::vector<WriteIntent> writes;
+    WriteIntents writes;
     writes.push_back(WriteIntent("x", "in doubt"));
     EXPECT_TRUE((co_await p->Prepare(txn, std::move(writes))).ok());
   };
@@ -422,11 +453,99 @@ TEST_F(TwoPhaseCommitTest, MultiKeyAtomicity) {
   TxnId txn = coordinator_->Begin();
   ASSERT_TRUE(LockAt(0, txn, "a").ok());
   ASSERT_TRUE(LockAt(0, txn, "b").ok());
-  std::map<HostId, std::vector<WriteIntent>> writes;
+  std::map<HostId, WriteIntents> writes;
   writes[Hid(0)] = {WriteIntent("a", "1"), WriteIntent("b", "2")};
   ASSERT_TRUE(Commit2PC(txn, std::move(writes)).ok());
   EXPECT_EQ(CommittedAt(0, "a"), "1");
   EXPECT_EQ(CommittedAt(0, "b"), "2");
+}
+
+// The coordinator recycles its fan-out scratch, so concurrent fan-outs must
+// never share one: A and C prepare at a participant with a slow disk at the
+// same time, while B's prepare fails and its abort fan-out runs. Each gets
+// exactly its own votes and outcome, and every scratch returns to the free
+// list once its fan-out ends.
+TEST_F(TwoPhaseCommitTest, ConcurrentFanOutsKeepTheirOwnVotes) {
+  const int slow = AddNode("slow", Duration::Millis(200));
+  const TxnId a = coordinator_->Begin();
+  const TxnId b = coordinator_->Begin();
+  const TxnId c = coordinator_->Begin();
+  ASSERT_TRUE(LockAt(0, a, "x").ok());
+  ASSERT_TRUE(LockAt(slow, a, "x").ok());
+  ASSERT_TRUE(LockAt(1, b, "y").ok());  // none at p2: its prepare there votes no
+  ASSERT_TRUE(LockAt(1, c, "z").ok());
+  ASSERT_TRUE(LockAt(slow, c, "z").ok());
+  EXPECT_EQ(coordinator_->idle_fanouts(), 0u);
+
+  std::map<HostId, WriteIntents> writes_a;
+  writes_a[Hid(0)] = {WriteIntent("x", "from-a")};
+  writes_a[Hid(slow)] = {WriteIntent("x", "from-a")};
+  std::map<HostId, WriteIntents> writes_b;
+  writes_b[Hid(1)] = {WriteIntent("y", "from-b")};
+  writes_b[Hid(2)] = {WriteIntent("y", "from-b")};
+  std::map<HostId, WriteIntents> writes_c;
+  writes_c[Hid(1)] = {WriteIntent("z", "from-c")};
+  writes_c[Hid(slow)] = {WriteIntent("z", "from-c")};
+  auto out_a = SpawnCommit(a, std::move(writes_a));
+  auto out_b = SpawnCommit(b, std::move(writes_b));
+  auto out_c = SpawnCommit(c, std::move(writes_c));
+
+  // B's no-vote and abort fan-out finish while A and C still wait on the
+  // slow disk; B handed back its prepare and its abort scratch.
+  sim_.RunFor(Duration::Millis(100));
+  ASSERT_TRUE(out_b->has_value());
+  EXPECT_EQ((*out_b)->code(), StatusCode::kAborted);
+  EXPECT_NE((*out_b)->ToString().find("prepare without exclusive lock on y"),
+            std::string::npos)
+      << (*out_b)->ToString();
+  EXPECT_FALSE(out_a->has_value());
+  EXPECT_FALSE(out_c->has_value());
+  EXPECT_EQ(coordinator_->idle_fanouts(), 2u);
+
+  sim_.RunFor(Duration::Seconds(60));
+  ASSERT_TRUE(out_a->has_value());
+  ASSERT_TRUE(out_c->has_value());
+  EXPECT_TRUE((*out_a)->ok()) << (*out_a)->ToString();
+  EXPECT_TRUE((*out_c)->ok()) << (*out_c)->ToString();
+  EXPECT_EQ(CommittedAt(0, "x"), "from-a");
+  EXPECT_EQ(CommittedAt(slow, "x"), "from-a");
+  EXPECT_EQ(CommittedAt(1, "z"), "from-c");
+  EXPECT_EQ(CommittedAt(slow, "z"), "from-c");
+  EXPECT_EQ(CommittedAt(1, "y"), "<NOT_FOUND>");
+  EXPECT_EQ(CommittedAt(2, "y"), "<NOT_FOUND>");
+  for (int i : {0, 1, 2, slow}) {
+    EXPECT_EQ(P(i).locks().num_locked_keys(), 0u) << "participant " << i;
+  }
+  EXPECT_EQ(coordinator_->stats().committed, 2u);
+  EXPECT_EQ(coordinator_->stats().aborted, 1u);
+  // Four scratches served five fan-outs, and all are back.
+  EXPECT_EQ(coordinator_->idle_fanouts(), 4u);
+}
+
+// A commit frame destroyed mid-fan-out frees its scratch instead of handing
+// it back: the join's stragglers may still hold it.
+TEST_F(TwoPhaseCommitTest, DestroyedCommitFrameDoesNotRecycleItsScratch) {
+  const int slow = AddNode("slow", Duration::Millis(200));
+  const TxnId first = coordinator_->Begin();
+  ASSERT_TRUE(LockAt(0, first, "x").ok());
+  std::map<HostId, WriteIntents> writes;
+  writes[Hid(0)] = {WriteIntent("x", "1")};
+  ASSERT_TRUE(Commit2PC(first, std::move(writes)).ok());
+  EXPECT_EQ(coordinator_->idle_fanouts(), 1u);
+
+  const TxnId txn = coordinator_->Begin();
+  ASSERT_TRUE(LockAt(slow, txn, "x").ok());
+  std::vector<WriterIntents> writers;
+  writers.push_back(WriterIntents{Hid(slow), {WriteIntent("x", "2")}});
+  Task<Status> commit = coordinator_->CommitTransaction(txn, writers, {});
+  auto start = [](Task<Status>* commit) -> Task<void> { (void)co_await std::move(*commit); };
+  Spawn(start(&commit));
+  sim_.RunFor(Duration::Millis(50));  // the prepare waits on the slow disk
+  EXPECT_EQ(coordinator_->idle_fanouts(), 0u);
+  commit = Task<Status>();  // destroys the frame mid-fan-out
+  EXPECT_EQ(coordinator_->idle_fanouts(), 0u);
+  // The prepare's straggler still points into the freed scratch, so the
+  // simulator does not run again; teardown destroys its parked events.
 }
 
 }  // namespace

@@ -277,12 +277,7 @@ ChaosRunOutcome RunChaosWithSchedule(const ChaosRunSpec& spec,
         have_ops ? std::vector<uint64_t>{outcome.history.back().id}
                  : std::vector<uint64_t>{}});
   }
-  // Artifacts are byte-replayable records of the simulation; drop the
-  // wall-clock throughput gauge (how fast *this machine* ran the event
-  // loop), which would make two identical runs dump different bytes.
-  MetricsSnapshot metrics_snapshot = cluster.metrics().Snapshot();
-  metrics_snapshot.gauges.erase("sim.events_per_sec");
-  outcome.metrics_json = metrics_snapshot.ToJson();
+  outcome.metrics_json = cluster.metrics().ExportJson();
   if (spec.collect_trace) {
     bool first = true;
     cluster.tracer().AppendChromeEvents(&outcome.chrome_trace, &first, 0, "chaos");
@@ -379,20 +374,7 @@ Result<ChaosReplayFile> ParseArtifact(const std::string& text) {
       break;  // report sections; not needed for replay
     }
     if (line.rfind("spec ", 0) == 0) {
-      std::map<std::string, std::string> kv;
-      size_t p = 5;
-      while (p < line.size()) {
-        size_t sp = line.find(' ', p);
-        if (sp == std::string::npos) {
-          sp = line.size();
-        }
-        const std::string token = line.substr(p, sp - p);
-        const size_t eq = token.find('=');
-        if (eq != std::string::npos) {
-          kv[token.substr(0, eq)] = token.substr(eq + 1);
-        }
-        p = sp + 1;
-      }
+      std::map<std::string, std::string> kv = TokenizeLine(line);
       for (const char* required :
            {"seed", "template", "suite", "votes", "r", "w", "unsafe", "clients", "ops",
             "write_fraction", "horizon_us"}) {

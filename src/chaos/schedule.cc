@@ -94,25 +94,6 @@ Result<FaultAction> FaultActionFromName(const std::string& name) {
   return InvalidArgumentError("unknown fault action '" + name + "'");
 }
 
-// Splits `line` on single spaces into key=value tokens.
-std::map<std::string, std::string> TokenizeLine(const std::string& line) {
-  std::map<std::string, std::string> out;
-  size_t pos = 0;
-  while (pos < line.size()) {
-    size_t end = line.find(' ', pos);
-    if (end == std::string::npos) {
-      end = line.size();
-    }
-    const std::string token = line.substr(pos, end - pos);
-    const size_t eq = token.find('=');
-    if (eq != std::string::npos) {
-      out[token.substr(0, eq)] = token.substr(eq + 1);
-    }
-    pos = end + 1;
-  }
-  return out;
-}
-
 // Deterministic per-template stream: same (template, seed) -> same schedule.
 uint64_t MixSeed(const std::string& template_name, uint64_t seed) {
   uint64_t h = 1469598103934665603ull ^ seed;
@@ -364,6 +345,24 @@ FaultSchedule GrayMixed(Rng& rng, const ScheduleTemplateParams& p) {
 }
 
 }  // namespace
+
+std::map<std::string, std::string> TokenizeLine(const std::string& line) {
+  std::map<std::string, std::string> out;
+  size_t pos = 0;
+  while (pos < line.size()) {
+    size_t end = line.find(' ', pos);
+    if (end == std::string::npos) {
+      end = line.size();
+    }
+    const std::string token = line.substr(pos, end - pos);
+    const size_t eq = token.find('=');
+    if (eq != std::string::npos) {
+      out[token.substr(0, eq)] = token.substr(eq + 1);
+    }
+    pos = end + 1;
+  }
+  return out;
+}
 
 const char* FaultActionName(FaultAction action) {
   switch (action) {

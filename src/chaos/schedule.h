@@ -32,6 +32,7 @@
 #define WVOTE_SRC_CHAOS_SCHEDULE_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,10 @@ struct ScheduleTemplateParams {
   // standing excuse.
   Duration horizon = Duration::Seconds(8);
 };
+
+// Splits `line` on single spaces into key=value tokens; a token without '='
+// is skipped. The text forms of schedules and chaos artifacts share it.
+std::map<std::string, std::string> TokenizeLine(const std::string& line);
 
 // Names of the built-in templates, in sweep order.
 std::vector<std::string> ScheduleTemplateNames();

@@ -92,12 +92,9 @@ Task<Result<VersionedValue>> SuiteTransaction::ReadVersioned() {
   if (!contents.ok()) {
     co_return contents.status();
   }
-  if (state->pending_write) {
-    // Version of a buffered write is assigned at commit; report the read
-    // version if we have one, else 0.
-    co_return VersionedValue{state->read_version, std::move(contents.value())};
-  }
-  WVOTE_CHECK(state->has_read);
+  // The version this transaction read (0 if it has not read): a buffered
+  // write, which the contents show, gets its version only at commit.
+  WVOTE_CHECK(state->has_read || state->pending_write);
   co_return VersionedValue{state->read_version, std::move(contents.value())};
 }
 
@@ -674,7 +671,7 @@ Task<Status> SuiteClient::DoCommit(States states) {
     // Serialize the versioned value exactly once per commit; every quorum
     // member's intent (and every message hop) shares the one buffer.
     const SharedPayload payload(
-        VersionedValue{state->gather.current + 1, *state->pending_write}.Serialize());
+        VersionedValue::Serialize(state->gather.current + 1, *state->pending_write));
     client->stats_.commit_bytes_serialized += payload.size();
     for (const ProbeReply& r : state->gather.replies) {
       IntentsAt(writes, r.candidate.host).push_back(WriteIntent(client->value_key_, payload));
@@ -784,10 +781,11 @@ Task<Result<std::string>> SuiteClient::RunOnce(const char* span_name,
     SuiteTransaction txn = Begin(root);
     Result<std::string> contents = std::string();
     if (write) {
-      last = txn.Write(*write);
-      if (last.ok()) {
-        last = co_await txn.Commit();
-      }
+      // The attempt borrows the value instead of copying it; a retry gets
+      // it back.
+      txn.state_->pending_write = std::move(write);
+      last = co_await txn.Commit();
+      write = std::move(txn.state_->pending_write);
     } else {
       contents = co_await txn.Read();
       if (contents.ok()) {
@@ -952,7 +950,7 @@ Task<Status> SuiteClient::TryReconfigure(SuiteConfig new_config, TxnId txn) {
   // Atomically install the new prefix and the (re-versioned) current value
   // at every target; both serialize once, every target shares the buffers.
   const SharedPayload prefix_bytes(new_config.Serialize());
-  const SharedPayload value_bytes(VersionedValue{next, contents}.Serialize());
+  const SharedPayload value_bytes(VersionedValue::Serialize(next, contents));
   stats_.commit_bytes_serialized += prefix_bytes.size() + value_bytes.size();
   for (HostId host : targets) {  // ascending, as CommitTransaction wants
     state->intents.push_back(

@@ -12,16 +12,6 @@ int SuiteConfig::TotalVotes() const {
   return total;
 }
 
-int SuiteConfig::NumVotingReps() const {
-  int n = 0;
-  for (const RepresentativeInfo& rep : representatives) {
-    if (!rep.weak()) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 Status SuiteConfig::Validate() const {
   if (suite_name.empty()) {
     return InvalidArgumentError("suite name empty");

@@ -46,7 +46,6 @@ struct SuiteConfig {
   bool allow_unsafe_quorums = false;
 
   int TotalVotes() const;
-  int NumVotingReps() const;
 
   // Checks the quorum-intersection invariants above.
   Status Validate() const;

@@ -4,7 +4,7 @@
 
 namespace wvote {
 
-std::string VersionedValue::Serialize() const {
+std::string VersionedValue::Serialize(Version version, std::string_view contents) {
   BufferWriter w;
   w.WriteU64(version);
   w.WriteString(contents);

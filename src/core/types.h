@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "src/common/status.h"
 
@@ -23,7 +24,10 @@ struct VersionedValue {
   VersionedValue() = default;
   VersionedValue(Version v, std::string c) : version(v), contents(std::move(c)) {}
 
-  std::string Serialize() const;
+  std::string Serialize() const { return Serialize(version, contents); }
+  // The bytes of VersionedValue{version, contents}.Serialize(), without
+  // first copying `contents` into a VersionedValue.
+  static std::string Serialize(Version version, std::string_view contents);
   // Takes the page over: the contents keep `bytes`'s buffer, with the
   // header dropped in place, instead of being copied out of it.
   static Result<VersionedValue> Parse(std::string bytes);

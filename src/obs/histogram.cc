@@ -106,38 +106,11 @@ void LatencyHistogram::Reset() {
   max_us_ = 0;
 }
 
-LatencyHistogram LatencyHistogram::DeltaSince(const LatencyHistogram& prev) const {
-  LatencyHistogram out;
-  if (prev.count_ > count_) {
-    // A reset happened between the snapshots; everything currently recorded
-    // belongs to the window.
-    out = *this;
-    return out;
-  }
-  WVOTE_CHECK(buckets_.size() == prev.buckets_.size());
-  bool any = false;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    WVOTE_DCHECK(buckets_[i] >= prev.buckets_[i]);
-    const uint64_t d = buckets_[i] - prev.buckets_[i];
-    out.buckets_[i] = d;
-    if (d > 0) {
-      if (!any) {
-        out.min_us_ = BucketLowerBound(i);
-        any = true;
-      }
-      out.max_us_ = BucketLowerBound(i);
-    }
-  }
-  out.count_ = count_ - prev.count_;
-  out.sum_us_ = sum_us_ - prev.sum_us_;
-  return out;
-}
-
 void LatencyHistogram::DeltaStatsSince(const LatencyHistogram& prev, uint64_t* count,
                                        int64_t* p50_us, int64_t* p99_us,
                                        int64_t* max_us) const {
-  // Same reset semantics as DeltaSince: prev ahead of us means the sources
-  // were reset, and everything currently recorded belongs to the window.
+  // prev ahead of us means the histogram was reset between the snapshots:
+  // everything currently recorded belongs to the window.
   const bool reset = prev.count_ > count_;
   const uint64_t n = reset ? count_ : count_ - prev.count_;
   *count = n;

@@ -33,19 +33,14 @@ class LatencyHistogram {
   void Reset();
   void MergeFrom(const LatencyHistogram& other);
 
-  // Windowed sketch: the samples recorded in `*this` since `prev` was a
-  // snapshot of the same monotone histogram (bucket-wise subtraction).
-  // Percentiles of the result are the window's percentiles at bucket
-  // resolution; min/max are bucket lower bounds (the exact extrema are not
-  // recoverable from bucket deltas). A `prev` with more samples than `*this`
-  // (the histogram was reset between snapshots) yields the full current
-  // contents, treating the reset as the window start.
-  LatencyHistogram DeltaSince(const LatencyHistogram& prev) const;
-
-  // DeltaSince's summary stats in one bucket scan with no allocation —
-  // count, p50/p99 bucket lower bounds, and max bucket lower bound of the
-  // window — for callers on a per-tick path (the time-series scraper) that
-  // would otherwise materialize and re-scan a whole histogram per window.
+  // Windowed sketch of the samples recorded in `*this` since `prev` was a
+  // snapshot of the same monotone histogram, by bucket-wise subtraction in
+  // one scan with no allocation: the window's count, its p50/p99 at bucket
+  // resolution and its max bucket, all as bucket lower bounds (the exact
+  // extrema are not recoverable from bucket deltas). A `prev` with more
+  // samples than `*this` (the histogram was reset between snapshots) yields
+  // the full current contents, treating the reset as the window start. The
+  // time-series scraper calls this once per histogram per window.
   void DeltaStatsSince(const LatencyHistogram& prev, uint64_t* count, int64_t* p50_us,
                        int64_t* p99_us, int64_t* max_us) const;
 

@@ -6,38 +6,6 @@
 namespace wvote {
 namespace {
 
-// Minimal JSON string escaping; metric keys are printable by construction
-// but label values come from host/suite names, so be safe.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 HistogramSnapshot SnapshotOf(const LatencyHistogram& h) {
   HistogramSnapshot out;
   out.count = h.count();
@@ -70,6 +38,40 @@ std::string RenderMetricKey(const std::string& name, const MetricLabels& labels)
   return key;
 }
 
+std::string_view MetricBaseName(std::string_view key) {
+  return key.substr(0, key.find('{'));
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 uint64_t MetricsSnapshot::counter(const std::string& key) const {
   auto it = counters.find(key);
   return it == counters.end() ? 0 : it->second;
@@ -83,9 +85,7 @@ double MetricsSnapshot::gauge(const std::string& key) const {
 uint64_t MetricsSnapshot::SumCounters(const std::string& name) const {
   uint64_t total = 0;
   for (const auto& [key, value] : counters) {
-    const size_t brace = key.find('{');
-    const std::string base = brace == std::string::npos ? key : key.substr(0, brace);
-    if (base == name) {
+    if (MetricBaseName(key) == name) {
       total += value;
     }
   }
@@ -176,46 +176,6 @@ std::string MetricsSnapshot::ToJson() const {
   return out;
 }
 
-uint64_t* MetricsRegistry::Counter(const std::string& name, const MetricLabels& labels) {
-  const std::string key = RenderMetricKey(name, labels);
-  auto it = owned_counter_index_.find(key);
-  if (it != owned_counter_index_.end()) {
-    return it->second;
-  }
-  owned_counters_.push_back(0);
-  uint64_t* slot = &owned_counters_.back();
-  owned_counter_index_[key] = slot;
-  counter_sources_.push_back({key, slot});
-  return slot;
-}
-
-double* MetricsRegistry::Gauge(const std::string& name, const MetricLabels& labels) {
-  const std::string key = RenderMetricKey(name, labels);
-  auto it = owned_gauge_index_.find(key);
-  if (it != owned_gauge_index_.end()) {
-    return it->second;
-  }
-  owned_gauges_.push_back(0.0);
-  double* slot = &owned_gauges_.back();
-  owned_gauge_index_[key] = slot;
-  gauge_sources_.push_back({key, [slot]() { return *slot; }});
-  return slot;
-}
-
-LatencyHistogram* MetricsRegistry::Histogram(const std::string& name,
-                                             const MetricLabels& labels) {
-  const std::string key = RenderMetricKey(name, labels);
-  auto it = owned_histogram_index_.find(key);
-  if (it != owned_histogram_index_.end()) {
-    return it->second;
-  }
-  owned_histograms_.emplace_back();
-  LatencyHistogram* slot = &owned_histograms_.back();
-  owned_histogram_index_[key] = slot;
-  histogram_sources_.push_back({key, slot});
-  return slot;
-}
-
 void MetricsRegistry::RegisterCounter(const std::string& name, const MetricLabels& labels,
                                       const uint64_t* source) {
   counter_sources_.push_back({RenderMetricKey(name, labels), source});
@@ -236,15 +196,6 @@ void MetricsRegistry::AddResetHook(std::function<void()> hook) {
 }
 
 void MetricsRegistry::Reset() {
-  for (uint64_t& c : owned_counters_) {
-    c = 0;
-  }
-  for (double& g : owned_gauges_) {
-    g = 0.0;
-  }
-  for (LatencyHistogram& h : owned_histograms_) {
-    h.Reset();
-  }
   for (const auto& hook : reset_hooks_) {
     hook();
   }

@@ -20,15 +20,18 @@
 // outlive its registry entry. Metrics that render to the same key aggregate
 // by summation (histograms merge) — deliberately, so several instances of
 // one component (e.g. two clients on one host) roll up instead of clashing.
+// The registry owns no metric storage of its own, and every registered
+// value is a function of the simulation alone (nothing reads the wall
+// clock), so two runs of one seed snapshot the same bytes.
 
 #ifndef WVOTE_SRC_OBS_METRICS_H_
 #define WVOTE_SRC_OBS_METRICS_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/obs/histogram.h"
@@ -40,6 +43,14 @@ using MetricLabels = std::map<std::string, std::string>;
 // "name{k1=v1,k2=v2}"; bare "name" when labels are empty. Labels render in
 // sorted key order, so equal label sets always produce equal keys.
 std::string RenderMetricKey(const std::string& name, const MetricLabels& labels);
+
+// The metric name of a rendered key: the part before '{'.
+std::string_view MetricBaseName(std::string_view key);
+
+// `s` escaped for the inside of a JSON string literal: '"', '\\', '\n' and
+// '\t' get their short escapes, other control characters \u00XX. Every
+// JSON export (metrics, time series, flight records, Chrome traces) uses it.
+std::string JsonEscape(std::string_view s);
 
 struct HistogramSnapshot {
   uint64_t count = 0;
@@ -83,16 +94,10 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Owned metrics: get-or-create by rendered key. The returned pointer is
-  // stable for the registry's lifetime; instrumented code writes it
-  // directly (one inc / one store — no lookup on the hot path).
-  uint64_t* Counter(const std::string& name, const MetricLabels& labels = {});
-  double* Gauge(const std::string& name, const MetricLabels& labels = {});
-  LatencyHistogram* Histogram(const std::string& name, const MetricLabels& labels = {});
-
-  // External sources, read at Snapshot() time. The source must outlive this
-  // registry entry (components register members of themselves and are torn
-  // down before — or with — the registry that observes them).
+  // Sources, read at Snapshot() time. The source must outlive this registry
+  // entry (components register members of themselves and are torn down
+  // before — or with — the registry that observes them); instrumented code
+  // writes its own member directly (no lookup on the hot path).
   void RegisterCounter(const std::string& name, const MetricLabels& labels,
                        const uint64_t* source);
   void RegisterGauge(const std::string& name, const MetricLabels& labels,
@@ -100,9 +105,8 @@ class MetricsRegistry {
   void RegisterHistogram(const std::string& name, const MetricLabels& labels,
                          const LatencyHistogram* source);
 
-  // Reset() zeroes owned metrics and then runs every hook, so externally
-  // owned stats structs join the shared reset path (each struct's
-  // RegisterWith adds a hook that calls its Reset()).
+  // Reset() runs every hook, so the components' stats structs share one
+  // reset path (each component adds a hook that zeroes what it registered).
   void AddResetHook(std::function<void()> hook);
   void Reset();
 
@@ -113,8 +117,8 @@ class MetricsRegistry {
   // repeated (callers aggregate). The time-series Scraper builds its flat
   // sampling plan through these instead of paying Snapshot()'s map and
   // string construction on every sim-time tick. The visited pointers stay
-  // valid until sources are registered or owned metrics created — callers
-  // that cache them must rebuild when num_metrics() changes.
+  // valid until more sources are registered — callers that cache them must
+  // rebuild when num_metrics() changes.
   void VisitCounterSources(
       const std::function<void(const std::string&, const uint64_t*)>& fn) const;
   void VisitGaugeSources(
@@ -140,14 +144,6 @@ class MetricsRegistry {
     std::string key;
     const LatencyHistogram* source;
   };
-
-  // Owned storage lives in deques for address stability under growth.
-  std::deque<uint64_t> owned_counters_;
-  std::deque<double> owned_gauges_;
-  std::deque<LatencyHistogram> owned_histograms_;
-  std::map<std::string, uint64_t*> owned_counter_index_;
-  std::map<std::string, double*> owned_gauge_index_;
-  std::map<std::string, LatencyHistogram*> owned_histogram_index_;
 
   std::vector<CounterSource> counter_sources_;
   std::vector<GaugeSource> gauge_sources_;

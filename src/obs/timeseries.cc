@@ -8,41 +8,6 @@
 namespace wvote {
 namespace {
 
-std::string BaseName(const std::string& key) {
-  const size_t brace = key.find('{');
-  return brace == std::string::npos ? key : key.substr(0, brace);
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void AppendDouble(std::string* out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -137,52 +102,43 @@ std::vector<HistPoint> TimeSeriesStore::HistTail(const std::string& key, size_t 
   return out;
 }
 
-std::vector<double> TimeSeriesStore::SumTail(const std::string& name, size_t last_n) const {
+std::vector<double> TimeSeriesStore::FoldTail(const std::string& name, size_t last_n,
+                                              double (*combine)(double, double)) const {
   std::vector<double> out;
   for (const auto& [key, series] : series_) {
-    if (series->kind == SeriesKind::kHistogram || BaseName(key) != name) {
+    if (series->kind == SeriesKind::kHistogram || MetricBaseName(key) != name) {
       continue;
     }
-    std::vector<double> tail = Tail(key, last_n);
+    const std::vector<double> tail = Tail(key, last_n);
     if (tail.size() > out.size()) {
       // Grow at the front: older windows the previous series never saw.
       out.insert(out.begin(), tail.size() - out.size(), 0.0);
     }
-    // Tail-aligned add: both vectors end at the latest window.
+    // Tail-aligned: both vectors end at the latest window.
     const size_t off = out.size() - tail.size();
     for (size_t i = 0; i < tail.size(); ++i) {
-      out[off + i] += tail[i];
+      out[off + i] = combine(out[off + i], tail[i]);
     }
   }
   return out;
 }
 
+std::vector<double> TimeSeriesStore::SumTail(const std::string& name, size_t last_n) const {
+  return FoldTail(name, last_n, [](double acc, double v) { return acc + v; });
+}
+
 std::vector<double> TimeSeriesStore::MaxTail(const std::string& name, size_t last_n) const {
-  std::vector<double> out;
-  for (const auto& [key, series] : series_) {
-    if (series->kind == SeriesKind::kHistogram || BaseName(key) != name) {
-      continue;
-    }
-    std::vector<double> tail = Tail(key, last_n);
-    if (tail.size() > out.size()) {
-      out.insert(out.begin(), tail.size() - out.size(), 0.0);
-    }
-    const size_t off = out.size() - tail.size();
-    for (size_t i = 0; i < tail.size(); ++i) {
-      out[off + i] = std::max(out[off + i], tail[i]);
-    }
-  }
-  return out;
+  return FoldTail(name, last_n, [](double acc, double v) { return std::max(acc, v); });
 }
 
 std::vector<HistPoint> TimeSeriesStore::SumHistTail(const std::string& name,
                                                     size_t last_n) const {
   std::vector<HistPoint> out;
   for (const auto& [key, series] : series_) {
-    if (series->kind != SeriesKind::kHistogram || BaseName(key) != name) {
+    if (series->kind != SeriesKind::kHistogram || MetricBaseName(key) != name) {
       continue;
     }
-    std::vector<HistPoint> tail = HistTail(key, last_n);
+    const std::vector<HistPoint> tail = HistTail(key, last_n);
     if (tail.size() > out.size()) {
       out.insert(out.begin(), tail.size() - out.size(), HistPoint{});
     }
@@ -297,16 +253,6 @@ Scraper::Scraper(const MetricsRegistry* registry, ScraperOptions options)
   store_.set_resolution_us(options_.resolution.ToMicros());
 }
 
-bool Scraper::Excluded(const std::string& key) const {
-  const std::string base = BaseName(key);
-  for (const std::string& name : options_.exclude) {
-    if (base == name) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void Scraper::RebuildPlan() {
   // Carry per-series scrape state across the rebuild so counter deltas and
   // histogram windows don't spike when the registry grows mid-run.
@@ -324,9 +270,6 @@ void Scraper::RebuildPlan() {
 
   std::map<std::string, size_t> counter_index;
   registry_->VisitCounterSources([&](const std::string& key, const uint64_t* src) {
-    if (Excluded(key)) {
-      return;
-    }
     auto it = counter_index.find(key);
     if (it == counter_index.end()) {
       CounterPlan plan;
@@ -345,9 +288,6 @@ void Scraper::RebuildPlan() {
   std::map<std::string, size_t> gauge_index;
   registry_->VisitGaugeSources(
       [&](const std::string& key, const std::function<double()>* src) {
-        if (Excluded(key)) {
-          return;
-        }
         auto it = gauge_index.find(key);
         if (it == gauge_index.end()) {
           GaugePlan plan;
@@ -361,9 +301,6 @@ void Scraper::RebuildPlan() {
 
   std::map<std::string, size_t> hist_index;
   registry_->VisitHistogramSources([&](const std::string& key, const LatencyHistogram* src) {
-    if (Excluded(key)) {
-      return;
-    }
     auto it = hist_index.find(key);
     if (it == hist_index.end()) {
       HistogramPlan plan;

@@ -43,7 +43,7 @@ enum class SeriesKind {
 const char* SeriesKindName(SeriesKind kind);
 
 // One histogram window: the samples recorded during that window only.
-// Percentiles are bucket lower bounds (see LatencyHistogram::DeltaSince).
+// Percentiles are bucket lower bounds (see LatencyHistogram::DeltaStatsSince).
 struct HistPoint {
   uint64_t count = 0;
   int64_t p50_us = 0;
@@ -113,6 +113,12 @@ class TimeSeriesStore {
   std::string ExportJson(size_t last_n) const;
 
  private:
+  // SumTail and MaxTail: folds every value series named `name` into one
+  // tail-aligned vector with `acc = combine(acc, point)`, each window
+  // starting from 0.
+  std::vector<double> FoldTail(const std::string& name, size_t last_n,
+                               double (*combine)(double, double)) const;
+
   size_t capacity_;
   int64_t resolution_us_ = 0;
   uint64_t windows_ = 0;
@@ -132,9 +138,6 @@ struct ScraperOptions {
   // staying far below 1% of bench wall time (see bench_trace_overhead).
   Duration resolution = Duration::Millis(10);
   size_t window_capacity = 512;
-  // Metric names (before '{') never sampled. sim.events_per_sec reads the
-  // wall clock, so it must stay out of anything deterministic.
-  std::vector<std::string> exclude = {"sim.events_per_sec"};
 };
 
 // Samples a MetricsRegistry into a TimeSeriesStore. Builds a flat sampling
@@ -145,7 +148,7 @@ class Scraper {
  public:
   explicit Scraper(const MetricsRegistry* registry, ScraperOptions options = {});
 
-  // Samples every non-excluded source and seals one window ending at `now`.
+  // Samples every registered source and seals one window ending at `now`.
   // Pure observer: never mutates the registry or its sources, safe to call
   // from a Simulator metronome hook.
   void ScrapeAt(TimePoint now);
@@ -162,7 +165,6 @@ class Scraper {
 
  private:
   void RebuildPlan();
-  bool Excluded(const std::string& key) const;
 
   struct CounterPlan {
     TimeSeriesStore::Series* series;

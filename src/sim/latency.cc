@@ -23,28 +23,12 @@ LatencyModel LatencyModel::Uniform(Duration lo, Duration hi) {
   return m;
 }
 
-LatencyModel LatencyModel::ShiftedExponential(Duration min, Duration mean) {
-  WVOTE_CHECK(Duration::Zero() <= min && min <= mean);
-  LatencyModel m;
-  m.kind_ = Kind::kShiftedExponential;
-  m.a_ = min;
-  m.b_ = mean;
-  return m;
-}
-
 Duration LatencyModel::Sample(Rng& rng) const {
   switch (kind_) {
     case Kind::kFixed:
       return a_;
     case Kind::kUniform:
       return Duration::Micros(rng.NextInRange(a_.ToMicros(), b_.ToMicros()));
-    case Kind::kShiftedExponential: {
-      const double tail_mean = static_cast<double>((b_ - a_).ToMicros());
-      if (tail_mean <= 0.0) {
-        return a_;
-      }
-      return a_ + Duration::Micros(static_cast<int64_t>(rng.NextExponential(tail_mean)));
-    }
   }
   return Duration::Zero();
 }
@@ -55,8 +39,6 @@ Duration LatencyModel::Mean() const {
       return a_;
     case Kind::kUniform:
       return Duration::Micros((a_.ToMicros() + b_.ToMicros()) / 2);
-    case Kind::kShiftedExponential:
-      return b_;
   }
   return Duration::Zero();
 }
@@ -67,8 +49,6 @@ std::string LatencyModel::ToString() const {
       return "fixed(" + a_.ToString() + ")";
     case Kind::kUniform:
       return "uniform(" + a_.ToString() + "," + b_.ToString() + ")";
-    case Kind::kShiftedExponential:
-      return "shifted_exp(min=" + a_.ToString() + ",mean=" + b_.ToString() + ")";
   }
   return "?";
 }

@@ -3,8 +3,8 @@
 // Gifford's evaluation characterizes each representative by an access
 // latency (e.g. 75ms for a remote server over the 1979 internetwork, 65ms
 // for a local one). LatencyModel captures that parameter as a distribution:
-// fixed for analytic reproduction, or jittered/exponential for simulation
-// realism sweeps.
+// fixed for analytic reproduction, or jittered for simulation realism
+// sweeps.
 
 #ifndef WVOTE_SRC_SIM_LATENCY_H_
 #define WVOTE_SRC_SIM_LATENCY_H_
@@ -27,10 +27,6 @@ class LatencyModel {
   // Uniform in [lo, hi].
   static LatencyModel Uniform(Duration lo, Duration hi);
 
-  // min + Exp(mean - min): a floor (propagation delay) plus an exponential
-  // queueing tail.
-  static LatencyModel ShiftedExponential(Duration min, Duration mean);
-
   Duration Sample(Rng& rng) const;
 
   // Expected value of the distribution; used by the analytic model so that
@@ -40,11 +36,11 @@ class LatencyModel {
   std::string ToString() const;
 
  private:
-  enum class Kind { kFixed, kUniform, kShiftedExponential };
+  enum class Kind { kFixed, kUniform };
 
   Kind kind_;
-  Duration a_;  // kFixed: value; kUniform: lo; kShiftedExponential: min
-  Duration b_;  // kUniform: hi; kShiftedExponential: mean
+  Duration a_;  // kFixed: value; kUniform: lo
+  Duration b_;  // kUniform: hi
 };
 
 }  // namespace wvote

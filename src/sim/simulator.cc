@@ -1,7 +1,6 @@
 #include "src/sim/simulator.h"
 
 #include <bit>
-#include <chrono>
 
 #include "src/obs/metrics.h"
 
@@ -227,16 +226,6 @@ void Simulator::RegisterMetrics(MetricsRegistry* registry) {
   registry->RegisterCounter("sim.events_processed", {}, &stats_.events_processed);
   registry->RegisterCounter("sim.events_cancelled", {}, &stats_.events_cancelled);
   registry->RegisterCounter("sim.events_coalesced", {}, &stats_.events_coalesced);
-  const auto start = std::chrono::steady_clock::now();
-  const uint64_t start_events = stats_.events_processed;
-  registry->RegisterGauge("sim.events_per_sec", {}, [this, start, start_events]() {
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    if (secs <= 0.0) {
-      return 0.0;
-    }
-    return static_cast<double>(stats_.events_processed - start_events) / secs;
-  });
 }
 
 }  // namespace wvote

@@ -227,10 +227,7 @@ class Simulator {
                     uint64_t max_catchup = 256);
   void ClearMetronome();
 
-  // Registers `sim.events_*` counters plus a wall-clock `sim.events_per_sec`
-  // gauge (events processed since registration over wall seconds since
-  // registration — simulated time is free, wall time is what scale
-  // scenarios pay).
+  // Registers the `sim.events_*` counters.
   void RegisterMetrics(MetricsRegistry* registry);
 
   // Awaitable: suspends the calling coroutine for `d` of simulated time.

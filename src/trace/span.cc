@@ -6,40 +6,6 @@
 #include <set>
 
 namespace wvote {
-namespace {
-
-// Minimal JSON string escaping for span names/annotations/host names.
-void AppendJsonEscaped(std::string_view in, std::string* out) {
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 Tracer::Tracer(Simulator* sim, size_t capacity) : sim_(sim), capacity_(capacity) {}
 
@@ -113,11 +79,9 @@ void Tracer::EndWith(const TraceContext& ctx, std::string_view note) {
 
 void Tracer::Complete(Span span) {
   ++spans_completed_;
-  if (metrics_ != nullptr) {
-    auto it = hist_by_name_.find(span.name);
-    if (it != hist_by_name_.end()) {
-      it->second->Record(span.duration());
-    }
+  auto it = span_histograms_.find(span.name);
+  if (it != span_histograms_.end()) {
+    it->second.Record(span.duration());
   }
   if (slow_log_ != nullptr && span.parent_id == 0 &&
       span.duration() >= slow_threshold_) {
@@ -146,8 +110,6 @@ void Tracer::Store(Span span) {
 }
 
 void Tracer::RegisterMetrics(MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  hist_by_name_.clear();
   // Phase spans map to same-named histograms; client roots to trace.op.*.
   const std::pair<const char*, const char*> kMapping[] = {
       {"phase.gather", "trace.phase.gather"},
@@ -160,8 +122,13 @@ void Tracer::RegisterMetrics(MetricsRegistry* metrics) {
       {"client.write", "trace.op.write"},
   };
   for (const auto& [span_name, metric_name] : kMapping) {
-    hist_by_name_[span_name] = metrics->Histogram(metric_name);
+    metrics->RegisterHistogram(metric_name, {}, &span_histograms_[span_name]);
   }
+  metrics->AddResetHook([this]() {
+    for (auto& [name, histogram] : span_histograms_) {
+      histogram.Reset();
+    }
+  });
   metrics->RegisterCounter("trace.tracer.spans_started", {}, &spans_started_);
   metrics->RegisterCounter("trace.tracer.spans_completed", {}, &spans_completed_);
   metrics->RegisterCounter("trace.tracer.slow_ops", {}, &slow_ops_);
@@ -292,7 +259,7 @@ void Tracer::AppendChromeEvent(const Span& span, int pid_base, std::string_view 
   *out += args;
   if (!span.annotation.empty()) {
     *out += ",\"note\":\"";
-    AppendJsonEscaped(span.annotation, out);
+    *out += JsonEscape(span.annotation);
     *out += "\"";
   }
   if (span.open) {
@@ -323,10 +290,10 @@ int Tracer::AppendChromeEvents(std::string* out, bool* first, int pid_base,
                   pid);
     *out += head;
     if (!tag.empty()) {
-      AppendJsonEscaped(tag, out);
+      *out += JsonEscape(tag);
       *out += "/";
     }
-    AppendJsonEscaped(HostName(host), out);
+    *out += JsonEscape(HostName(host));
     *out += "\"}}";
   }
   for (const Span& span : spans) {

@@ -106,8 +106,9 @@ class Tracer {
   void End(const TraceContext& ctx);
   void EndWith(const TraceContext& ctx, std::string_view note);
 
-  // Creates the trace.phase.* / trace.op.* histograms and trace.tracer.*
-  // counters in `metrics`; subsequent span ends feed them by span name.
+  // Registers the trace.phase.* / trace.op.* histograms this tracer owns
+  // (with a reset hook) and the trace.tracer.* counters in `metrics`;
+  // subsequent span ends feed the histograms by span name.
   void RegisterMetrics(MetricsRegistry* metrics);
 
   // Any root span whose duration reaches `threshold` dumps its full tree
@@ -161,8 +162,9 @@ class Tracer {
   uint64_t slow_ops_ = 0;
   std::unordered_map<uint64_t, Span> open_;
 
-  MetricsRegistry* metrics_ = nullptr;
-  std::unordered_map<std::string, LatencyHistogram*> hist_by_name_;
+  // Span name -> duration histogram; filled by RegisterMetrics. Node-based,
+  // so the addresses registered with the registry stay valid.
+  std::unordered_map<std::string, LatencyHistogram> span_histograms_;
 
   TraceLog* slow_log_ = nullptr;
   Duration slow_threshold_ = Duration::Micros(0);

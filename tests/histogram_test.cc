@@ -103,7 +103,21 @@ TEST(HistogramTest, SummaryMentionsCount) {
   EXPECT_NE(h.Summary().find("n=1"), std::string::npos);
 }
 
-TEST(HistogramTest, DeltaSinceIsolatesTheWindow) {
+// The window statistics DeltaStatsSince reports, in one struct.
+struct WindowStats {
+  uint64_t count = 0;
+  int64_t p50_us = 0;
+  int64_t p99_us = 0;
+  int64_t max_us = 0;
+};
+
+WindowStats WindowSince(const LatencyHistogram& h, const LatencyHistogram& prev) {
+  WindowStats w;
+  h.DeltaStatsSince(prev, &w.count, &w.p50_us, &w.p99_us, &w.max_us);
+  return w;
+}
+
+TEST(HistogramTest, DeltaStatsSinceIsolatesTheWindow) {
   LatencyHistogram h;
   h.Record(Duration::Millis(10));
   h.Record(Duration::Millis(10));
@@ -111,21 +125,26 @@ TEST(HistogramTest, DeltaSinceIsolatesTheWindow) {
   h.Record(Duration::Millis(100));
   h.Record(Duration::Millis(100));
   h.Record(Duration::Millis(100));
-  const LatencyHistogram window = h.DeltaSince(prev);
-  EXPECT_EQ(window.count(), 3u);
+  const WindowStats window = WindowSince(h, prev);
+  EXPECT_EQ(window.count, 3u);
   // Only the 100ms samples landed in the window, so its median sits at the
   // 100ms bucket, not between 10 and 100.
-  EXPECT_NEAR(window.Percentile(50).ToMillis(), 100.0, 3.0);
+  EXPECT_NEAR(static_cast<double>(window.p50_us), 100000.0, 3000.0);
+  EXPECT_NEAR(static_cast<double>(window.p99_us), 100000.0, 3000.0);
+  EXPECT_NEAR(static_cast<double>(window.max_us), 100000.0, 3000.0);
 }
 
-TEST(HistogramTest, DeltaSinceEmptyWindow) {
+TEST(HistogramTest, DeltaStatsSinceEmptyWindow) {
   LatencyHistogram h;
   h.Record(Duration::Millis(10));
-  const LatencyHistogram window = h.DeltaSince(h);
-  EXPECT_EQ(window.count(), 0u);
+  const WindowStats window = WindowSince(h, h);
+  EXPECT_EQ(window.count, 0u);
+  EXPECT_EQ(window.p50_us, 0);
+  EXPECT_EQ(window.p99_us, 0);
+  EXPECT_EQ(window.max_us, 0);
 }
 
-TEST(HistogramTest, DeltaSinceAfterResetYieldsCurrentContents) {
+TEST(HistogramTest, DeltaStatsSinceAfterResetYieldsCurrentContents) {
   LatencyHistogram h;
   h.Record(Duration::Millis(10));
   h.Record(Duration::Millis(20));
@@ -133,9 +152,10 @@ TEST(HistogramTest, DeltaSinceAfterResetYieldsCurrentContents) {
   h.Reset();
   h.Record(Duration::Millis(30));
   // prev has more samples than *this: the reset is the window start.
-  const LatencyHistogram window = h.DeltaSince(prev);
-  EXPECT_EQ(window.count(), 1u);
-  EXPECT_NEAR(window.Percentile(50).ToMillis(), 30.0, 1.0);
+  const WindowStats window = WindowSince(h, prev);
+  EXPECT_EQ(window.count, 1u);
+  EXPECT_NEAR(static_cast<double>(window.p50_us), 30000.0, 1000.0);
+  EXPECT_NEAR(static_cast<double>(window.max_us), 30000.0, 1000.0);
 }
 
 }  // namespace

@@ -35,27 +35,6 @@ TEST(LatencyModelTest, UniformStaysInBounds) {
   EXPECT_EQ(m.Mean(), Duration::Millis(15));
 }
 
-TEST(LatencyModelTest, ShiftedExponentialRespectsFloor) {
-  Rng rng(3);
-  LatencyModel m =
-      LatencyModel::ShiftedExponential(Duration::Millis(5), Duration::Millis(25));
-  int64_t sum = 0;
-  for (int i = 0; i < 20000; ++i) {
-    const Duration d = m.Sample(rng);
-    EXPECT_GE(d, Duration::Millis(5));
-    sum += d.ToMicros();
-  }
-  EXPECT_NEAR(static_cast<double>(sum) / 20000.0, 25000.0, 1000.0);
-  EXPECT_EQ(m.Mean(), Duration::Millis(25));
-}
-
-TEST(LatencyModelTest, ShiftedExponentialDegenerate) {
-  Rng rng(4);
-  LatencyModel m =
-      LatencyModel::ShiftedExponential(Duration::Millis(10), Duration::Millis(10));
-  EXPECT_EQ(m.Sample(rng), Duration::Millis(10));
-}
-
 TEST(LatencyModelTest, ToStringNamesKind) {
   EXPECT_EQ(LatencyModel::Fixed(Duration::Millis(1)).ToString(), "fixed(1ms)");
   EXPECT_NE(LatencyModel::Uniform(Duration::Zero(), Duration::Millis(1))

@@ -18,24 +18,24 @@ TEST(MetricKeyTest, LabelsRenderSorted) {
             "core.suite_client.probes_sent{host=client,suite=doc}");
 }
 
-TEST(MetricsRegistryTest, OwnedCounterGetOrCreate) {
-  MetricsRegistry registry;
-  uint64_t* a = registry.Counter("x.y.z");
-  uint64_t* b = registry.Counter("x.y.z");
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(*a, 0u);
-  ++*a;
-  *b += 2;
-  EXPECT_EQ(registry.Snapshot().counter("x.y.z"), 3u);
+TEST(MetricKeyTest, BaseNameDropsLabels) {
+  EXPECT_EQ(MetricBaseName("rpc.endpoint.calls{host=client}"), "rpc.endpoint.calls");
+  EXPECT_EQ(MetricBaseName("rpc.endpoint.calls"), "rpc.endpoint.calls");
+}
+
+TEST(JsonEscapeTest, QuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(JsonEscape("plain key{a=b}"), "plain key{a=b}");
+  EXPECT_EQ(JsonEscape("q\"b\\"), "q\\\"b\\\\");
+  EXPECT_EQ(JsonEscape("n\nt\tr\r"), "n\\nt\\tr\\u000d");
+  EXPECT_EQ(JsonEscape(std::string("\x01\0", 2)), "\\u0001\\u0000");
 }
 
 TEST(MetricsRegistryTest, LabelFanOut) {
   MetricsRegistry registry;
-  uint64_t* client = registry.Counter("rpc.endpoint.calls", {{"host", "client"}});
-  uint64_t* server = registry.Counter("rpc.endpoint.calls", {{"host", "server"}});
-  EXPECT_NE(client, server);
-  *client = 5;
-  *server = 7;
+  uint64_t client = 5;
+  uint64_t server = 7;
+  registry.RegisterCounter("rpc.endpoint.calls", {{"host", "client"}}, &client);
+  registry.RegisterCounter("rpc.endpoint.calls", {{"host", "server"}}, &server);
   MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.counter("rpc.endpoint.calls{host=client}"), 5u);
   EXPECT_EQ(snap.counter("rpc.endpoint.calls{host=server}"), 7u);
@@ -89,52 +89,57 @@ TEST(MetricsRegistryTest, HistogramSnapshotAndMerge) {
 
 TEST(MetricsRegistryTest, DeltaSubtractsBase) {
   MetricsRegistry registry;
-  uint64_t* ops = registry.Counter("a.b.ops");
-  LatencyHistogram* lat = registry.Histogram("a.b.latency");
-  *ops = 10;
-  lat->Record(Duration::Millis(1));
+  uint64_t ops = 10;
+  LatencyHistogram lat;
+  registry.RegisterCounter("a.b.ops", {}, &ops);
+  registry.RegisterHistogram("a.b.latency", {}, &lat);
+  lat.Record(Duration::Millis(1));
   MetricsSnapshot before = registry.Snapshot();
-  *ops = 17;
-  lat->Record(Duration::Millis(2));
-  lat->Record(Duration::Millis(3));
+  ops = 17;
+  lat.Record(Duration::Millis(2));
+  lat.Record(Duration::Millis(3));
   MetricsSnapshot delta = registry.Delta(before);
   EXPECT_EQ(delta.counter("a.b.ops"), 7u);
   EXPECT_EQ(delta.histograms.at("a.b.latency").count, 2u);
   // A key absent from the base counts from zero.
-  uint64_t* fresh = registry.Counter("a.b.new");
-  *fresh = 4;
+  uint64_t fresh = 4;
+  registry.RegisterCounter("a.b.new", {}, &fresh);
   EXPECT_EQ(registry.Delta(before).counter("a.b.new"), 4u);
 }
 
-TEST(MetricsRegistryTest, ResetZeroesOwnedAndRunsHooks) {
+TEST(MetricsRegistryTest, ResetRunsHooks) {
   MetricsRegistry registry;
-  uint64_t* owned = registry.Counter("a.b.owned");
-  *owned = 9;
-  uint64_t external = 13;
-  registry.RegisterCounter("a.b.external", {}, &external);
-  registry.AddResetHook([&external]() { external = 0; });
+  uint64_t ops = 9;
+  LatencyHistogram lat;
+  lat.Record(Duration::Millis(1));
+  registry.RegisterCounter("a.b.ops", {}, &ops);
+  registry.RegisterHistogram("a.b.latency", {}, &lat);
+  registry.AddResetHook([&ops]() { ops = 0; });
+  registry.AddResetHook([&lat]() { lat.Reset(); });
   registry.Reset();
-  EXPECT_EQ(*owned, 0u);
-  EXPECT_EQ(external, 0u);
+  EXPECT_EQ(ops, 0u);
   MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_EQ(snap.counter("a.b.owned"), 0u);
-  EXPECT_EQ(snap.counter("a.b.external"), 0u);
+  EXPECT_EQ(snap.counter("a.b.ops"), 0u);
+  EXPECT_EQ(snap.histograms.at("a.b.latency").count, 0u);
 }
 
-TEST(MetricsRegistryTest, NumMetricsCountsDistinctKeys) {
+TEST(MetricsRegistryTest, NumMetricsCountsSources) {
   MetricsRegistry registry;
-  registry.Counter("a.b.c");
-  registry.Counter("a.b.c");  // same key, no new metric
-  registry.Counter("a.b.d");
   uint64_t src = 0;
-  registry.RegisterCounter("a.b.e", {}, &src);
+  registry.RegisterCounter("a.b.c", {}, &src);
+  registry.RegisterCounter("a.b.c", {}, &src);  // same key, a second source
+  registry.RegisterGauge("a.b.d", {}, [] { return 0.0; });
   EXPECT_EQ(registry.num_metrics(), 3u);
+  EXPECT_TRUE(registry.Contains("a.b.d"));
+  EXPECT_FALSE(registry.Contains("a.b.e"));
 }
 
 TEST(MetricsSnapshotTest, TextExportOneLinePerMetric) {
   MetricsRegistry registry;
-  *registry.Counter("b.first") = 1;
-  *registry.Counter("a.second") = 2;
+  uint64_t first = 1;
+  uint64_t second = 2;
+  registry.RegisterCounter("b.first", {}, &first);
+  registry.RegisterCounter("a.second", {}, &second);
   const std::string text = registry.ExportText();
   // Sorted by key: "a.second" before "b.first".
   EXPECT_NE(text.find("a.second 2\n"), std::string::npos);
@@ -144,9 +149,12 @@ TEST(MetricsSnapshotTest, TextExportOneLinePerMetric) {
 
 TEST(MetricsSnapshotTest, JsonExportIsWellFormed) {
   MetricsRegistry registry;
-  *registry.Counter("a.ops", {{"host", "h\"q"}}) = 3;
-  *registry.Gauge("a.level") = 1.5;
-  registry.Histogram("a.lat")->Record(Duration::Millis(5));
+  uint64_t ops = 3;
+  LatencyHistogram lat;
+  lat.Record(Duration::Millis(5));
+  registry.RegisterCounter("a.ops", {{"host", "h\"q"}}, &ops);
+  registry.RegisterGauge("a.level", {}, [] { return 1.5; });
+  registry.RegisterHistogram("a.lat", {}, &lat);
   const std::string json = registry.ExportJson();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');

@@ -21,7 +21,6 @@ TEST(SuiteConfigTest, TotalAndVotingCounts) {
   cfg.AddRepresentative("b", 1);
   cfg.AddWeakRepresentative("cache");
   EXPECT_EQ(cfg.TotalVotes(), 3);
-  EXPECT_EQ(cfg.NumVotingReps(), 2);
   EXPECT_TRUE(cfg.representatives[2].weak());
 }
 

@@ -161,20 +161,18 @@ TEST(ScraperTest, PlanRebuildsWhenRegistryGrowsAndCarriesDeltas) {
   EXPECT_EQ(scraper.store().Tail("core.test.late", 8), (std::vector<double>{7}));
 }
 
-TEST(ScraperTest, GaugesSampleAndExcludedMetricsNeverAppear) {
+TEST(ScraperTest, GaugesSampleAtEachWindowEnd) {
   MetricsRegistry reg;
   double depth = 0.0;
   reg.RegisterGauge("core.test.depth", {}, [&] { return depth; });
-  reg.RegisterGauge("sim.events_per_sec", {}, [] { return 123456.0; });
   Scraper scraper(&reg);
   depth = 2.5;
   scraper.ScrapeAt(TimePoint::FromMicros(10000));
   depth = 4.0;
   scraper.ScrapeAt(TimePoint::FromMicros(20000));
   EXPECT_EQ(scraper.store().Tail("core.test.depth", 8), (std::vector<double>{2.5, 4.0}));
-  // The wall-clock gauge is excluded by default: no series, no export entry.
-  EXPECT_TRUE(scraper.store().Tail("sim.events_per_sec", 8).empty());
-  EXPECT_EQ(scraper.store().ExportJson(8).find("events_per_sec"), std::string::npos);
+  EXPECT_NE(scraper.store().ExportJson(8).find("\"core.test.depth\":{\"kind\":\"gauge\""),
+            std::string::npos);
 }
 
 TEST(ScraperTest, HistogramWindowsDoNotLeakAcrossBoundaries) {

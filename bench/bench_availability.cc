@@ -16,7 +16,7 @@
 
 #include "bench/bench_util.h"
 #include "src/analysis/model.h"
-#include "src/workload/fault_injector.h"
+#include "src/chaos/nemesis.h"
 #include "src/workload/generator.h"
 
 using namespace wvote;  // NOLINT: bench brevity
@@ -48,10 +48,11 @@ SimPoint SimulateAvailability(const VoteScheme& scheme, double availability) {
   MaybeEnableScraping(cluster);
   SuiteConfig config;
   config.suite_name = "avail";
+  std::vector<std::string> hosts;
   for (size_t i = 0; i < scheme.votes.size(); ++i) {
-    const std::string host = "srv-" + std::to_string(i);
-    cluster.AddRepresentative(host);
-    config.AddRepresentative(host, scheme.votes[i]);
+    hosts.push_back("srv-" + std::to_string(i));
+    cluster.AddRepresentative(hosts.back());
+    config.AddRepresentative(hosts.back(), scheme.votes[i]);
   }
   config.read_quorum = scheme.r;
   config.write_quorum = scheme.w;
@@ -63,12 +64,11 @@ SimPoint SimulateAvailability(const VoteScheme& scheme, double availability) {
 
   const Duration run = SmokeRun(Duration::Seconds(600), Duration::Seconds(20));
   const TimePoint end = cluster.sim().Now() + run;
-  const FaultProfile profile = ProfileForAvailability(availability, Duration::Seconds(5));
-  for (size_t i = 0; i < scheme.votes.size(); ++i) {
-    Host* host = cluster.net().FindHost("srv-" + std::to_string(i));
-    Spawn(RunCrashRestartCycle(&cluster.sim(), host, profile.mttf, profile.mttr, end,
-                               1000 + i));
-  }
+  Nemesis nemesis(&cluster, CrashRestartSchedule(hosts,
+                                                 ProfileForAvailability(availability,
+                                                                        Duration::Seconds(5)),
+                                                 run, /*seed=*/1000));
+  nemesis.Deploy();
 
   // One-shot attempts (no retry) so each op samples quorum availability.
   WorkloadOptions wopts;

@@ -21,8 +21,8 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "src/chaos/nemesis.h"
 #include "src/obs/histogram.h"
-#include "src/workload/fault_injector.h"
 
 using namespace wvote;  // NOLINT: bench brevity
 
@@ -71,14 +71,14 @@ RunResult RunWorkload(bool fastpath, bool faulty, const char* tag) {
   ExampleDeployment dep = DeployExample(ex, copts, /*seed=*/42);
   Cluster& cluster = *dep.cluster;
 
-  if (faulty) {
-    // The cheapest representative — the fast path's preferred target —
-    // flaps for the whole run.
-    Host* victim = cluster.net().FindHost("srv-0");
-    Spawn(RunCrashRestartCycle(&cluster.sim(), victim, /*mttf=*/Duration::Seconds(2),
-                               /*mttr=*/Duration::Seconds(1),
-                               cluster.sim().Now() + Duration::Seconds(3600), /*seed=*/7));
-  }
+  // Faulty: the cheapest representative — the fast path's preferred target —
+  // flaps for the whole run.
+  Nemesis nemesis(&cluster, faulty ? CrashRestartSchedule({"srv-0"},
+                                                          {/*mttf=*/Duration::Seconds(2),
+                                                           /*mttr=*/Duration::Seconds(1)},
+                                                          Duration::Seconds(3600), /*seed=*/7)
+                                   : FaultSchedule{});
+  nemesis.Deploy();
 
   Status seeded = InternalError("unattempted");
   for (int tries = 0; tries < 200 && !seeded.ok(); ++tries) {

@@ -27,8 +27,8 @@
 
 #include "bench/bench_util.h"
 #include "src/analysis/model.h"
+#include "src/chaos/nemesis.h"
 #include "src/obs/histogram.h"
-#include "src/workload/fault_injector.h"
 
 using namespace wvote;  // NOLINT: bench brevity
 
@@ -111,9 +111,11 @@ void CrashScenario() {
   // while it is down, phase-2 deliveries are lost mid-flight, and the
   // retrier / recovery / watchdog machinery must reconverge every time.
   Host* victim = cluster.net().FindHost("srv-1");
-  Spawn(RunCrashRestartCycle(&cluster.sim(), victim, /*mttf=*/Duration::Seconds(2),
-                             /*mttr=*/Duration::Seconds(1),
-                             cluster.sim().Now() + Duration::Seconds(3600), /*seed=*/7));
+  Nemesis nemesis(&cluster, CrashRestartSchedule({"srv-1"},
+                                                 {/*mttf=*/Duration::Seconds(2),
+                                                  /*mttr=*/Duration::Seconds(1)},
+                                                 Duration::Seconds(3600), /*seed=*/7));
+  nemesis.Deploy();
 
   std::string last_acked;
   for (int i = 0; i < g_crash_writes; ++i) {

@@ -28,9 +28,9 @@
 #include <string>
 #include <vector>
 
+#include "src/chaos/nemesis.h"
 #include "src/core/cluster.h"
 #include "src/obs/metrics.h"
-#include "src/workload/fault_injector.h"
 #include "src/workload/generator.h"
 
 using namespace wvote;  // NOLINT: example brevity
@@ -61,7 +61,7 @@ struct Args {
   int clients = 2;
   int seconds = 60;
   size_t value_bytes = 1024;
-  double availability = 1.0;     // < 1.0 enables crash injection
+  double availability = 1.0;     // in (0, 1]; < 1.0 enables crash injection
   uint64_t seed = 42;
   QuorumStrategy strategy = QuorumStrategy::kLowestLatency;
   int probe_timeout_ms = 500;
@@ -106,7 +106,14 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--value-bytes") {
       args->value_bytes = static_cast<size_t>(std::atoll(next()));
     } else if (flag == "--availability") {
-      args->availability = std::atof(next());
+      const char* text = next();
+      char* end = nullptr;
+      args->availability = std::strtod(text, &end);
+      if (end == text || *end != '\0' ||
+          !(args->availability > 0.0 && args->availability <= 1.0)) {
+        std::fprintf(stderr, "--availability must be a number in (0, 1], got %s\n", text);
+        return false;
+      }
     } else if (flag == "--seed") {
       args->seed = static_cast<uint64_t>(std::atoll(next()));
     } else if (flag == "--strategy") {
@@ -209,11 +216,12 @@ int main(int argc, char** argv) {
 
   SuiteConfig config;
   config.suite_name = "cli";
+  std::vector<std::string> rep_hosts;
   for (int i = 0; i < args.reps; ++i) {
-    const std::string host = "rep-" + std::to_string(i);
-    cluster.AddRepresentative(host);
+    rep_hosts.push_back("rep-" + std::to_string(i));
+    cluster.AddRepresentative(rep_hosts.back());
     const int votes = i < static_cast<int>(args.votes.size()) ? args.votes[static_cast<size_t>(i)] : 1;
-    config.AddRepresentative(host, votes);
+    config.AddRepresentative(rep_hosts.back(), votes);
   }
   config.read_quorum = args.r;
   config.write_quorum = args.w;
@@ -267,17 +275,14 @@ int main(int argc, char** argv) {
                               &stats[static_cast<size_t>(c)]));
   }
 
-  if (args.availability < 1.0) {
-    const FaultProfile profile =
-        ProfileForAvailability(args.availability, Duration::Seconds(5));
-    const TimePoint end = cluster.sim().Now() + run;
-    for (int i = 0; i < args.reps; ++i) {
-      Spawn(RunCrashRestartCycle(&cluster.sim(),
-                                 cluster.net().FindHost("rep-" + std::to_string(i)),
-                                 profile.mttf, profile.mttr, end,
-                                 args.seed * 7 + static_cast<uint64_t>(i)));
-    }
-  }
+  Nemesis nemesis(&cluster,
+                  args.availability < 1.0
+                      ? CrashRestartSchedule(
+                            rep_hosts,
+                            ProfileForAvailability(args.availability, Duration::Seconds(5)),
+                            run, args.seed * 7)
+                      : FaultSchedule{});
+  nemesis.Deploy();
 
   if (!args.gray_host.empty()) {
     Host* victim = cluster.net().FindHost(args.gray_host);

@@ -1,8 +1,39 @@
 #include "src/chaos/nemesis.h"
 
+#include <memory>
 #include <vector>
 
 namespace wvote {
+
+void ArmPhaseCrash(Simulator* sim, TraceLog* trace, Host* host, TraceKind kind,
+                   Duration downtime, FaultInjectorStats* stats) {
+  // shared_ptr guard: the observer outlives this frame and must both fire
+  // at most once and tolerate re-entrant Record calls (Crash() itself
+  // records kHostCrashed, which re-enters the observer list).
+  auto fired = std::make_shared<bool>(false);
+  trace->AddObserver([sim, host, kind, downtime, stats, fired](const TraceEvent& ev) {
+    if (*fired || ev.kind != kind || ev.host != host->id()) {
+      return;
+    }
+    if (!host->up()) {
+      return;  // already down; the phase window will recur after restart
+    }
+    *fired = true;
+    host->Crash();
+    if (stats != nullptr) {
+      ++stats->crashes;
+      ++stats->phase_crashes;
+      stats->total_downtime += downtime;
+    }
+    if (downtime > Duration::Zero()) {
+      sim->Schedule(downtime, [host]() {
+        if (!host->up()) {
+          host->Restart();
+        }
+      });
+    }
+  });
+}
 
 void Nemesis::Deploy() {
   for (const FaultEvent& ev : schedule_.events) {

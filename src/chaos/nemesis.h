@@ -1,4 +1,7 @@
-// Nemesis: applies a FaultSchedule to a deployed Cluster.
+// Nemesis: applies a FaultSchedule to a deployed Cluster. It is the one
+// place that injects crashes: the chaos templates, the availability
+// experiments' exponential crash/restart cycles (CrashRestartSchedule) and
+// the phase-targeted crashes all reach the hosts through it.
 //
 // Deploy() walks the schedule once and plants every event on the cluster's
 // simulator at its offset; application is pure mechanism — all randomness
@@ -22,12 +25,27 @@
 
 namespace wvote {
 
+// Phase-targeted one-shot crash: arms a TraceLog observer that crashes
+// `host` the instant it records an event of `kind` at that host, then
+// restarts it after `downtime` (zero leaves it down). Fires at most once.
+// This is how chaos schedules hit exact protocol windows — e.g.
+// kind=kTxnPrepared crashes a participant between its yes-vote and the
+// commit, and kind=kDecisionLogged crashes a coordinator after the decision
+// is durable but before any phase-2 fan-out. `stats` (optional) must
+// outlive the run.
+void ArmPhaseCrash(Simulator* sim, TraceLog* trace, Host* host, TraceKind kind,
+                   Duration downtime, FaultInjectorStats* stats = nullptr);
+
 class Nemesis {
  public:
   Nemesis(Cluster* cluster, FaultSchedule schedule)
       : cluster_(cluster), schedule_(std::move(schedule)) {}
+  Nemesis(const Nemesis&) = delete;
+  Nemesis& operator=(const Nemesis&) = delete;
 
-  // Schedules every event; call once, before pumping the simulation.
+  // Schedules every event at its offset from now; call once, before pumping
+  // the simulation. The planted events point at this Nemesis, so it must
+  // outlive every run of the simulator that can reach them.
   void Deploy();
 
   const FaultSchedule& schedule() const { return schedule_; }

@@ -46,6 +46,26 @@ std::vector<int> SplitVotes(const std::string& text) {
   return votes;
 }
 
+// One read transaction logged as a history op of `client_id` (-1 for the
+// convergence observer): the version and contents it saw, or its failure.
+Task<Status> RecordedRead(SuiteClient* client, HistoryRecorder* recorder, int client_id) {
+  const uint64_t id = recorder->Invoke(client_id, kSuiteName, ChaosOpType::kRead);
+  SuiteTransaction txn = client->Begin();
+  Result<VersionedValue> vv = co_await txn.ReadVersioned();
+  Status st = vv.status();
+  if (st.ok()) {
+    st = co_await txn.Commit();
+  } else {
+    co_await txn.Abort();
+  }
+  if (st.ok()) {
+    recorder->Complete(id, st, vv.value().version, std::move(vv.value().contents));
+  } else {
+    recorder->Complete(id, st, 0);
+  }
+  co_return st;
+}
+
 // One client's workload: ops_per_client operations, each retried up to 3
 // times with every attempt logged as its own history op under a globally
 // unique payload — retry ambiguity is the checker's to reason about, not
@@ -74,21 +94,7 @@ Task<void> RunWorkloadClient(Simulator* sim, SuiteClient* client, HistoryRecorde
         recorder->Complete(id, st, txn.committed_version());
         final_status = st;
       } else {
-        const uint64_t id = recorder->Invoke(client_id, kSuiteName, ChaosOpType::kRead);
-        SuiteTransaction txn = client->Begin();
-        Result<VersionedValue> vv = co_await txn.ReadVersioned();
-        Status st = vv.status();
-        if (st.ok()) {
-          st = co_await txn.Commit();
-        } else {
-          co_await txn.Abort();
-        }
-        if (st.ok()) {
-          recorder->Complete(id, st, vv.value().version, std::move(vv.value().contents));
-        } else {
-          recorder->Complete(id, st, 0);
-        }
-        final_status = st;
+        final_status = co_await RecordedRead(client, recorder, client_id);
       }
       if (final_status.ok()) {
         break;
@@ -96,27 +102,6 @@ Task<void> RunWorkloadClient(Simulator* sim, SuiteClient* client, HistoryRecorde
       co_await sim->Sleep(Duration::Millis(20 + static_cast<int64_t>(rng.NextBelow(80))));
     }
   }
-}
-
-// The post-heal convergence read: every fault has cleared, so a broadcast
-// read must succeed and must observe every acknowledged write — this is the
-// op that turns "lost ack" into a concrete durability violation.
-Task<bool> RunFinalRead(SuiteClient* client, HistoryRecorder* recorder) {
-  const uint64_t id = recorder->Invoke(-1, kSuiteName, ChaosOpType::kRead);
-  SuiteTransaction txn = client->Begin();
-  Result<VersionedValue> vv = co_await txn.ReadVersioned();
-  Status st = vv.status();
-  if (st.ok()) {
-    st = co_await txn.Commit();
-  } else {
-    co_await txn.Abort();
-  }
-  if (st.ok()) {
-    recorder->Complete(id, st, vv.value().version, std::move(vv.value().contents));
-  } else {
-    recorder->Complete(id, st, 0);
-  }
-  co_return st.ok();
 }
 
 // Rotates every workload client's probing policy on a fixed cadence for the
@@ -255,8 +240,11 @@ ChaosRunOutcome RunChaosWithSchedule(const ChaosRunSpec& spec,
   // hang the sweep.
   cluster.sim().RunFor(spec.horizon + Duration::Seconds(30));
 
-  std::optional<bool> final_done =
-      cluster.RunTaskFor(RunFinalRead(observer, &recorder), Duration::Seconds(30));
+  // The post-heal convergence read: every fault has cleared, so a broadcast
+  // read must succeed and must observe every acknowledged write — this is the
+  // op that turns "lost ack" into a concrete durability violation.
+  std::optional<Status> final_read = cluster.RunTaskFor(
+      RecordedRead(observer, &recorder, /*client_id=*/-1), Duration::Seconds(30));
 
   ChaosRunOutcome outcome;
   outcome.schedule = schedule;
@@ -267,7 +255,7 @@ ChaosRunOutcome RunChaosWithSchedule(const ChaosRunSpec& spec,
   outcome.nemesis_phase_crashes = nemesis.stats().phase_crashes;
   outcome.strategy_rotations = strategy_rotations;
   outcome.check = CheckHistory(outcome.history, outcome.initial_contents);
-  outcome.final_read_ok = final_done.value_or(false);
+  outcome.final_read_ok = final_read.has_value() && final_read->ok();
   if (!outcome.final_read_ok) {
     const bool have_ops = !outcome.history.empty();
     outcome.check.violations.push_back(ChaosViolation{

@@ -94,6 +94,11 @@ Result<FaultAction> FaultActionFromName(const std::string& name) {
   return InvalidArgumentError("unknown fault action '" + name + "'");
 }
 
+void SortByTime(FaultSchedule* schedule) {
+  std::stable_sort(schedule->events.begin(), schedule->events.end(),
+                   [](const FaultEvent& a, const FaultEvent& b) { return a.at < b.at; });
+}
+
 // Deterministic per-template stream: same (template, seed) -> same schedule.
 uint64_t MixSeed(const std::string& template_name, uint64_t seed) {
   uint64_t h = 1469598103934665603ull ^ seed;
@@ -533,8 +538,33 @@ FaultSchedule MakeScheduleFromTemplate(const std::string& template_name, uint64_
   } else {
     WVOTE_CHECK_MSG(false, "unknown schedule template");
   }
-  std::stable_sort(schedule.events.begin(), schedule.events.end(),
-                   [](const FaultEvent& a, const FaultEvent& b) { return a.at < b.at; });
+  SortByTime(&schedule);
+  return schedule;
+}
+
+FaultSchedule CrashRestartSchedule(const std::vector<std::string>& hosts,
+                                   const FaultProfile& profile, Duration horizon,
+                                   uint64_t seed) {
+  FaultSchedule schedule;
+  schedule.name = "crash_restart";
+  for (size_t i = 0; i < hosts.size(); ++i) {
+    Rng rng(seed + i);
+    auto draw = [&rng](Duration mean) {
+      return Duration::Micros(
+          static_cast<int64_t>(rng.NextExponential(static_cast<double>(mean.ToMicros()))));
+    };
+    for (Duration t = draw(profile.mttf); t < horizon;) {
+      FaultEvent ev;
+      ev.at = t;
+      ev.action = FaultAction::kCrashRestart;
+      ev.host = hosts[i];
+      ev.duration = draw(profile.mttr);
+      t += ev.duration;
+      t += draw(profile.mttf);
+      schedule.events.push_back(std::move(ev));
+    }
+  }
+  SortByTime(&schedule);
   return schedule;
 }
 

@@ -1,13 +1,14 @@
 // Composable, seed-deterministic fault schedules.
 //
 // A FaultSchedule is a value object: an ordered list of FaultEvents, each an
-// (offset, action, target) triple. Schedules are built once — either from a
-// named template expanded under a seed, or parsed back from a dumped
-// artifact — and then *applied* deterministically by the Nemesis; no
-// randomness survives into application, so replaying a schedule against the
-// same cluster seed reproduces the run bit-for-bit. That determinism is what
-// makes greedy schedule minimization (drop an event, replay, keep the drop
-// if the failure persists) an exact algorithm rather than a heuristic.
+// (offset, action, target) triple. Schedules are built once — from a named
+// template expanded under a seed, from an exponential crash/restart profile
+// (CrashRestartSchedule), or parsed back from a dumped artifact — and then
+// *applied* deterministically by the Nemesis; no randomness survives into
+// application, so replaying a schedule against the same cluster seed
+// reproduces the run bit-for-bit. That determinism is what makes greedy
+// schedule minimization (drop an event, replay, keep the drop if the failure
+// persists) an exact algorithm rather than a heuristic.
 //
 // Events cover every fault the simulator can express:
 //   * crash/restart cycles on a named host (kCrashRestart);
@@ -39,6 +40,7 @@
 #include "src/common/status.h"
 #include "src/common/time.h"
 #include "src/trace/trace.h"
+#include "src/workload/fault_injector.h"
 
 namespace wvote {
 
@@ -115,6 +117,15 @@ std::vector<std::string> ScheduleTemplateNames();
 // unknown name (ScheduleTemplateNames() is the contract).
 FaultSchedule MakeScheduleFromTemplate(const std::string& template_name, uint64_t seed,
                                        const ScheduleTemplateParams& params);
+
+// Gifford's independent-failure model as a schedule. Host i draws from
+// Rng(seed + i): up for Exp(profile.mttf), then one kCrashRestart event down
+// for Exp(profile.mttr), repeated while the crash falls before `horizon` (a
+// crash keeps its whole downtime even past it). Each draw is truncated to
+// whole microseconds. Events are in time order, as a template's are.
+FaultSchedule CrashRestartSchedule(const std::vector<std::string>& hosts,
+                                   const FaultProfile& profile, Duration horizon,
+                                   uint64_t seed);
 
 }  // namespace wvote
 

@@ -1,8 +1,5 @@
 #include "src/workload/fault_injector.h"
 
-#include <memory>
-#include <utility>
-
 #include "src/common/check.h"
 
 namespace wvote {
@@ -15,73 +12,12 @@ void FaultInjectorStats::RegisterWith(MetricsRegistry* registry, const MetricLab
   registry->AddResetHook([this]() { Reset(); });
 }
 
-void ArmPhaseCrash(Simulator* sim, TraceLog* trace, Host* host, TraceKind kind,
-                   Duration downtime, FaultInjectorStats* stats,
-                   std::string detail_substring) {
-  // shared_ptr guard: the observer outlives this frame and must both fire
-  // at most once and tolerate re-entrant Record calls (Crash() itself
-  // records kHostCrashed, which re-enters the observer list).
-  auto fired = std::make_shared<bool>(false);
-  trace->AddObserver([sim, host, kind, downtime, stats, fired,
-                      substr = std::move(detail_substring)](const TraceEvent& ev) {
-    if (*fired || ev.kind != kind || ev.host != host->id()) {
-      return;
-    }
-    if (!substr.empty() && ev.detail.find(substr) == std::string::npos) {
-      return;
-    }
-    if (!host->up()) {
-      return;  // already down; the phase window will recur after restart
-    }
-    *fired = true;
-    host->Crash();
-    if (stats != nullptr) {
-      ++stats->crashes;
-      ++stats->phase_crashes;
-      stats->total_downtime += downtime;
-    }
-    if (downtime > Duration::Zero()) {
-      sim->Schedule(downtime, [host]() {
-        if (!host->up()) {
-          host->Restart();
-        }
-      });
-    }
-  });
-}
-
 FaultProfile ProfileForAvailability(double availability, Duration mttr) {
   WVOTE_CHECK(availability > 0.0 && availability < 1.0);
   // availability = mttf / (mttf + mttr)  =>  mttf = mttr * a / (1 - a)
   const double mttf_us = static_cast<double>(mttr.ToMicros()) * availability /
                          (1.0 - availability);
   return FaultProfile{Duration::Micros(static_cast<int64_t>(mttf_us)), mttr};
-}
-
-Task<void> RunCrashRestartCycle(Simulator* sim, Host* host, Duration mttf, Duration mttr,
-                                TimePoint end, uint64_t seed, FaultInjectorStats* stats) {
-  Rng rng(seed);
-  while (sim->Now() < end) {
-    const double up_us = rng.NextExponential(static_cast<double>(mttf.ToMicros()));
-    co_await sim->Sleep(Duration::Micros(static_cast<int64_t>(up_us)));
-    if (sim->Now() >= end) {
-      break;
-    }
-    host->Crash();
-    if (stats != nullptr) {
-      ++stats->crashes;
-    }
-    const double down_us = rng.NextExponential(static_cast<double>(mttr.ToMicros()));
-    const Duration downtime = Duration::Micros(static_cast<int64_t>(down_us));
-    co_await sim->Sleep(downtime);
-    if (stats != nullptr) {
-      stats->total_downtime += downtime;
-    }
-    host->Restart();
-  }
-  if (!host->up()) {
-    host->Restart();
-  }
 }
 
 }  // namespace wvote

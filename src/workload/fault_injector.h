@@ -1,21 +1,21 @@
-// Crash/restart fault injection.
+// Crash/restart fault accounting and profiles.
 //
-// Drives a host through an exponential crash/repair cycle: up for
-// Exp(mttf), down for Exp(mttr). The steady-state availability of such a
-// host is mttf / (mttf + mttr), which is what the analytic model's
+// A FaultProfile is an exponential crash/repair cycle: up for Exp(mttf),
+// down for Exp(mttr). The steady-state availability of such a host is
+// mttf / (mttf + mttr), which is what the analytic model's
 // per-representative availability parameter means — so simulation sweeps
 // and the closed-form blocking probabilities are directly comparable.
+// CrashRestartSchedule (src/chaos/schedule.h) turns a profile into a
+// FaultSchedule, and the Nemesis applies it, counting into a
+// FaultInjectorStats.
 
 #ifndef WVOTE_SRC_WORKLOAD_FAULT_INJECTOR_H_
 #define WVOTE_SRC_WORKLOAD_FAULT_INJECTOR_H_
 
-#include <string>
+#include <cstdint>
 
-#include "src/net/host.h"
+#include "src/common/time.h"
 #include "src/obs/metrics.h"
-#include "src/sim/simulator.h"
-#include "src/sim/task.h"
-#include "src/trace/trace.h"
 
 namespace wvote {
 
@@ -30,24 +30,6 @@ struct FaultInjectorStats {
   // label by the injected host.
   void RegisterWith(MetricsRegistry* registry, const MetricLabels& labels = {});
 };
-
-// Cycles `host` until `end` of simulated time; the host is left up.
-// `stats` (optional) must outlive the task.
-Task<void> RunCrashRestartCycle(Simulator* sim, Host* host, Duration mttf, Duration mttr,
-                                TimePoint end, uint64_t seed,
-                                FaultInjectorStats* stats = nullptr);
-
-// Phase-targeted one-shot crash: arms a TraceLog observer that crashes
-// `host` the instant it records an event of `kind` at that host (optionally
-// only when the event detail contains `detail_substring`), then restarts it
-// after `downtime` (zero leaves it down). Fires at most once. This is how
-// chaos schedules hit exact protocol windows — e.g. kind=kTxnPrepared
-// crashes a participant between its yes-vote and the commit, and
-// kind=kDecisionLogged crashes a coordinator after the decision is durable
-// but before any phase-2 fan-out. `stats` (optional) must outlive the run.
-void ArmPhaseCrash(Simulator* sim, TraceLog* trace, Host* host, TraceKind kind,
-                   Duration downtime, FaultInjectorStats* stats = nullptr,
-                   std::string detail_substring = "");
 
 // mttf/mttr pair whose steady-state availability is `availability`, with the
 // given repair time.

@@ -10,10 +10,10 @@
 #include <optional>
 #include <vector>
 
+#include "src/chaos/nemesis.h"
 #include "src/txn/coordinator.h"
 #include "src/txn/participant.h"
 #include "src/trace/trace.h"
-#include "src/workload/fault_injector.h"
 
 namespace wvote {
 namespace {

@@ -24,8 +24,8 @@
 #include <set>
 #include <vector>
 
+#include "src/chaos/nemesis.h"
 #include "src/core/cluster.h"
-#include "src/workload/fault_injector.h"
 
 namespace wvote {
 namespace {
@@ -184,12 +184,11 @@ TEST_P(InvariantTest, RandomizedHistoryIsSafe) {
   }
 
   // Crash/restart churn on every representative for the first stretch.
-  const TimePoint churn_end = cluster.sim().Now() + Duration::Seconds(4);
-  for (int i = 0; i < scenario.num_reps; ++i) {
-    Spawn(RunCrashRestartCycle(&cluster.sim(), cluster.net().FindHost(hosts[static_cast<size_t>(i)]),
-                               Duration::Millis(1500), Duration::Millis(300), churn_end,
-                               seed * 999 + static_cast<uint64_t>(i)));
-  }
+  Nemesis nemesis(&cluster, CrashRestartSchedule(hosts,
+                                                 {/*mttf=*/Duration::Millis(1500),
+                                                  /*mttr=*/Duration::Millis(300)},
+                                                 Duration::Seconds(4), seed * 999));
+  nemesis.Deploy();
 
   cluster.sim().Run();
 

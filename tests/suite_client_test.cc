@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/chaos/nemesis.h"
 #include "src/core/cluster.h"
-#include "src/workload/fault_injector.h"
 
 namespace wvote {
 namespace {
@@ -428,9 +428,11 @@ TEST_F(SuiteClientTest, FastPathReadsStayCurrentUnderCrashRestartCycles) {
   Deploy(3, 2, 2, copts);
   // rep-0 flaps for the whole test: probes aimed at it time out mid-read,
   // and its copy goes stale across every write it misses.
-  Spawn(RunCrashRestartCycle(&cluster_->sim(), Rep(0), /*mttf=*/Duration::Millis(400),
-                             /*mttr=*/Duration::Millis(400),
-                             cluster_->sim().Now() + Duration::Seconds(60), /*seed=*/7));
+  Nemesis nemesis(cluster_.get(), CrashRestartSchedule({"rep-0"},
+                                                       {/*mttf=*/Duration::Millis(400),
+                                                        /*mttr=*/Duration::Millis(400)},
+                                                       Duration::Seconds(60), /*seed=*/7));
+  nemesis.Deploy();
   for (int i = 0; i < 10; ++i) {
     const std::string v = "v" + std::to_string(i);
     ASSERT_TRUE(cluster_->RunTask(client_->WriteOnce(v, /*retries=*/20)).ok()) << v;

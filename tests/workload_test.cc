@@ -1,7 +1,13 @@
-// Workload generator and fault injector.
+// Workload generator, fault profiles and the crash/restart schedules built
+// from them.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "src/chaos/schedule.h"
 #include "src/core/cluster.h"
 #include "src/workload/fault_injector.h"
 #include "src/workload/generator.h"
@@ -110,19 +116,65 @@ TEST(FaultProfileTest, AvailabilityMath) {
   EXPECT_EQ(p.mttr, Duration::Seconds(10));
 }
 
-TEST(FaultInjectorTest, HostCyclesAndEndsUp) {
-  Simulator sim(1);
-  Network net(&sim);
-  Host* host = net.AddHost("flaky");
-  FaultInjectorStats stats;
-  const TimePoint end = TimePoint() + Duration::Seconds(600);
-  Spawn(RunCrashRestartCycle(&sim, host, Duration::Seconds(20), Duration::Seconds(5), end,
-                             7, &stats));
-  sim.Run();
-  EXPECT_TRUE(host->up());
-  EXPECT_GT(stats.crashes, 10u);
+// Total downtime of a schedule's crashes, checking on the way that each
+// crash hits `host` while it is up and starts before `horizon`.
+Duration CheckedDowntime(const FaultSchedule& s, const std::string& host, Duration horizon) {
+  Duration downtime;
+  Duration up_since;
+  for (const FaultEvent& ev : s.events) {
+    EXPECT_EQ(ev.action, FaultAction::kCrashRestart);
+    EXPECT_EQ(ev.host, host);
+    EXPECT_GE(ev.at, up_since);
+    EXPECT_LT(ev.at, horizon);
+    up_since = ev.at + ev.duration;
+    downtime += ev.duration;
+  }
+  return downtime;
+}
+
+TEST(CrashRestartScheduleTest, HostCyclesWithinHorizon) {
+  const Duration horizon = Duration::Seconds(600);
+  const FaultSchedule s = CrashRestartSchedule(
+      {"flaky"}, {Duration::Seconds(20), Duration::Seconds(5)}, horizon, /*seed=*/7);
+  EXPECT_GT(s.events.size(), 10u);
   // Steady-state availability 20/25 = 0.8: downtime should be ~20% of 600s.
-  EXPECT_NEAR(stats.total_downtime.ToSeconds() / 600.0, 0.2, 0.1);
+  EXPECT_NEAR(CheckedDowntime(s, "flaky", horizon).ToSeconds() / 600.0, 0.2, 0.1);
+}
+
+// The exact instants of one host's stream: every draw is whole µs, in the
+// order up, down, up, down, ... A change to that order moves every
+// crash-injected experiment, so it must show here first.
+TEST(CrashRestartScheduleTest, PinsDrawOrder) {
+  const FaultSchedule s = CrashRestartSchedule(
+      {"h0"}, {Duration::Seconds(20), Duration::Seconds(5)}, Duration::Seconds(120),
+      /*seed=*/7);
+  const std::vector<std::pair<int64_t, int64_t>> expected = {
+      {7117034, 6387177},   {17000150, 95416},      {17279200, 680393},
+      {73978672, 11295914}, {103415927, 9425426},
+  };
+  ASSERT_EQ(s.events.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(s.events[i].at.ToMicros(), expected[i].first) << i;
+    EXPECT_EQ(s.events[i].duration.ToMicros(), expected[i].second) << i;
+  }
+}
+
+// Host i draws from seed + i, so adding a host leaves the others' crashes
+// where they were; the merged schedule is in time order.
+TEST(CrashRestartScheduleTest, HostIDrawsFromSeedPlusI) {
+  const FaultProfile profile{Duration::Seconds(20), Duration::Seconds(5)};
+  const Duration horizon = Duration::Seconds(300);
+  const FaultSchedule both = CrashRestartSchedule({"a", "b"}, profile, horizon, 7);
+  const FaultSchedule a = CrashRestartSchedule({"a"}, profile, horizon, 7);
+  const FaultSchedule b = CrashRestartSchedule({"b"}, profile, horizon, 8);
+  ASSERT_EQ(both.events.size(), a.events.size() + b.events.size());
+  std::vector<FaultEvent> merged = a.events;
+  merged.insert(merged.end(), b.events.begin(), b.events.end());
+  std::stable_sort(merged.begin(), merged.end(),
+                   [](const FaultEvent& x, const FaultEvent& y) { return x.at < y.at; });
+  for (size_t i = 0; i < merged.size(); ++i) {
+    EXPECT_EQ(both.events[i].ToLine(), merged[i].ToLine()) << i;
+  }
 }
 
 TEST(ZipfianSamplerTest, ZeroExponentIsUniform) {
@@ -162,16 +214,11 @@ TEST(ZipfianSamplerTest, SamplingIsSeedDeterministic) {
   }
 }
 
-TEST(FaultInjectorTest, ApproximatesTargetAvailability) {
-  Simulator sim(2);
-  Network net(&sim);
-  Host* host = net.AddHost("flaky");
-  FaultInjectorStats stats;
-  const FaultProfile p = ProfileForAvailability(0.95, Duration::Seconds(2));
-  const TimePoint end = TimePoint() + Duration::Seconds(3000);
-  Spawn(RunCrashRestartCycle(&sim, host, p.mttf, p.mttr, end, 9, &stats));
-  sim.Run();
-  const double downtime_share = stats.total_downtime.ToSeconds() / 3000.0;
+TEST(CrashRestartScheduleTest, ApproximatesTargetAvailability) {
+  const Duration horizon = Duration::Seconds(3000);
+  const FaultSchedule s = CrashRestartSchedule(
+      {"flaky"}, ProfileForAvailability(0.95, Duration::Seconds(2)), horizon, /*seed=*/9);
+  const double downtime_share = CheckedDowntime(s, "flaky", horizon).ToSeconds() / 3000.0;
   EXPECT_NEAR(downtime_share, 0.05, 0.025);
 }
 
